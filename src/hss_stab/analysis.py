@@ -443,13 +443,15 @@ def detect_spurious(
     if probe < hmax + 2:
         raise ConfigurationError(f"hmax_probe must be >= hmax + 2 = {hmax + 2}")
 
-    system = assemble_system(scenario)
+    system = assemble_system(scenario, state_only=True)
     sol = eigen_decompose(system.model)
     order = np.lexsort((sol.eigenvalues.imag, sol.eigenvalues.real))
     lam = sol.eigenvalues[order]
     vectors = sol.vectors[:, order]
 
-    probe_lam = eigenvalues_only(assemble_system(scenario.with_hmax(probe)).model)
+    probe_lam = eigenvalues_only(
+        assemble_system(scenario.with_hmax(probe), state_only=True).model
+    )
     f1 = system.model.index_set.f1
     folded = fold_to_strip(lam, f1).folded
     folded_probe = fold_to_strip(probe_lam, f1).folded

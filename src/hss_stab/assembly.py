@@ -1,8 +1,9 @@
 """Interconnection of harmonic state-space models.
 
 Stacks resource models, combines them with the grid into the open-loop
-system, and closes the feedback w_gamma = J * y.  The loop closure is
-generic in J and is reused for the converter-internal control loop.
+system, and closes the feedback w_gamma = J * y.  The compositions are
+held in CSR; only the closed loop is dense.  The loop closure is generic
+in J and is reused for the converter-internal control loop.
 """
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .errors import ShapeError, WellPosednessError, WiringError
 from .harmonic import NODE_MAJOR, GroupingLayout
-from .model import HssModel, check_same_grid, state_interleave_indices
+from .model import HssModel, check_same_grid, stack_models
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,6 @@ class OpenLoopSystem:
 class ClosedLoopSystem:
     model: HssModel
     certificate: WellPosednessCertificate
-    #: operating points of the constituent resources, keyed by node
-    provenance: dict
 
 
 def stack_resources(ciders) -> ResourceBlock:
@@ -78,34 +78,15 @@ def stack_resources(ciders) -> ResourceBlock:
     """
     models = [c.model for c in ciders]
     index_set = check_same_grid(models, "resources")
-    node_ids = tuple(c.node_id for c in ciders)
-
-    idx = state_interleave_indices(index_set, [m.state_channels for m in models])
-    a = scipy.linalg.block_diag(*(m.a for m in models))[np.ix_(idx, idx)]
-    c_mat = scipy.linalg.block_diag(*(m.c for m in models))[:, idx]
-    e = {}
-    f = {}
-    for port in ("gamma", "sigma", "o"):
-        e[port] = scipy.linalg.block_diag(*(m.e[port] for m in models))[idx, :]
-        f[port] = scipy.linalg.block_diag(*(m.f[port] for m in models))
-    state_names = tuple(name for m in models for name in m.state_names)
-
     # per-harmonic gamma dims, one block per node
     in_dims = tuple(m.port_dim("gamma") // index_set.count for m in models)
     out_dims = tuple(m.output_dim // index_set.count for m in models)
-    gamma_layout = GroupingLayout(NODE_MAJOR, in_dims, index_set)
-
-    model = HssModel(
-        index_set=index_set,
-        a=a.astype(complex),
-        e={k: v.astype(complex) for k, v in e.items()},
-        c=c_mat.astype(complex),
-        f={k: v.astype(complex) for k, v in f.items()},
-        state_names=state_names,
-        disturbance_layouts={"gamma": gamma_layout},
+    model = stack_models(
+        models,
+        disturbance_layouts={"gamma": GroupingLayout(NODE_MAJOR, in_dims, index_set)},
         output_layout=GroupingLayout(NODE_MAJOR, out_dims, index_set),
     )
-    return ResourceBlock(model, node_ids, out_dims)
+    return ResourceBlock(model, tuple(c.node_id for c in ciders), out_dims)
 
 
 def build_open_loop(resources: ResourceBlock, grid: HssModel, grid_nodes) -> OpenLoopSystem:
@@ -114,7 +95,7 @@ def build_open_loop(resources: ResourceBlock, grid: HssModel, grid_nodes) -> Ope
     The gamma disturbance becomes col(resource gamma, grid gamma); setpoint
     and operating-point ports touch only resource rows.
     """
-    index_set = check_same_grid([resources.model, grid], "resources and grid")
+    check_same_grid([resources.model, grid], "resources and grid")
     grid_nodes = tuple(grid_nodes)
     if resources.node_ids != grid_nodes:
         missing = set(grid_nodes).symmetric_difference(resources.node_ids)
@@ -132,84 +113,41 @@ def build_open_loop(resources: ResourceBlock, grid: HssModel, grid_nodes) -> Ope
             f"gamma port sizes do not pair up: resources {rq_in}in/{rq_out}out, "
             f"grid {g_in}in/{g_out}out"
         )
-
-    idx = state_interleave_indices(index_set, (rm.state_channels, grid.state_channels))
-    a = scipy.linalg.block_diag(rm.a, grid.a)[np.ix_(idx, idx)]
-    e_gamma = scipy.linalg.block_diag(rm.e["gamma"], grid.e["gamma"])[idx, :]
-    c = scipy.linalg.block_diag(rm.c, grid.c)[:, idx]
-    f_gamma = scipy.linalg.block_diag(rm.f["gamma"], grid.f["gamma"])
-
-    n_grid_states = grid.state_dim
-
-    def with_zero_grid_rows(mat: np.ndarray) -> np.ndarray:
-        return np.vstack([mat, np.zeros((n_grid_states, mat.shape[1]), dtype=complex)])[
-            idx, :
-        ]
-
-    def with_zero_grid_out(mat: np.ndarray) -> np.ndarray:
-        return np.vstack([mat, np.zeros((g_out, mat.shape[1]), dtype=complex)])
-
-    e = {
-        "gamma": e_gamma,
-        "sigma": with_zero_grid_rows(rm.e["sigma"]),
-        "o": with_zero_grid_rows(rm.e["o"]),
-    }
-    f = {
-        "gamma": f_gamma,
-        "sigma": with_zero_grid_out(rm.f["sigma"]),
-        "o": with_zero_grid_out(rm.f["o"]),
-    }
-    model = HssModel(
-        index_set=index_set,
-        a=a,
-        e=e,
-        c=c,
-        f=f,
-        state_names=rm.state_names + grid.state_names,
-        disturbance_layouts={},
-        output_layout=None,
-    )
     return OpenLoopSystem(
-        model,
+        stack_models([rm, grid]),
         resources.node_ids,
         gamma_split=(rq_in, g_in),
         output_split=(rq_out, g_out),
     )
 
 
-def _permutation_rows(j: np.ndarray) -> np.ndarray | None:
+def _permutation_rows(j: sp.csr_array) -> np.ndarray | None:
     """Row-gather indices when J is a 0/1 permutation, else None."""
-    if j.shape[0] != j.shape[1] or np.iscomplexobj(j) and np.any(j.imag):
+    n = j.shape[0]
+    if j.shape != (n, n) or np.any(np.diff(j.indptr) != 1) or np.any(j.data != 1.0):
         return None
-    jr = j.real if np.iscomplexobj(j) else j
-    nz = jr != 0
-    if nz.sum() != j.shape[0] or np.any(jr[nz] != 1.0):
+    if np.any(np.bincount(j.indices, minlength=n) != 1):
         return None
-    if np.any(nz.sum(axis=0) != 1) or np.any(nz.sum(axis=1) != 1):
-        return None
-    return np.argmax(nz, axis=1)
+    return j.indices
 
 
 class _LoopSolver:
-    """Applies (I - J*F_gamma)^-1 to stacked right-hand sides.
+    """Applies (I - J*F_gamma)^-1 to stacked CSR right-hand sides.
 
     The nilpotent case ((J*F)^2 = 0, the norm when the grid block has no
     feedthrough) is handled by the exact two-term series instead of an LU
     factorisation; the determinant is then exactly one.
     """
 
-    def __init__(self, f_gamma: np.ndarray, j: np.ndarray):
+    def __init__(self, f_gamma: sp.csr_array, j: sp.csr_array):
         self.j_rows = _permutation_rows(j)
         self.j = j
-        jf = f_gamma[self.j_rows] if self.j_rows is not None else j @ f_gamma
-        self.row_mask = np.any(jf, axis=1)
-        nilpotent = not self.row_mask.any() or not np.any(jf[self.row_mask] @ jf)
-        self.jf_rows = jf[self.row_mask]
+        self.jf = self.apply_j(f_gamma)
         self.lu = None
-        if nilpotent:
+        if not (self.jf @ self.jf).count_nonzero():
             self.certificate = WellPosednessCertificate(True, 0.0, None)
             return
-        m = np.eye(jf.shape[0], dtype=complex) - jf
+        m = np.eye(self.jf.shape[0], dtype=complex) - self.jf.toarray()
         sign, log_det = np.linalg.slogdet(m)
         if sign == 0 or not np.isfinite(log_det):
             raise WellPosednessError(
@@ -225,45 +163,48 @@ class _LoopSolver:
         self.certificate = WellPosednessCertificate(False, float(log_det), cond)
         self.lu = scipy.linalg.lu_factor(m)
 
-    def apply_j(self, x: np.ndarray) -> np.ndarray:
+    def apply_j(self, x: sp.csr_array) -> sp.csr_array:
         return x[self.j_rows] if self.j_rows is not None else self.j @ x
 
-    def solve_j(self, x: np.ndarray) -> np.ndarray:
+    def solve_j(self, x: sp.csr_array) -> sp.csr_array:
         """(I - J F)^-1 J x."""
         jx = self.apply_j(x)
         if self.lu is not None:
-            return scipy.linalg.lu_solve(self.lu, jx)
-        out = jx.astype(complex, copy=True)
-        if self.jf_rows.size:
-            out[self.row_mask] += self.jf_rows @ jx
-        return out
+            return sp.csr_array(scipy.linalg.lu_solve(self.lu, jx.toarray()))
+        return jx + self.jf @ jx
 
 
 def close_loop(
     open_model: HssModel,
     j: np.ndarray,
     loop_port: str = "gamma",
-    provenance=None,
     state_only: bool = False,
 ) -> ClosedLoopSystem:
     """Close the feedback w[loop_port] = J*y and eliminate the loop port.
 
     All closed-loop matrices are computed through linear solves against
-    (I - J*F) rather than explicit inverses.  ``state_only`` skips the
-    output and remaining-port matrices (enough for eigenvalue work).
+    (I - J*F) rather than explicit inverses.  The open model may be held
+    dense or in CSR; the products run in CSR and the closed-loop matrices
+    are returned dense.  ``state_only`` skips the output and
+    remaining-port matrices (enough for eigenvalue work).
     """
-    e_gamma = open_model.e[loop_port]
-    f_gamma = open_model.f[loop_port]
+
+    def csr(mat) -> sp.csr_array:
+        return sp.csr_array(mat, dtype=complex)
+
+    e_gamma = csr(open_model.e[loop_port])
+    f_gamma = csr(open_model.f[loop_port])
     if j.shape != (f_gamma.shape[1], open_model.output_dim):
         raise ShapeError(
             f"interconnection shape {j.shape} does not map outputs "
             f"({open_model.output_dim}) to the '{loop_port}' port ({f_gamma.shape[1]})"
         )
-    solver = _LoopSolver(f_gamma, j)
+    solver = _LoopSolver(f_gamma, csr(j))
 
     # w_loop = (I - J F)^-1 J (C x + sum_j F_j w_j)
-    jc = solver.solve_j(open_model.c)
-    a_closed = open_model.a + e_gamma @ jc
+    c = csr(open_model.c)
+    jc = solver.solve_j(c)
+    a_closed = (csr(open_model.a) + e_gamma @ jc).toarray()
 
     e_closed = {}
     f_closed = {}
@@ -271,12 +212,13 @@ def close_loop(
         c_closed = np.zeros((0, open_model.state_dim), dtype=complex)
         output_layout = None
     else:
-        c_closed = open_model.c + f_gamma @ jc
+        c_closed = (c + f_gamma @ jc).toarray()
         output_layout = open_model.output_layout
         for port in (p for p in open_model.ports if p != loop_port):
-            jf = solver.solve_j(open_model.f[port])
-            e_closed[port] = open_model.e[port] + e_gamma @ jf
-            f_closed[port] = open_model.f[port] + f_gamma @ jf
+            f_port = csr(open_model.f[port])
+            jf = solver.solve_j(f_port)
+            e_closed[port] = (csr(open_model.e[port]) + e_gamma @ jf).toarray()
+            f_closed[port] = (f_port + f_gamma @ jf).toarray()
 
     model = HssModel(
         index_set=open_model.index_set,
@@ -292,4 +234,4 @@ def close_loop(
         },
         output_layout=output_layout,
     )
-    return ClosedLoopSystem(model, solver.certificate, dict(provenance or {}))
+    return ClosedLoopSystem(model, solver.certificate)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .assembly import close_loop
 from .errors import ConfigurationError, ShapeError, WellPosednessError
@@ -27,7 +28,7 @@ from .harmonic import (
     series_from_samples,
     toeplitz_from_fourier,
 )
-from .model import HssModel, state_interleave_indices
+from .model import HssModel, stack_models
 from .references import (
     OperatingPoint,
     ReferencePlugin,
@@ -131,23 +132,11 @@ def stack_blocks(blocks: Sequence[LtpBlock], group: str) -> LtpBlock:
             for blk in blocks:
                 shape = (getattr(blk, rows), getattr(blk, cols))
                 mats.append(getattr(blk, which).get(h, np.zeros(shape, dtype=complex)))
-            out[h] = _block_diag(mats)
+            out[h] = scipy.linalg.block_diag(*mats)
         return out
 
     names = tuple(n for blk in blocks for n in blk.resolved_state_names())
     return LtpBlock(group, stacked("a"), stacked("b"), stacked("c"), stacked("d"), names)
-
-
-def _block_diag(mats) -> np.ndarray:
-    rows = sum(m.shape[0] for m in mats)
-    cols = sum(m.shape[1] for m in mats)
-    out = np.zeros((rows, cols), dtype=complex)
-    r = c = 0
-    for m in mats:
-        out[r : r + m.shape[0], c : c + m.shape[1]] = m
-        r += m.shape[0]
-        c += m.shape[1]
-    return out
 
 
 @dataclass(frozen=True)
@@ -303,60 +292,39 @@ def assemble_internal_response(
     s_meas = lift(s_meas)
     s_out = lift(_selector(routing.ctl_measured_outputs, hw.n_outputs).T)
 
-    nx_h, nx_c = count * hw.n_states, count * ctl.n_states
-    ny_h, ny_c = count * hw.n_outputs, count * ctl.n_outputs
+    ny_h = count * hw.n_outputs
     n_act, n_ms = count * n_act_t, count * n_meas
-
-    a_open = _block_diag(
-        [
-            toeplitz_from_fourier(hw.a, index_set).matrix
-            if hw.n_states
-            else np.zeros((0, 0)),
-            toeplitz_from_fourier(ctl.a, index_set).matrix
-            if ctl.n_states
-            else np.zeros((0, 0)),
-        ]
+    hw_model = HssModel(
+        index_set=index_set,
+        a=toeplitz_from_fourier(hw.a, index_set).matrix
+        if hw.n_states
+        else np.zeros((0, 0)),
+        e={"loop": b_hw @ p_act, "pi": b_hw @ p_grid},
+        c=toeplitz_from_fourier(hw.c, index_set).matrix
+        if hw.n_states * hw.n_outputs
+        else np.zeros((ny_h, count * hw.n_states)),
+        f={"loop": d_hw @ p_act, "pi": d_hw @ p_grid},
+        state_names=hw.resolved_state_names(),
     )
-    c_open = _block_diag(
-        [
-            toeplitz_from_fourier(hw.c, index_set).matrix
-            if hw.n_states * hw.n_outputs
-            else np.zeros((ny_h, nx_h)),
-            toeplitz_from_fourier(ctl.c, index_set).matrix
-            if ctl.n_states * ctl.n_outputs
-            else np.zeros((ny_c, nx_c)),
-        ]
+    ctl_model = HssModel(
+        index_set=index_set,
+        a=toeplitz_from_fourier(ctl.a, index_set).matrix
+        if ctl.n_states
+        else np.zeros((0, 0)),
+        e={"loop": b_ctl @ s_meas, "kappa": b_ctl @ s_ref},
+        c=toeplitz_from_fourier(ctl.c, index_set).matrix
+        if ctl.n_states * ctl.n_outputs
+        else np.zeros((count * ctl.n_outputs, count * ctl.n_states)),
+        f={"loop": d_ctl @ s_meas, "kappa": d_ctl @ s_ref},
+        state_names=ctl.resolved_state_names(),
     )
-    e_loop = np.zeros((nx_h + nx_c, n_act + n_ms), dtype=complex)
-    e_loop[:nx_h, :n_act] = b_hw @ p_act
-    e_loop[nx_h:, n_act:] = b_ctl @ s_meas
-    f_loop = np.zeros((ny_h + ny_c, n_act + n_ms), dtype=complex)
-    f_loop[:ny_h, :n_act] = d_hw @ p_act
-    f_loop[ny_h:, n_act:] = d_ctl @ s_meas
+    # open loop over col(x_hw, x_ctl), re-interleaved into the h-major layout
+    open_model = stack_models([hw_model, ctl_model])
 
-    e_pi = np.vstack([b_hw @ p_grid, np.zeros((nx_c, count * len(routing.hw_grid_inputs)))])
-    f_pi = np.vstack([d_hw @ p_grid, np.zeros((ny_c, count * len(routing.hw_grid_inputs)))])
-    e_kappa = np.vstack([np.zeros((nx_h, count * routing.n_ref)), b_ctl @ s_ref])
-    f_kappa = np.vstack([np.zeros((ny_h, count * routing.n_ref)), d_ctl @ s_ref])
-
-    j_int = np.zeros((n_act + n_ms, ny_h + ny_c), dtype=complex)
+    j_int = np.zeros((n_act + n_ms, open_model.output_dim), dtype=complex)
     j_int[:n_act, ny_h:] = t_act.matrix
     j_int[n_act:, :ny_h] = t_meas.matrix @ s_out
 
-    # re-interleave col(x_hw, x_ctl) into the h-major state layout
-    idx = state_interleave_indices(index_set, (hw.n_states, ctl.n_states))
-    open_model = HssModel(
-        index_set=index_set,
-        a=a_open[np.ix_(idx, idx)].astype(complex),
-        e={
-            "loop": e_loop[idx, :],
-            "pi": e_pi[idx, :].astype(complex),
-            "kappa": e_kappa[idx, :].astype(complex),
-        },
-        c=c_open[:, idx].astype(complex),
-        f={"loop": f_loop, "pi": f_pi.astype(complex), "kappa": f_kappa.astype(complex)},
-        state_names=hw.resolved_state_names() + ctl.resolved_state_names(),
-    )
     try:
         closed = close_loop(open_model, j_int, loop_port="loop")
     except WellPosednessError as exc:

@@ -3,8 +3,8 @@
     hss-stab <command> --scenario <file> [options]
 
 Commands: eig, htf, sweep, classify, spurious.  Exit codes: 0 success,
-2 validation/configuration error, 3 numerical error, 4 instability
-detected while --fail-on-unstable is set.
+2 validation/configuration or shape error, 3 numerical error, 4
+instability detected while --fail-on-unstable is set.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigurationError, HssError, NumericalError
+from .errors import ConfigurationError, HssError, NumericalError, ShapeError
 from .runner import COMMANDS, export_results, run_command
 from .scenario import load_scenario
 
@@ -115,7 +115,7 @@ def main(argv=None) -> int:
         export_results(
             results, args.format, destination, timestamp=not args.no_timestamp
         )
-    except ConfigurationError as exc:
+    except (ConfigurationError, ShapeError) as exc:
         print(_error_record(exc, EXIT_VALIDATION), file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:

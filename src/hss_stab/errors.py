@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping used by the CLI: configuration/validation errors exit
-with 2, numerical errors with 3 (see cli.py).
+Exit-code mapping used by the CLI: configuration/validation and shape
+errors exit with 2, numerical errors with 3 (see cli.py).
 """
 
 

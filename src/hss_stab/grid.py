@@ -22,7 +22,7 @@ from .errors import (
     TopologyError,
 )
 from .harmonic import NODE_MAJOR, GroupingLayout, HarmonicIndexSet, permutation_indices
-from .model import HssModel
+from .model import HssModel, block_diag_csr
 
 FORMING = "forming"
 FOLLOWING = "following"
@@ -228,34 +228,24 @@ def build_grid_state_space(topology: GridTopology) -> GridStateSpace:
 def lift_grid_to_hss(gss: GridStateSpace, index_set: HarmonicIndexSet) -> HssModel:
     """Harmonic lift of the (constant) grid quadruple, ports grouped per node.
 
-    Each matrix becomes its block-diagonal DC lift; disturbance columns
-    and output rows are then regrouped so that all harmonics of one node
-    form a contiguous block, matching the resource-side port layout.
+    Each matrix becomes its block-diagonal DC lift, held in CSR;
+    disturbance columns and output rows are then regrouped so that all
+    harmonics of one node form a contiguous block, matching the
+    resource-side port layout.
     """
     top = gss.topology
     port_dims = tuple([3] * len(top.forming_ids) + [3] * len(top.following_ids))
     count = index_set.count
-
-    def dc_lift(mat: np.ndarray) -> np.ndarray:
-        return np.kron(np.eye(count), mat).astype(complex)
-
-    a_hat = dc_lift(gss.a)
-    e_hat = dc_lift(gss.e)
-    c_hat = dc_lift(gss.c)
-    f_hat = np.zeros((c_hat.shape[0], e_hat.shape[1]), dtype=complex)
-
     hm = GroupingLayout("harmonic-major", port_dims, index_set)
     idx = permutation_indices(hm, NODE_MAJOR)
-    e_hat = e_hat[:, idx]
-    c_hat = c_hat[idx, :]
     node_layout = hm.with_ordering(NODE_MAJOR)
 
     return HssModel(
         index_set=index_set,
-        a=a_hat,
-        e={"gamma": e_hat},
-        c=c_hat,
-        f={"gamma": f_hat},
+        a=block_diag_csr([gss.a] * count),
+        e={"gamma": block_diag_csr([gss.e] * count, cols=idx)},
+        c=block_diag_csr([gss.c] * count, rows=idx),
+        f={"gamma": block_diag_csr([gss.f] * count)},
         state_names=gss.state_names,
         disturbance_layouts={"gamma": node_layout},
         output_layout=node_layout,

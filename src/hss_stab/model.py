@@ -8,11 +8,12 @@ sites (transfer functions, eigenvalue problems).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigurationError, ShapeError
 from .harmonic import (
@@ -27,6 +28,14 @@ from .harmonic import (
 
 @dataclass(frozen=True)
 class HssModel:
+    """Quadruple (A, E, C, F) over the stacked Fourier coefficients.
+
+    Representation rule: composed models (stacked subsystems, the grid
+    lift, open loops) hold CSR matrices, because a Toeplitz lift couples
+    only nearby harmonics; per-resource leaves and closed loops, the
+    models the analysis reads, hold dense ndarrays.
+    """
+
     index_set: HarmonicIndexSet
     a: np.ndarray
     e: Mapping[str, np.ndarray]
@@ -82,6 +91,16 @@ class HssModel:
 
     def port_dim(self, port: str) -> int:
         return self.e[port].shape[1]
+
+    def dense(self) -> "HssModel":
+        """The same CSR-held model with every matrix as a dense ndarray."""
+        return replace(
+            self,
+            a=self.a.toarray(),
+            e={p: m.toarray() for p, m in self.e.items()},
+            c=self.c.toarray(),
+            f={p: m.toarray() for p, m in self.f.items()},
+        )
 
     def omega(self) -> OmegaOperator:
         return build_omega(self.index_set, self.state_channels)
@@ -230,6 +249,52 @@ def state_interleave_indices(
         return np.zeros(0, dtype=int)
     layout = GroupingLayout(NODE_MAJOR, dims, index_set)
     return permutation_indices(layout, HARMONIC_MAJOR)
+
+
+def block_diag_csr(mats, rows=None, cols=None) -> sp.csr_array:
+    """Complex CSR block diagonal of dense or sparse blocks, gathered as
+    ``block_diag(mats)[rows][:, cols]`` by the index arrays given.
+
+    ``rows`` and ``cols`` must be permutations.  Entries are only copied,
+    so the result holds the blocks' values bit for bit.
+    """
+    bd = sp.block_diag(mats, format="coo")
+    row, col = bd.row, bd.col
+    if rows is not None:
+        row = np.argsort(rows)[row]
+    if cols is not None:
+        col = np.argsort(cols)[col]
+    out = sp.csr_array((bd.data.astype(complex), (row, col)), shape=bd.shape)
+    out.eliminate_zeros()  # dense blocks arrive with their zeros stored
+    return out
+
+
+def stack_models(models, **layouts) -> HssModel:
+    """Block-diagonal composition of HSS models, held in CSR.
+
+    Disturbance columns concatenate per port (a port a model lacks adds no
+    columns) and outputs stack in model order; the stacked state is
+    re-interleaved h-major.  ``layouts`` are the result's
+    ``disturbance_layouts`` and ``output_layout``.
+    """
+    index_set = check_same_grid(models)
+    idx = state_interleave_indices(index_set, [m.state_channels for m in models])
+    ports = tuple(dict.fromkeys(p for m in models for p in m.ports))
+    return HssModel(
+        index_set=index_set,
+        a=block_diag_csr([m.a for m in models], idx, idx),
+        e={
+            p: block_diag_csr([m.e.get(p, np.zeros((m.state_dim, 0))) for m in models], idx)
+            for p in ports
+        },
+        c=block_diag_csr([m.c for m in models], cols=idx),
+        f={
+            p: block_diag_csr([m.f.get(p, np.zeros((m.output_dim, 0))) for m in models])
+            for p in ports
+        },
+        state_names=tuple(name for m in models for name in m.state_names),
+        **layouts,
+    )
 
 
 def harmonic_layout(index_set: HarmonicIndexSet, dims: tuple[int, ...]) -> GroupingLayout:

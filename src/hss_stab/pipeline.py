@@ -68,8 +68,8 @@ def assemble_cider(config: CiderConfig, index_set: HarmonicIndexSet) -> CiderHss
 class SystemModel:
     """Assembled analysis target of a scenario.
 
-    ``model`` is the closed-loop system, or the bare grid model for
-    scenarios without resources.
+    ``model`` is the closed-loop system, or the bare grid model (dense)
+    for scenarios without resources; the intermediate models are CSR.
     """
 
     scenario: Scenario
@@ -102,7 +102,7 @@ def assemble_system(scenario: Scenario, state_only: bool = False) -> SystemModel
 
     if not scenario.ciders:
         return SystemModel(
-            scenario, index_set, grid_model, grid_model, (), None, None, None, None
+            scenario, index_set, grid_model.dense(), grid_model, (), None, None, None, None
         )
 
     by_node = {cfg.node_id: cfg for cfg in scenario.ciders}
@@ -127,7 +127,6 @@ def assemble_system(scenario: Scenario, state_only: bool = False) -> SystemModel
         open_loop.model,
         interconnection.matrix,
         loop_port="gamma",
-        provenance={c.node_id: c.operating_point for c in ciders},
         state_only=state_only,
     )
     return SystemModel(

@@ -90,7 +90,7 @@ def run_command(command: str, scenario: Scenario, **options) -> ResultSet:
     jobs = int(options.get("jobs") or 1)
 
     if command == "eig":
-        system = assemble_system(scenario)
+        system = assemble_system(scenario, state_only=True)
         records, verdict, _ = _eigen_records(system, scenario)
         meta = {
             "command": "eig",
@@ -147,7 +147,7 @@ def run_command(command: str, scenario: Scenario, **options) -> ResultSet:
         result = classify_eigenvalues(
             scenario, control, hardware, epsilon=eps, jobs=jobs
         )
-        system = assemble_system(scenario)
+        system = assemble_system(scenario, state_only=True)
         solution = eigen_decompose(system.model)
         perm, _ = _align(solution.eigenvalues, result.eigenvalues)
         dominant = _dominant_info(solution, perm)
@@ -184,7 +184,7 @@ def run_command(command: str, scenario: Scenario, **options) -> ResultSet:
         hmax_probe=options.get("hmax_probe"),
         delta=delta,
     )
-    system = assemble_system(scenario)
+    system = assemble_system(scenario, state_only=True)
     solution = eigen_decompose(system.model)
     perm, _ = _align(solution.eigenvalues, report.eigenvalues)
     dominant = _dominant_info(solution, perm)

@@ -140,7 +140,7 @@ def test_04_closed_loop_algebra():
         if hmax is not None:
             scenario = scenario.with_hmax(hmax)
         system = assemble_system(scenario)
-        f_gamma = system.open_loop.model.f["gamma"]
+        f_gamma = system.open_loop.model.f["gamma"].toarray()
         j = system.interconnection.matrix
         sign, logdet = np.linalg.slogdet(
             np.eye(j.shape[0], dtype=complex) - j @ f_gamma
@@ -149,7 +149,7 @@ def test_04_closed_loop_algebra():
 
     scenario = load_scenario(scenario_path("two_node"))
     system = assemble_system(scenario)
-    ol = system.open_loop.model
+    ol = system.open_loop.model.dense()
     j = system.interconnection.matrix
     lam = eigenvalues_only(system.model)
     rng = np.random.default_rng(5)

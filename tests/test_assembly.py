@@ -2,21 +2,30 @@ import copy
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
 
 from hss_stab import (
+    HARMONIC_MAJOR,
+    NODE_MAJOR,
+    GroupingLayout,
     HarmonicIndexSet,
     HssModel,
     WellPosednessError,
     WiringError,
+    build_grid_state_space,
     build_interconnection,
     close_loop,
     eigenvalues_only,
     evaluate_htf,
+    load_scenario,
     match_eigenvalues,
+    permutation_indices,
     scenario_from_dict,
 )
+from hss_stab.model import state_interleave_indices
 from hss_stab.pipeline import assemble_system
-from tests.conftest import load_raw
+from tests.conftest import load_raw, scenario_path
 
 
 class TestInterconnection:
@@ -144,7 +153,7 @@ class TestSystemAssembly:
         iset = HarmonicIndexSet(2, 50.0)
         cider = assemble_cider(two_node.ciders[0], iset)
         block = stack_resources([cider])
-        assert np.array_equal(block.model.a, cider.model.a)
+        assert np.array_equal(block.model.a.toarray(), cider.model.a)
         assert block.node_ids == ("n1",)
 
     def test_stack_spectrum_union(self, two_node):
@@ -154,7 +163,7 @@ class TestSystemAssembly:
         iset = HarmonicIndexSet(1, 50.0)
         ciders = [assemble_cider(cfg, iset) for cfg in two_node.ciders]
         block = stack_resources(ciders)
-        stacked = eigenvalues_only(block.model)
+        stacked = eigenvalues_only(block.model.dense())
         union = np.concatenate([eigenvalues_only(c.model) for c in ciders])
         perm, _ = match_eigenvalues(stacked, union)
         scale = np.max(np.abs(union))
@@ -174,14 +183,14 @@ class TestSystemAssembly:
             for i, (name, _) in enumerate(ol.model.state_labels())
             if name.startswith("grid.")
         ]
-        assert not ol.model.e["sigma"][grid_rows].any()
-        assert not ol.model.e["o"][grid_rows].any()
+        assert not ol.model.e["sigma"].toarray()[grid_rows].any()
+        assert not ol.model.e["o"].toarray()[grid_rows].any()
 
     def test_certificate_unit_determinant(self, two_node):
         system = assemble_system(two_node)
         assert system.closed.certificate.nilpotent_loop
         # oracle: explicit determinant of (I - J F)
-        f_gamma = system.open_loop.model.f["gamma"]
+        f_gamma = system.open_loop.model.f["gamma"].toarray()
         j = system.interconnection.matrix
         sign, logdet = np.linalg.slogdet(np.eye(j.shape[0]) - j @ f_gamma)
         assert abs(sign - 1.0) <= 1e-9 and abs(logdet) <= 1e-9
@@ -202,7 +211,7 @@ class TestClosedLoopInvariants:
         # closed-loop transfer at the setpoint port equals the fixed point of
         # the open-loop relations under w_gamma = J y, solved directly
         system = assemble_system(two_node)
-        ol = system.open_loop.model
+        ol = system.open_loop.model.dense()
         j = system.interconnection.matrix
         iset = ol.index_set
         rng = np.random.default_rng(3)
@@ -254,3 +263,86 @@ class TestClosedLoopInvariants:
         perm, _ = match_eigenvalues(lam_a, lam_b)
         scale = np.max(np.abs(lam_a))
         assert np.max(np.abs(lam_a - lam_b[perm])) <= 1e-9 * scale
+
+
+class TestDenseOracle:
+    """The CSR composition against a dense one written out here."""
+
+    @staticmethod
+    def dense_reference(system):
+        """Closed-loop (A, C, E, F) composed densely from the dense leaves."""
+        scenario, iset = system.scenario, system.index_set
+        count = iset.count
+        gss = build_grid_state_space(scenario.topology)
+        nodes = GroupingLayout(
+            HARMONIC_MAJOR, (3,) * len(scenario.topology.ordered_ids), iset
+        )
+        to_node = permutation_indices(nodes, NODE_MAJOR)
+        leaves = [
+            (m.a, m.c, dict(m.e), dict(m.f), m.state_channels)
+            for m in (c.model for c in system.ciders)
+        ]
+        g_out, g_in = count * gss.c.shape[0], count * gss.e.shape[1]
+        grid_e = {"gamma": np.kron(np.eye(count), gss.e)[:, to_node]}
+        grid_f = {"gamma": np.zeros((g_out, g_in))}
+        for port in ("sigma", "o"):
+            grid_e[port] = np.zeros((count * gss.a.shape[0], 0))
+            grid_f[port] = np.zeros((g_out, 0))
+        grid_c = np.kron(np.eye(count), gss.c)[to_node]
+        leaves.append(
+            (np.kron(np.eye(count), gss.a), grid_c, grid_e, grid_f, len(gss.state_names))
+        )
+        idx = state_interleave_indices(iset, [leaf[4] for leaf in leaves])
+
+        def diag(mats):
+            return scipy.linalg.block_diag(*mats).astype(complex)
+
+        a = diag([leaf[0] for leaf in leaves])[np.ix_(idx, idx)]
+        c = diag([leaf[1] for leaf in leaves])[:, idx]
+        e = {p: diag([leaf[2][p] for leaf in leaves])[idx] for p in ("gamma", "sigma", "o")}
+        f = {p: diag([leaf[3][p] for leaf in leaves]) for p in ("gamma", "sigma", "o")}
+
+        n_res = c.shape[0] - g_out
+        j = np.zeros((n_res + g_in, c.shape[0]))
+        j[:n_res, n_res:] = np.eye(g_out)
+        j[n_res:, :n_res] = np.eye(n_res)
+        jf_gamma = j @ f["gamma"]
+        assert not np.any(jf_gamma @ jf_gamma)  # nilpotent: (I - JF)^-1 = I + JF
+
+        def solve_j(x):
+            jx = j @ x
+            return jx + jf_gamma @ jx
+
+        jc = solve_j(c)
+        a_closed = a + e["gamma"] @ jc
+        c_closed = c + f["gamma"] @ jc
+        e_closed = {p: e[p] + e["gamma"] @ solve_j(f[p]) for p in ("sigma", "o")}
+        f_closed = {p: f[p] + f["gamma"] @ solve_j(f[p]) for p in ("sigma", "o")}
+        return a_closed, c_closed, e_closed, f_closed
+
+    @pytest.mark.parametrize("state_only", [True, False])
+    @pytest.mark.parametrize("name, hmax", [("two_node", 5), ("four_cider_six_node", 8)])
+    def test_matches_dense_composition(self, name, hmax, state_only):
+        scenario = load_scenario(scenario_path(name)).with_hmax(hmax)
+        system = assemble_system(scenario, state_only=state_only)
+        model = system.model
+
+        # representation: CSR compositions, dense analysis model
+        for m in (system.grid_model, system.resources.model, system.open_loop.model):
+            assert all(sp.issparse(x) for x in (m.a, m.c, *m.e.values(), *m.f.values()))
+        dense = (model.a, model.c, *model.e.values(), *model.f.values())
+        assert all(isinstance(x, np.ndarray) for x in dense)
+
+        a_ref, c_ref, e_ref, f_ref = self.dense_reference(system)
+        assert np.array_equal(model.a, a_ref)
+        if state_only:
+            assert model.ports == () and model.c.shape == (0, model.state_dim)
+            return
+        assert model.ports == ("sigma", "o")
+        pairs = [(model.c, c_ref)]
+        pairs += [(model.e[p], e_ref[p]) for p in model.ports]
+        pairs += [(model.f[p], f_ref[p]) for p in model.ports]
+        for got, ref in pairs:
+            assert got.shape == ref.shape
+            scale = max(np.max(np.abs(ref), initial=0.0), 1.0)
+            assert np.max(np.abs(got - ref), initial=0.0) <= 1e-14 * scale

@@ -111,6 +111,19 @@ class TestValidationErrors:
         )
         assert code == 2
 
+    def test_shape_error_exit_2(self, tmp_path, capsys):
+        # hardware block 'plant' gets a C with one column more than it has states
+        raw = json.loads(open(TOY).read())
+        plant = next(b for b in raw["ciders"][0]["hardware"] if b["name"] == "plant")
+        for row in plant["c"]["0"]:
+            row.append(0.0)
+        p = tmp_path / "wide_c.json"
+        p.write_text(json.dumps(raw))
+        assert run_cli("eig", "--scenario", str(p)) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ShapeError"
+        assert record["exit_code"] == 2
+
     def test_htf_at_pole_exit_3(self, capsys):
         # s exactly on an RLC eigenvalue
         code = run_cli("htf", "--scenario", RLC, "--s=-50+9999.8749992187j")
