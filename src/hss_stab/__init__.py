@@ -69,20 +69,18 @@ from .harmonic import (
     GroupingLayout,
     HarmonicIndexSet,
     HarmonicSignal,
-    OmegaOperator,
     ToeplitzOperator,
-    build_omega,
     default_sample_count,
     fourier_from_samples,
+    omega_diagonal,
     permutation_indices,
     permute_grouping,
-    regrid_truncation,
     sample_series,
     series_from_samples,
     toeplitz_from_fourier,
     toeplitz_identity,
 )
-from .model import HssModel, hss_from_lti, lift_ltp, regrid_model
+from .model import HssModel, hss_from_lti, lift_ltp
 from .pipeline import SystemModel, assemble_cider, assemble_system, signal_from_harmonics
 from .references import (
     AffineReference,

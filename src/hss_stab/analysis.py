@@ -19,6 +19,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigurationError, HssError, NumericalError, PoleProximityError, ShapeError
 from .model import HssModel
+from .pipeline import assemble_system
 
 RESIDUAL_TOL = 1e-8
 #: largest conjugate-symmetry defect max|P conj(M) P - M| / max|M| at which
@@ -26,6 +27,10 @@ RESIDUAL_TOL = 1e-8
 #: backward error of the dense solver itself, so the discarded imaginary
 #: part moves no eigenvalue by more than the solver's own rounding does
 REAL_FORM_TOL = 1e-12
+#: an eigenvalue counts as unstable only when its real part exceeds the
+#: margin by this fraction of the largest |Re| in the spectrum: about 100
+#: times the rounding noise that leaves truncation-rim modes at Re ~ +1e-12
+VERDICT_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -39,6 +44,25 @@ class EigenSolution:
     @property
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(self.eigenvalues))) if self.eigenvalues.size else 0.0
+
+    def reordered(self, order) -> "EigenSolution":
+        """The same eigenpairs in the order given by the index array ``order``."""
+        return EigenSolution(self.eigenvalues[order], self.vectors[:, order], self.labels)
+
+    def energy(self) -> np.ndarray:
+        """Eigenvector energy |v|^2 per (harmonic block, state channel, eigenpair).
+
+        Blocks follow the ascending harmonic orders of ``labels``.
+        """
+        count = len({h for _, h in self.labels}) or 1
+        n = self.eigenvalues.size
+        return np.abs(self.vectors.reshape(count, len(self.labels) // count, n)) ** 2
+
+
+def by_real_part(solution: EigenSolution) -> EigenSolution:
+    """``solution`` sorted lexicographically by (Re, Im)."""
+    lam = solution.eigenvalues
+    return solution.reordered(np.lexsort((lam.imag, lam.real)))
 
 
 def _solve_spectrum(model: HssModel, vectors: bool):
@@ -189,14 +213,19 @@ class StabilityVerdict:
 def stability_verdict(
     eigenvalues: np.ndarray, margin: float = 0.0, spurious: np.ndarray | None = None
 ) -> StabilityVerdict:
-    """Unstable iff any non-spurious eigenvalue lies right of the margin."""
+    """Unstable iff any non-spurious eigenvalue lies right of the margin.
+
+    The margin is widened by ``VERDICT_RTOL`` times the largest |Re| of the
+    eigenvalues passed in, so rounding noise around it decides nothing.
+    """
     lam = np.asarray(eigenvalues, complex)
+    tol = VERDICT_RTOL * float(np.max(np.abs(lam.real))) if lam.size else 0.0
     keep = np.ones(lam.shape, bool) if spurious is None else ~np.asarray(spurious, bool)
     lam = lam[keep]
     if lam.size == 0:
         return StabilityVerdict(True, margin, None, 0)
     worst = lam[np.argmax(lam.real)]
-    n_bad = int(np.sum(lam.real > margin))
+    n_bad = int(np.sum(lam.real > margin + tol))
     return StabilityVerdict(n_bad == 0, margin, complex(worst), n_bad)
 
 
@@ -206,8 +235,6 @@ def stability_verdict(
 
 def _rebuild_eigenvalues(scenario):
     """Eigenvalues of the analysis model of a scenario (no eigenvectors)."""
-    from .pipeline import assemble_system
-
     return eigenvalues_only(assemble_system(scenario, state_only=True).model)
 
 
@@ -311,18 +338,23 @@ DEFAULT_PERTURBATIONS = (-0.2, -0.1, 0.1, 0.2)
 class EigenClassification:
     """Invariance classification of the nominal spectrum.
 
+    ``solution`` is the nominal decomposition in (Re, Im) order.
     ``control_displacements`` and ``hardware_displacements`` hold the
     maximum matched displacement of each eigenvalue over all sweeps of
     the respective parameter group (NaN where a sweep failed).
     """
 
-    eigenvalues: np.ndarray
+    solution: EigenSolution
     labels: tuple[str, ...]
     control_displacements: np.ndarray
     hardware_displacements: np.ndarray
     epsilon: float
     control_parameters: tuple[str, ...]
     hardware_parameters: tuple[str, ...]
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.solution.eigenvalues
 
     def relabel(self, epsilon: float) -> tuple[str, ...]:
         """Labels at a different displacement tolerance, same evidence."""
@@ -368,9 +400,8 @@ def classify_eigenvalues(
         raise ConfigurationError(
             "classification needs non-empty control and hardware parameter sets"
         )
-    nominal = _rebuild_eigenvalues(scenario)
-    order = np.lexsort((nominal.imag, nominal.real))
-    nominal = nominal[order]
+    solution = by_real_part(eigen_decompose(assemble_system(scenario, state_only=True).model))
+    nominal = solution.eigenvalues
     n = nominal.size
     radius = float(np.max(np.abs(nominal))) if n else 1.0
     eps = 1e-6 * radius if epsilon is None else float(epsilon)
@@ -400,7 +431,7 @@ def classify_eigenvalues(
     hw_disp = sweep_group(hardware_parameters)
     labels = _labels_from_evidence(ctl_disp, hw_disp, eps)
     return EigenClassification(
-        nominal,
+        solution,
         labels,
         ctl_disp,
         hw_disp,
@@ -412,15 +443,23 @@ def classify_eigenvalues(
 
 @dataclass(frozen=True)
 class SpuriousReport:
-    """Truncation-artefact detection by probing a finer harmonic grid."""
+    """Truncation-artefact detection by probing a finer harmonic grid.
 
-    eigenvalues: np.ndarray
+    ``solution`` is the nominal decomposition in (Re, Im) order; the flags
+    and distances follow that order.
+    """
+
+    solution: EigenSolution
     spurious: np.ndarray  # probe-convergence failures
     boundary_suspect: np.ndarray  # eigenvector energy concentrated at the rim
     probe_distance: np.ndarray
     delta: float
     hmax: int
     hmax_probe: int
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.solution.eigenvalues
 
 
 def detect_spurious(
@@ -436,18 +475,14 @@ def detect_spurious(
     whose eigenvector energy sits mostly in the outermost two harmonic
     blocks are additionally flagged boundary-suspect.
     """
-    from .pipeline import assemble_system
-
     hmax = scenario.hmax
     probe = hmax + 3 if hmax_probe is None else int(hmax_probe)
     if probe < hmax + 2:
         raise ConfigurationError(f"hmax_probe must be >= hmax + 2 = {hmax + 2}")
 
     system = assemble_system(scenario, state_only=True)
-    sol = eigen_decompose(system.model)
-    order = np.lexsort((sol.eigenvalues.imag, sol.eigenvalues.real))
-    lam = sol.eigenvalues[order]
-    vectors = sol.vectors[:, order]
+    sol = by_real_part(eigen_decompose(system.model))
+    lam = sol.eigenvalues
 
     probe_lam = eigenvalues_only(
         assemble_system(scenario.with_hmax(probe), state_only=True).model
@@ -465,10 +500,7 @@ def detect_spurious(
         dist = np.full(lam.shape, np.inf)
     spurious = dist > tol
 
-    count = system.model.index_set.count
-    channels = system.model.state_channels
-    energy = np.abs(vectors.reshape(count, channels, -1)) ** 2
-    per_order = energy.sum(axis=1)  # (count, n_eigs)
+    per_order = sol.energy().sum(axis=1)  # (count, n_eigs)
     orders = np.abs(system.model.index_set.orders)
     rim = orders >= max(hmax - 1, 1)
     if rim.any() and hmax >= 1:
@@ -476,4 +508,4 @@ def detect_spurious(
     else:
         boundary = np.zeros(lam.shape, bool)
 
-    return SpuriousReport(lam, spurious, boundary, dist, tol, hmax, probe)
+    return SpuriousReport(sol, spurious, boundary, dist, tol, hmax, probe)

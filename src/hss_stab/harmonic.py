@@ -10,7 +10,7 @@ realises the time-domain product as a spectral convolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -190,7 +190,6 @@ class ToeplitzOperator:
     index_set: HarmonicIndexSet
     block_shape: tuple[int, int]
     matrix: np.ndarray
-    series: Mapping[int, np.ndarray] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         m, n = self.block_shape
@@ -250,56 +249,16 @@ def toeplitz_from_fourier(
             k = i - h
             if 0 <= k < count:
                 out[i * m : (i + 1) * m, k * n : (k + 1) * n] = a
-    return ToeplitzOperator(index_set, (m, n), out, series=mats)
+    return ToeplitzOperator(index_set, (m, n), out)
 
 
 def toeplitz_identity(index_set: HarmonicIndexSet, dim: int) -> ToeplitzOperator:
     return toeplitz_from_fourier({0: np.eye(dim)}, index_set)
 
 
-def regrid_truncation(op: ToeplitzOperator, hmax_new: int) -> ToeplitzOperator:
-    """Re-run the Toeplitz construction of ``op`` on a new harmonic grid.
-
-    Requires the generating series (regridding is a reconstruction, not a
-    submatrix crop).  Series orders beyond the new hmax are dropped.
-    """
-    if hmax_new == op.index_set.hmax:
-        return op
-    if op.series is None:
-        raise ConfigurationError(
-            "operator does not retain its generating series; cannot regrid"
-        )
-    new_set = HarmonicIndexSet(hmax_new, op.index_set.f1)
-    trimmed = {h: a for h, a in op.series.items() if abs(h) <= hmax_new}
-    if not trimmed:
-        m, n = op.block_shape
-        trimmed = {0: np.zeros((m, n))}
-    return toeplitz_from_fourier(trimmed, new_set)
-
-
-@dataclass(frozen=True)
-class OmegaOperator:
-    """Diagonal frequency-shift operator 2*pi*f1*diag_h(h), block_dim entries per order."""
-
-    index_set: HarmonicIndexSet
-    block_dim: int
-    diagonal: np.ndarray
-
-    def __post_init__(self):
-        if self.block_dim < 1:
-            raise ShapeError("block_dim must be >= 1")
-        expected = self.index_set.count * self.block_dim
-        if self.diagonal.shape != (expected,):
-            raise ShapeError(f"diagonal length {self.diagonal.shape}, expected ({expected},)")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diagonal)
-
-
-def build_omega(index_set: HarmonicIndexSet, block_dim: int) -> OmegaOperator:
-    diag = np.repeat(index_set.omega1 * index_set.orders.astype(float), block_dim)
-    return OmegaOperator(index_set, block_dim, diag)
+def omega_diagonal(index_set: HarmonicIndexSet, block_dim: int) -> np.ndarray:
+    """Diagonal of the frequency shift Omega = 2*pi*f1*diag_h(h), block_dim entries per order."""
+    return np.repeat(index_set.omega1 * index_set.orders.astype(float), block_dim)
 
 
 @dataclass(frozen=True)

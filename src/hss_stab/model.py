@@ -20,8 +20,7 @@ from .harmonic import (
     HARMONIC_MAJOR,
     GroupingLayout,
     HarmonicIndexSet,
-    OmegaOperator,
-    build_omega,
+    omega_diagonal,
     toeplitz_from_fourier,
 )
 
@@ -44,11 +43,6 @@ class HssModel:
     state_names: tuple[str, ...]
     disturbance_layouts: Mapping[str, GroupingLayout] = field(default_factory=dict)
     output_layout: GroupingLayout | None = None
-    #: generating LTP series {"a": {h: matrix}, ...}, retained only for models
-    #: lifted directly from a time-domain quadruple (enables regridding)
-    series: Mapping[str, Mapping[str, Mapping[int, np.ndarray]]] | None = field(
-        default=None, compare=False
-    )
 
     def __post_init__(self):
         object.__setattr__(self, "e", MappingProxyType(dict(self.e)))
@@ -102,14 +96,10 @@ class HssModel:
             f={p: m.toarray() for p, m in self.f.items()},
         )
 
-    def omega(self) -> OmegaOperator:
-        return build_omega(self.index_set, self.state_channels)
-
     def shifted_state_matrix(self) -> np.ndarray:
         """A - j*Omega, the matrix whose spectrum carries harmonic stability."""
         m = self.a.astype(complex, copy=True)
-        diag = self.omega().diagonal
-        m[np.diag_indices_from(m)] -= 1j * diag
+        m[np.diag_indices_from(m)] -= 1j * omega_diagonal(self.index_set, self.state_channels)
         return m
 
     def state_labels(self) -> tuple[tuple[str, int], ...]:
@@ -140,11 +130,7 @@ def lift_ltp(
     index_set: HarmonicIndexSet,
     state_names: tuple[str, ...],
 ) -> HssModel:
-    """Toeplitz-lift a time-domain LTP quadruple onto the harmonic grid.
-
-    The generating series are retained on the model, so the result can be
-    re-gridded at a different truncation order.
-    """
+    """Toeplitz-lift a time-domain LTP quadruple onto the harmonic grid."""
     a = toeplitz_from_fourier(a_series, index_set)
     e = {p: toeplitz_from_fourier(s, index_set).matrix for p, s in e_series.items()}
     c_op = toeplitz_from_fourier(c_series, index_set)
@@ -162,12 +148,6 @@ def lift_ltp(
         c=c_op.matrix,
         f=f,
         state_names=state_names,
-        series={
-            "a": {"": dict(a_series)},
-            "e": {p: dict(s) for p, s in e_series.items()},
-            "c": {"": dict(c_series)},
-            "f": {p: dict(s) for p, s in f_series.items()},
-        },
     )
 
 
@@ -189,39 +169,6 @@ def hss_from_lti(
         {p: {0: np.atleast_2d(np.asarray(m))} for p, m in f.items()},
         index_set,
         names,
-    )
-
-
-def regrid_model(model: HssModel, hmax_new: int) -> HssModel:
-    """Rebuild a series-backed model on a new harmonic grid.
-
-    Only models that retain their generating LTP series (i.e. direct
-    lifts) can be regridded; assembled systems are re-created from their
-    scenario instead.
-    """
-    if hmax_new == model.index_set.hmax:
-        return model
-    if model.series is None:
-        raise ConfigurationError(
-            "model does not retain generating series; rebuild it from its source "
-            "at the desired hmax instead"
-        )
-    new_set = HarmonicIndexSet(hmax_new, model.index_set.f1)
-
-    def trim(series):
-        kept = {h: m for h, m in series.items() if abs(h) <= hmax_new}
-        if not kept:
-            any_mat = next(iter(series.values()))
-            kept = {0: np.zeros_like(np.atleast_2d(any_mat))}
-        return kept
-
-    return lift_ltp(
-        trim(model.series["a"][""]),
-        {p: trim(s) for p, s in model.series["e"].items()},
-        trim(model.series["c"][""]),
-        {p: trim(s) for p, s in model.series["f"].items()},
-        new_set,
-        model.state_names,
     )
 
 

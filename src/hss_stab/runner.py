@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    EigenSolution,
     classify_eigenvalues,
     detect_spurious,
     eigen_decompose,
@@ -19,7 +20,7 @@ from .analysis import (
     sweep_parameter,
 )
 from .errors import ConfigurationError
-from .pipeline import SystemModel, assemble_system
+from .pipeline import assemble_system
 from .scenario import Scenario
 
 COMMANDS = ("eig", "htf", "sweep", "classify", "spurious")
@@ -50,37 +51,31 @@ def _num(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _dominant_info(solution, order):
-    """Per-eigenvalue dominant component and harmonic block from vector energy."""
-    model_labels = solution.labels
-    count = len({h for _, h in model_labels}) if model_labels else 1
-    channels = len(model_labels) // count if count else 0
-    comps = [name.split(".", 1)[0] for name, _ in model_labels[:channels]]
-    orders = sorted({h for _, h in model_labels})
-    out = []
-    for idx in order:
-        v = solution.vectors[:, idx]
-        energy = np.abs(v.reshape(count, channels)) ** 2 if channels else np.zeros((count, 0))
-        h_dom = orders[int(np.argmax(energy.sum(axis=1)))] if channels else 0
-        by_comp: dict[str, float] = {}
-        for ch, comp in enumerate(comps):
-            by_comp[comp] = by_comp.get(comp, 0.0) + float(energy[:, ch].sum())
-        comp_dom = max(sorted(by_comp), key=lambda k: by_comp[k]) if by_comp else ""
-        out.append((comp_dom, h_dom))
-    return out
-
-
-def _eigen_records(system: SystemModel, scenario: Scenario):
-    solution = eigen_decompose(system.model)
-    order = np.lexsort((solution.eigenvalues.imag, -solution.eigenvalues.real))
-    lam = solution.eigenvalues[order]
-    dominant = _dominant_info(solution, order)
-    verdict = stability_verdict(lam, scenario.analysis.stability_margin)
-    records = tuple(
-        (i, lam[i].real, lam[i].imag, dominant[i][0], dominant[i][1], "", "")
+def _eigen_records(solution: EigenSolution, classification=None, flags=None):
+    """One row per eigenpair, in the solution's order, with its dominant
+    component and harmonic block from the eigenvector energy."""
+    lam = solution.eigenvalues
+    if lam.size == 0:
+        return ()
+    energy = solution.energy()
+    orders = sorted({h for _, h in solution.labels})
+    comps = [name.split(".", 1)[0] for name, _ in solution.labels[: energy.shape[1]]]
+    names = sorted(set(comps))
+    per_comp = [energy[:, [c == k for c in comps]].sum(axis=(0, 1)) for k in names]
+    h_dom = np.argmax(energy.sum(axis=1), axis=0)
+    comp_dom = np.argmax(per_comp, axis=0)
+    return tuple(
+        (
+            i,
+            lam[i].real,
+            lam[i].imag,
+            names[comp_dom[i]],
+            orders[h_dom[i]],
+            "" if classification is None else classification[i],
+            "" if flags is None else flags[i],
+        )
         for i in range(lam.size)
     )
-    return records, verdict, lam
 
 
 def run_command(command: str, scenario: Scenario, **options) -> ResultSet:
@@ -90,8 +85,11 @@ def run_command(command: str, scenario: Scenario, **options) -> ResultSet:
     jobs = int(options.get("jobs") or 1)
 
     if command == "eig":
-        system = assemble_system(scenario, state_only=True)
-        records, verdict, _ = _eigen_records(system, scenario)
+        solution = eigen_decompose(assemble_system(scenario, state_only=True).model)
+        lam = solution.eigenvalues
+        solution = solution.reordered(np.lexsort((lam.imag, -lam.real)))
+        verdict = stability_verdict(solution.eigenvalues, scenario.analysis.stability_margin)
+        records = _eigen_records(solution)
         meta = {
             "command": "eig",
             "stable": verdict.stable,
@@ -147,22 +145,7 @@ def run_command(command: str, scenario: Scenario, **options) -> ResultSet:
         result = classify_eigenvalues(
             scenario, control, hardware, epsilon=eps, jobs=jobs
         )
-        system = assemble_system(scenario, state_only=True)
-        solution = eigen_decompose(system.model)
-        perm, _ = _align(solution.eigenvalues, result.eigenvalues)
-        dominant = _dominant_info(solution, perm)
-        records = tuple(
-            (
-                i,
-                result.eigenvalues[i].real,
-                result.eigenvalues[i].imag,
-                dominant[i][0],
-                dominant[i][1],
-                result.labels[i],
-                "",
-            )
-            for i in range(result.eigenvalues.size)
-        )
+        records = _eigen_records(result.solution, classification=result.labels)
         meta = {
             "command": "classify",
             "epsilon": result.epsilon,
@@ -184,25 +167,14 @@ def run_command(command: str, scenario: Scenario, **options) -> ResultSet:
         hmax_probe=options.get("hmax_probe"),
         delta=delta,
     )
-    system = assemble_system(scenario, state_only=True)
-    solution = eigen_decompose(system.model)
-    perm, _ = _align(solution.eigenvalues, report.eigenvalues)
-    dominant = _dominant_info(solution, perm)
     verdict = stability_verdict(
         report.eigenvalues, scenario.analysis.stability_margin, spurious=report.spurious
     )
-    records = tuple(
-        (
-            i,
-            report.eigenvalues[i].real,
-            report.eigenvalues[i].imag,
-            dominant[i][0],
-            dominant[i][1],
-            "",
-            "spurious" if report.spurious[i] else ("boundary" if report.boundary_suspect[i] else "ok"),
-        )
-        for i in range(report.eigenvalues.size)
-    )
+    flags = [
+        "spurious" if bad else ("boundary" if rim else "ok")
+        for bad, rim in zip(report.spurious, report.boundary_suspect)
+    ]
+    records = _eigen_records(report.solution, flags=flags)
     meta = {
         "command": "spurious",
         "hmax": report.hmax,
@@ -213,13 +185,6 @@ def run_command(command: str, scenario: Scenario, **options) -> ResultSet:
         "stable": verdict.stable,
     }
     return ResultSet("eigenvalues", EIGEN_COLUMNS, records, meta)
-
-
-def _align(lam_from, lam_to):
-    from .analysis import match_eigenvalues
-
-    perm, cost = match_eigenvalues(lam_to, lam_from)
-    return perm, cost
 
 
 def _sweep_spec(scenario: Scenario, options):

@@ -226,6 +226,18 @@ class TestVerdict:
         folded = fold_to_strip(lam, 50.0).folded
         assert stability_verdict(lam).stable == stability_verdict(folded).stable
 
+    @pytest.mark.parametrize("hmax", [5, 8])
+    def test_rim_rounding_noise_reads_stable(self, two_node, hmax):
+        # the rightmost eigenvalues are rim modes at Re ~ +1e-13, rounding
+        # noise on a spectrum whose physical modes sit near -18
+        lam = eigenvalues_only(assemble_system(two_node.with_hmax(hmax), state_only=True).model)
+        verdict = stability_verdict(lam, margin=0.0)
+        assert verdict.stable and verdict.n_unstable == 0
+
+    def test_small_positive_mode_still_unstable(self):
+        verdict = stability_verdict(np.array([-1e3, 1e-3]), margin=0.0)
+        assert not verdict.stable and verdict.n_unstable == 1
+
 
 class TestSweep:
     def test_requires_two_values(self, rlc_grid):

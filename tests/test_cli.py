@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from hss_stab import analysis, pipeline
 from hss_stab.cli import main
 from hss_stab.runner import export_results, run_command
 from hss_stab import ConfigurationError, load_scenario
@@ -186,6 +187,40 @@ class TestCommands:
         assert code == 0
         header = [l for l in out.read_text().splitlines() if not l.startswith("#")][0]
         assert "spurious_flag" in header
+
+
+@pytest.fixture
+def solve_counts(monkeypatch):
+    """Calls of ``assemble_system`` and ``eigen_decompose``, counted at every
+    ``hss_stab`` module that binds them."""
+    counts = {}
+    for fn in (pipeline.assemble_system, analysis.eigen_decompose):
+        counts[fn.__name__] = 0
+
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "hss_stab" or name.startswith("hss_stab."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+class TestSingleNominalSolve:
+    @pytest.mark.parametrize("command", ["eig", "spurious", "classify"])
+    def test_nominal_system_solved_once(self, command, solve_counts):
+        scenario = load_scenario(TWO_NODE).with_hmax(5)
+        run_command(command, scenario)
+        # spurious assembles the probe grid too; classify rebuilds the
+        # model at four perturbations of every classified parameter
+        n_params = len(scenario.analysis.control_parameters) + len(
+            scenario.analysis.hardware_parameters
+        )
+        assemblies = {"eig": 1, "spurious": 2, "classify": 1 + 4 * n_params}[command]
+        assert solve_counts == {"assemble_system": assemblies, "eigen_decompose": 1}
 
 
 class TestExport:

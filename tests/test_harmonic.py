@@ -9,15 +9,14 @@ from hss_stab import (
     HarmonicIndexSet,
     HarmonicSignal,
     ShapeError,
-    build_omega,
     fourier_from_samples,
+    omega_diagonal,
     permutation_indices,
     permute_grouping,
-    regrid_truncation,
     toeplitz_from_fourier,
 )
 from hss_stab.errors import ConfigurationError
-from hss_stab.harmonic import ToeplitzOperator, default_sample_count
+from hss_stab.harmonic import default_sample_count
 
 
 def sample_product_dft(series, signal_coeffs, index_set, channels=1):
@@ -197,18 +196,18 @@ class TestFourierFromSamples:
 
 class TestOmega:
     def test_basic(self):
-        om = build_omega(HarmonicIndexSet(1, 50.0), 1)
-        assert np.allclose(om.diagonal, [-100 * np.pi, 0.0, 100 * np.pi])
+        om = omega_diagonal(HarmonicIndexSet(1, 50.0), 1)
+        assert np.allclose(om, [-100 * np.pi, 0.0, 100 * np.pi])
 
     def test_hmax_zero(self):
-        om = build_omega(HarmonicIndexSet(0, 50.0), 3)
-        assert not om.matrix.any()
-        assert om.matrix.shape == (3, 3)
+        om = omega_diagonal(HarmonicIndexSet(0, 50.0), 3)
+        assert not np.diag(om).any()
+        assert np.diag(om).shape == (3, 3)
 
     def test_block_dim(self):
-        om = build_omega(HarmonicIndexSet(2, 60.0), 2)
-        assert om.diagonal.shape == (10,)
-        assert om.diagonal[0] == om.diagonal[1] == -2 * np.pi * 60.0 * 2
+        om = omega_diagonal(HarmonicIndexSet(2, 60.0), 2)
+        assert om.shape == (10,)
+        assert om[0] == om[1] == -2 * np.pi * 60.0 * 2
 
     def test_skew_effect_ladder(self):
         # eigenvalues of (D - j Omega) for a DC-lifted block
@@ -216,7 +215,7 @@ class TestOmega:
         d = rng.standard_normal((3, 3))
         iset = HarmonicIndexSet(2, 50.0)
         lifted = np.kron(np.eye(iset.count), d).astype(complex)
-        lifted[np.diag_indices_from(lifted)] -= 1j * build_omega(iset, 3).diagonal
+        lifted[np.diag_indices_from(lifted)] -= 1j * omega_diagonal(iset, 3)
         lam = np.linalg.eigvals(lifted)
         base = np.linalg.eigvals(d)
         expected = np.concatenate(
@@ -276,41 +275,6 @@ class TestGrouping:
         lay = GroupingLayout(HARMONIC_MAJOR, (1, 1), HarmonicIndexSet(1, 50.0))
         with pytest.raises(ShapeError):
             permute_grouping(np.zeros(5), lay, NODE_MAJOR)
-
-
-class TestRegrid:
-    def test_same_hmax_identity(self):
-        op = toeplitz_from_fourier({0: np.eye(2)}, HarmonicIndexSet(2, 50.0))
-        assert regrid_truncation(op, 2) is op
-
-    def test_dc_grow(self):
-        op = toeplitz_from_fourier({0: [[4.0]]}, HarmonicIndexSet(1, 50.0))
-        grown = regrid_truncation(op, 3)
-        assert np.array_equal(grown.matrix, 4.0 * np.eye(7))
-
-    def test_cos_series_grow_matches_reconstruction(self):
-        series = {1: [[1.0]], -1: [[1.0]]}
-        op = regrid_truncation(
-            toeplitz_from_fourier(series, HarmonicIndexSet(1, 50.0)), 2
-        )
-        oracle = toeplitz_from_fourier(series, HarmonicIndexSet(2, 50.0))
-        assert np.array_equal(op.matrix, oracle.matrix)
-
-    def test_shrink_central_blocks(self):
-        rng = np.random.default_rng(9)
-        series = {h: rng.standard_normal((2, 2)) for h in (-1, 0, 1)}
-        big = toeplitz_from_fourier(series, HarmonicIndexSet(3, 50.0))
-        small = regrid_truncation(big, 1)
-        # central blocks of the big operator coincide with the small one
-        m = 2
-        centre = big.matrix[2 * m : 5 * m, 2 * m : 5 * m]
-        assert np.array_equal(small.matrix, centre)
-
-    def test_without_series_rejected(self):
-        iset = HarmonicIndexSet(1, 50.0)
-        op = ToeplitzOperator(iset, (1, 1), np.eye(3, dtype=complex), series=None)
-        with pytest.raises(ConfigurationError):
-            regrid_truncation(op, 2)
 
 
 class TestHarmonicSignal:

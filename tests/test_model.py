@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from hss_stab import (
-    ConfigurationError,
     HarmonicIndexSet,
     HssModel,
     ShapeError,
     eigen_decompose,
+    evaluate_htf,
     hss_from_lti,
     match_eigenvalues,
-    regrid_model,
 )
 from tests.conftest import random_stable_lti
 
@@ -40,30 +39,21 @@ def test_state_labels_h_major():
     assert labels[-1] == ("y", 1)
 
 
-def test_regrid_model_roundtrip():
-    iset = HarmonicIndexSet(1, 50.0)
-    model = hss_from_lti(
-        [[-2.0]], {"w": [[1.0]]}, [[1.0]], {"w": [[0.0]]}, iset
+def test_stateless_model():
+    # a pure feedthrough: no states, so no spectrum, and the HTF is F
+    model = HssModel(
+        HarmonicIndexSet(1, 50.0),
+        np.zeros((0, 0)),
+        {"w": np.zeros((0, 1))},
+        np.zeros((1, 0)),
+        {"w": np.ones((1, 1))},
+        (),
     )
-    grown = regrid_model(model, 3)
-    assert grown.index_set.hmax == 3
-    assert np.array_equal(grown.a, -2.0 * np.eye(7))
-    assert regrid_model(model, 1) is model
-
-
-def test_regrid_without_series_rejected():
-    iset = HarmonicIndexSet(1, 50.0)
-    base = hss_from_lti([[-1.0]], {"w": [[1.0]]}, [[1.0]], {"w": [[0.0]]}, iset)
-    stripped = HssModel(
-        index_set=iset,
-        a=base.a,
-        e=dict(base.e),
-        c=base.c,
-        f=dict(base.f),
-        state_names=base.state_names,
-    )
-    with pytest.raises(ConfigurationError):
-        regrid_model(stripped, 2)
+    sol = eigen_decompose(model)
+    assert sol.eigenvalues.shape == (0,)
+    assert sol.vectors.shape == (0, 0)
+    assert sol.labels == ()
+    assert np.array_equal(evaluate_htf(model, 1.0 + 2.0j), np.ones((1, 1)))
 
 
 def test_port_consistency_checked():
