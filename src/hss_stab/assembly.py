@@ -15,7 +15,6 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import ShapeError, WellPosednessError, WiringError
-from .harmonic import NODE_MAJOR, GroupingLayout
 from .model import HssModel, check_same_grid, stack_models
 
 
@@ -52,7 +51,6 @@ class ResourceBlock:
 
     model: HssModel
     node_ids: tuple[str, ...]
-    output_node_dims: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -77,16 +75,8 @@ def stack_resources(ciders) -> ResourceBlock:
     (ports gamma/sigma/o) and ``node_id``.
     """
     models = [c.model for c in ciders]
-    index_set = check_same_grid(models, "resources")
-    # per-harmonic gamma dims, one block per node
-    in_dims = tuple(m.port_dim("gamma") // index_set.count for m in models)
-    out_dims = tuple(m.output_dim // index_set.count for m in models)
-    model = stack_models(
-        models,
-        disturbance_layouts={"gamma": GroupingLayout(NODE_MAJOR, in_dims, index_set)},
-        output_layout=GroupingLayout(NODE_MAJOR, out_dims, index_set),
-    )
-    return ResourceBlock(model, tuple(c.node_id for c in ciders), out_dims)
+    check_same_grid(models, "resources")
+    return ResourceBlock(stack_models(models), tuple(c.node_id for c in ciders))
 
 
 def build_open_loop(resources: ResourceBlock, grid: HssModel, grid_nodes) -> OpenLoopSystem:
@@ -210,10 +200,8 @@ def close_loop(
     f_closed = {}
     if state_only:
         c_closed = np.zeros((0, open_model.state_dim), dtype=complex)
-        output_layout = None
     else:
         c_closed = (c + f_gamma @ jc).toarray()
-        output_layout = open_model.output_layout
         for port in (p for p in open_model.ports if p != loop_port):
             f_port = csr(open_model.f[port])
             jf = solver.solve_j(f_port)
@@ -227,11 +215,5 @@ def close_loop(
         c=c_closed,
         f=f_closed,
         state_names=open_model.state_names,
-        disturbance_layouts={
-            p: l
-            for p, l in open_model.disturbance_layouts.items()
-            if p != loop_port and p in e_closed
-        },
-        output_layout=output_layout,
     )
     return ClosedLoopSystem(model, solver.certificate)

@@ -20,8 +20,6 @@ from .assembly import close_loop
 from .errors import ConfigurationError, ShapeError, WellPosednessError
 from .harmonic import (
     HarmonicIndexSet,
-    NODE_MAJOR,
-    GroupingLayout,
     ToeplitzOperator,
     default_sample_count,
     sample_series,
@@ -446,8 +444,6 @@ def assemble_cider_hss(
     f_o = pick @ (f_kappa @ r_o)
     c_gamma = pick @ internal.model.c
 
-    d_gamma_in = t_pg.block_shape[1]
-    d_gamma_out = out_map.block_shape[0]
     model = HssModel(
         index_set=index_set,
         a=internal.model.a,
@@ -455,10 +451,6 @@ def assemble_cider_hss(
         c=c_gamma,
         f={"gamma": f_gamma, "sigma": f_sigma, "o": f_o},
         state_names=tuple(f"{node_id}.{n}" for n in internal.model.state_names),
-        disturbance_layouts={
-            "gamma": GroupingLayout(NODE_MAJOR, (d_gamma_in,), index_set)
-        },
-        output_layout=GroupingLayout(NODE_MAJOR, (d_gamma_out,), index_set),
     )
     return CiderHss(node_id, kind, model, operating_point)
 
@@ -484,8 +476,6 @@ def make_zero_injection(
             "o": np.zeros((n, 0), dtype=complex),
         },
         state_names=(),
-        disturbance_layouts={"gamma": GroupingLayout(NODE_MAJOR, (port_dim,), index_set)},
-        output_layout=GroupingLayout(NODE_MAJOR, (port_dim,), index_set),
     )
     return CiderHss(node_id, GRID_FOLLOWING, model, None)
 

@@ -21,7 +21,13 @@ from .errors import (
     ShapeError,
     TopologyError,
 )
-from .harmonic import NODE_MAJOR, GroupingLayout, HarmonicIndexSet, permutation_indices
+from .harmonic import (
+    HARMONIC_MAJOR,
+    NODE_MAJOR,
+    GroupingLayout,
+    HarmonicIndexSet,
+    permutation_indices,
+)
 from .model import HssModel, block_diag_csr
 
 FORMING = "forming"
@@ -236,9 +242,7 @@ def lift_grid_to_hss(gss: GridStateSpace, index_set: HarmonicIndexSet) -> HssMod
     top = gss.topology
     port_dims = tuple([3] * len(top.forming_ids) + [3] * len(top.following_ids))
     count = index_set.count
-    hm = GroupingLayout("harmonic-major", port_dims, index_set)
-    idx = permutation_indices(hm, NODE_MAJOR)
-    node_layout = hm.with_ordering(NODE_MAJOR)
+    idx = permutation_indices(GroupingLayout(HARMONIC_MAJOR, port_dims, index_set), NODE_MAJOR)
 
     return HssModel(
         index_set=index_set,
@@ -247,6 +251,4 @@ def lift_grid_to_hss(gss: GridStateSpace, index_set: HarmonicIndexSet) -> HssMod
         c=block_diag_csr([gss.c] * count, rows=idx),
         f={"gamma": block_diag_csr([gss.f] * count)},
         state_names=gss.state_names,
-        disturbance_layouts={"gamma": node_layout},
-        output_layout=node_layout,
     )

@@ -8,7 +8,7 @@ sites (transfer functions, eigenvalue problems).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Mapping
 
@@ -18,9 +18,11 @@ import scipy.sparse as sp
 from .errors import ConfigurationError, ShapeError
 from .harmonic import (
     HARMONIC_MAJOR,
+    NODE_MAJOR,
     GroupingLayout,
     HarmonicIndexSet,
     omega_diagonal,
+    permutation_indices,
     toeplitz_from_fourier,
 )
 
@@ -33,6 +35,10 @@ class HssModel:
     lift, open loops) hold CSR matrices, because a Toeplitz lift couples
     only nearby harmonics; per-resource leaves and closed loops, the
     models the analysis reads, hold dense ndarrays.
+
+    The state is stacked h-major.  The order of disturbance columns and
+    output rows is the builder's to document (the grid lift and the
+    resources group the gamma port per node); the model does not record it.
     """
 
     index_set: HarmonicIndexSet
@@ -41,15 +47,10 @@ class HssModel:
     c: np.ndarray
     f: Mapping[str, np.ndarray]
     state_names: tuple[str, ...]
-    disturbance_layouts: Mapping[str, GroupingLayout] = field(default_factory=dict)
-    output_layout: GroupingLayout | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "e", MappingProxyType(dict(self.e)))
         object.__setattr__(self, "f", MappingProxyType(dict(self.f)))
-        object.__setattr__(
-            self, "disturbance_layouts", MappingProxyType(dict(self.disturbance_layouts))
-        )
         object.__setattr__(self, "state_names", tuple(self.state_names))
         n = self.state_dim
         if self.a.shape != (n, n):
@@ -189,8 +190,6 @@ def state_interleave_indices(
     per subsystem; every ``HssModel`` keeps its state h-major instead, so
     compositions re-interleave rows/columns with this index array.
     """
-    from .harmonic import NODE_MAJOR, permutation_indices
-
     dims = tuple(int(c) for c in channel_counts if c > 0)
     if not dims:
         return np.zeros(0, dtype=int)
@@ -216,13 +215,12 @@ def block_diag_csr(mats, rows=None, cols=None) -> sp.csr_array:
     return out
 
 
-def stack_models(models, **layouts) -> HssModel:
+def stack_models(models) -> HssModel:
     """Block-diagonal composition of HSS models, held in CSR.
 
     Disturbance columns concatenate per port (a port a model lacks adds no
     columns) and outputs stack in model order; the stacked state is
-    re-interleaved h-major.  ``layouts`` are the result's
-    ``disturbance_layouts`` and ``output_layout``.
+    re-interleaved h-major.
     """
     index_set = check_same_grid(models)
     idx = state_interleave_indices(index_set, [m.state_channels for m in models])
@@ -240,9 +238,4 @@ def stack_models(models, **layouts) -> HssModel:
             for p in ports
         },
         state_names=tuple(name for m in models for name in m.state_names),
-        **layouts,
     )
-
-
-def harmonic_layout(index_set: HarmonicIndexSet, dims: tuple[int, ...]) -> GroupingLayout:
-    return GroupingLayout(HARMONIC_MAJOR, dims, index_set)

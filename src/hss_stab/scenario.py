@@ -10,6 +10,7 @@ here with path-to-field diagnostics.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -251,12 +252,19 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(raw, source=str(p))
 
 
+@functools.cache
+def _schema_validator():
+    """Validator of ``SCHEMA``; the schema itself is checked on first use only."""
+    cls = jsonschema.validators.validator_for(SCHEMA)
+    cls.check_schema(SCHEMA)
+    return cls(SCHEMA)
+
+
 def scenario_from_dict(raw: dict, source: str | None = None) -> Scenario:
-    try:
-        jsonschema.validate(raw, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        field = ".".join(str(s) for s in exc.absolute_path) or "<document>"
-        raise ScenarioError(exc.message, field=field, path=source)
+    error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(raw))
+    if error is not None:
+        field = ".".join(str(s) for s in error.absolute_path) or "<document>"
+        raise ScenarioError(error.message, field=field, path=source)
 
     system = raw.get("system", {})
     f1 = float(system.get("f1", DEFAULT_F1))

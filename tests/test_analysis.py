@@ -20,7 +20,11 @@ from hss_stab import (
     stability_verdict,
     sweep_parameter,
 )
+from hss_stab import analysis
 from hss_stab.analysis import RESIDUAL_TOL, _labels_from_evidence
+from hss_stab.errors import NumericalError
+from hss_stab.harmonic import omega_diagonal
+from hss_stab.model import HssModel, lift_ltp
 from hss_stab.pipeline import assemble_system
 from tests.conftest import load_raw
 from hss_stab import scenario_from_dict
@@ -70,52 +74,178 @@ class TestEigenDecompose:
         assert len(sol.labels) == model.state_dim
 
 
-class TestRealFormSolve:
-    """The real-form solve checked against the dense complex solver."""
+def nominal_model(name, hmax=None):
+    """State-only closed-loop model of a bundled scenario, optionally regridded."""
+    scenario = scenario_from_dict(load_raw(name))
+    if hmax is not None:
+        scenario = scenario.with_hmax(hmax)
+    return assemble_system(scenario, state_only=True).model
 
-    @pytest.mark.parametrize("name, hmax", [("two_node", None), ("four_cider_six_node", 8)])
-    def test_matches_complex_solver(self, name, hmax, monkeypatch):
-        scenario = scenario_from_dict(load_raw(name))
-        if hmax is not None:
-            scenario = scenario.with_hmax(hmax)
-        model = assemble_system(scenario, state_only=True).model
+
+def spy_solvers(monkeypatch):
+    """Record (dtype, order) of every matrix passed to scipy.linalg.eig/eigvals."""
+    calls = {"eig": [], "eigvals": []}
+    for name, seen in calls.items():
+
+        def wrapped(a, *args, solver=getattr(scipy.linalg, name), seen=seen, **kwargs):
+            seen.append((a.dtype, a.shape[0]))
+            return solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, name, wrapped)
+    return calls
+
+
+def assert_spectrum_matches(lam, reference):
+    perm, _ = match_eigenvalues(lam, reference)
+    assert np.max(np.abs(lam - reference[perm])) <= 1e-12 * np.max(np.abs(reference))
+
+
+def assert_valid_vectors(sol, m):
+    assert np.allclose(np.linalg.norm(sol.vectors, axis=0), 1.0, rtol=0.0, atol=1e-12)
+    residual = np.linalg.norm(m @ sol.vectors - sol.vectors * sol.eigenvalues, axis=0)
+    assert residual.max() <= RESIDUAL_TOL
+
+
+class TestRealFormSolve:
+    """The real-form block solve checked against the dense complex solver."""
+
+    @pytest.mark.parametrize(
+        "name, hmax, sizes",
+        [
+            pytest.param("toy_gain", None, [1, 1, 1], id="toy_gain-None"),
+            pytest.param("rlc_grid", None, [2, 2, 2], id="rlc_grid-None"),
+            pytest.param("two_node", None, [110, 99], id="two_node-None"),
+            pytest.param("four_cider_six_node", 8, [469, 432], id="four_cider_six_node-8"),
+        ],
+    )
+    def test_matches_complex_solver(self, name, hmax, sizes, monkeypatch):
+        model = nominal_model(name, hmax)
         m = model.shifted_state_matrix()
         reference = scipy.linalg.eigvals(m)
-        scale = np.max(np.abs(reference))
 
-        solved = []
-
-        def spy(solver):
-            def wrapped(a, *args, **kwargs):
-                solved.append(a.dtype)
-                return solver(a, *args, **kwargs)
-
-            return wrapped
-
-        monkeypatch.setattr(scipy.linalg, "eigvals", spy(scipy.linalg.eigvals))
-        monkeypatch.setattr(scipy.linalg, "eig", spy(scipy.linalg.eig))
+        calls = spy_solvers(monkeypatch)
         lam = eigenvalues_only(model)
         sol = eigen_decompose(model)
-        assert solved == [np.float64, np.float64]
+        # one real LAPACK call per decoupled block
+        for seen in calls.values():
+            assert seen == [(np.dtype(np.float64), size) for size in sizes]
 
         for got in (lam, sol.eigenvalues):
-            perm, _ = match_eigenvalues(got, reference)
-            assert np.max(np.abs(got - reference[perm])) <= 1e-12 * scale
-        assert np.allclose(np.linalg.norm(sol.vectors, axis=0), 1.0, rtol=0.0, atol=1e-12)
-        residual = np.linalg.norm(m @ sol.vectors - sol.vectors * sol.eigenvalues, axis=0)
-        assert residual.max() <= RESIDUAL_TOL
+            assert_spectrum_matches(got, reference)
+        assert_valid_vectors(sol, m)
 
-    def test_complex_trajectory_keeps_complex_solve(self):
+    def test_complex_trajectory_keeps_complex_solve(self, monkeypatch):
         iset = HarmonicIndexSet(2, 50.0)
         rng = np.random.default_rng(1)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         model = hss_from_lti(a, {"w": np.eye(3)}, np.eye(3), {"w": np.zeros((3, 3))}, iset)
         m = model.shifted_state_matrix()
-        assert np.array_equal(eigenvalues_only(model), scipy.linalg.eigvals(m))
-        w, v = scipy.linalg.eig(m)
+        # an LTI lift decouples per harmonic: the complex solver on each block
+        blocks = [m[k : k + 3, k : k + 3] for k in range(0, 15, 3)]
+        pairs = [scipy.linalg.eig(b) for b in blocks]
+        expected_w = np.concatenate([w for w, _ in pairs])
+        expected_v = scipy.linalg.block_diag(*(v / np.linalg.norm(v, axis=0) for _, v in pairs))
+
+        calls = spy_solvers(monkeypatch)
+        lam = eigenvalues_only(model)
         sol = eigen_decompose(model)
-        assert np.array_equal(sol.eigenvalues, w)
-        assert np.array_equal(sol.vectors, v / np.linalg.norm(v, axis=0))
+        for seen in calls.values():
+            assert seen == [(np.dtype(np.complex128), 3)] * 5
+        assert np.array_equal(lam, expected_w)
+        assert np.array_equal(sol.eigenvalues, expected_w)
+        assert np.array_equal(sol.vectors, expected_v)
+        for got in (lam, sol.eigenvalues):
+            assert_spectrum_matches(got, scipy.linalg.eigvals(m))
+        assert_valid_vectors(sol, m)
+
+
+class TestBlockSolve:
+    """The spectrum solved one decoupled block at a time."""
+
+    def test_fully_coupled_matrix_takes_one_solve(self, monkeypatch):
+        # every channel couples to every other at harmonics h and h +- 1
+        iset = HarmonicIndexSet(3, 50.0)
+        rng = np.random.default_rng(2)
+        a1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        series = {0: rng.standard_normal((3, 3)), 1: a1, -1: np.conj(a1)}
+        model = lift_ltp(series, {}, {0: np.zeros((0, 3))}, {}, iset, ("x", "y", "z"))
+        m = model.shifted_state_matrix()
+        # the real form T^H M T as it was built densely before the block split
+        p = np.arange(21).reshape(7, 3)[::-1].ravel()
+        mpp = m[np.ix_(p, p)]
+        real = 0.5 * (m.real + mpp.real - m.imag[:, p] + m.imag[p, :])
+
+        calls = spy_solvers(monkeypatch)
+        lam = eigenvalues_only(model)
+        sol = eigen_decompose(model)
+        for seen in calls.values():
+            assert seen == [(np.dtype(np.float64), 21)]
+        assert np.array_equal(lam, scipy.linalg.eigvals(real))
+        assert np.array_equal(sol.eigenvalues, scipy.linalg.eig(real)[0])
+        assert_spectrum_matches(lam, scipy.linalg.eigvals(m))
+        assert_valid_vectors(sol, m)
+
+    def test_one_way_coupling_stays_in_one_block(self, monkeypatch):
+        # x drives y but not back: the pattern is connected only weakly, and
+        # splitting it further would leave block-triangular coupling behind
+        iset = HarmonicIndexSet(1, 50.0)
+        a = np.array([[-1.0, 0.0], [3.0, -2.0]])
+        model = hss_from_lti(a, {"w": np.eye(2)}, np.eye(2), {"w": np.zeros((2, 2))}, iset)
+        m = model.shifted_state_matrix()
+
+        calls = spy_solvers(monkeypatch)
+        sol = eigen_decompose(model)
+        # the flip joins h = -1 and h = +1 in the real form
+        assert calls["eig"] == [(np.dtype(np.float64), 4), (np.dtype(np.float64), 2)]
+        assert_spectrum_matches(sol.eigenvalues, scipy.linalg.eigvals(m))
+        assert_valid_vectors(sol, m)
+
+    def test_block_not_mapped_onto_itself_by_flip(self, monkeypatch):
+        # M = T a T^H with a real and block-diagonal per harmonic order: the
+        # flip swaps the blocks at h = -1 and h = +1, which M couples.  M is
+        # written out as (a + PaP)/2 + j(Pa - aP)/2 so that entries which
+        # vanish structurally are exact zeros, not rounding residue.
+        iset = HarmonicIndexSet(1, 50.0)
+        rng = np.random.default_rng(3)
+        blocks = [rng.standard_normal((2, 2)) for _ in range(3)]
+        a = scipy.linalg.block_diag(*blocks)
+        p = np.arange(6).reshape(3, 2)[::-1].ravel()
+        m = 0.5 * (a + a[np.ix_(p, p)]) + 0.5j * (a[p, :] - a[:, p])
+        omega = 1j * omega_diagonal(iset, 2)
+        model = HssModel(iset, m + np.diag(omega), {}, np.zeros((0, 6)), {}, ("x", "y"))
+
+        calls = spy_solvers(monkeypatch)
+        sol = eigen_decompose(model)
+        assert calls["eig"] == [(np.dtype(np.float64), 2)] * 3
+        assert_spectrum_matches(
+            sol.eigenvalues, np.concatenate([np.linalg.eigvals(b) for b in blocks])
+        )
+        assert_valid_vectors(sol, model.shifted_state_matrix())
+
+    def test_corrupted_scatter_fails_residual(self, monkeypatch):
+        model = nominal_model("two_node")
+        solve_block = analysis._block_vectors
+
+        def shifted(y, rows, p):
+            support, v = solve_block(y, rows, p)
+            return np.roll(support, 1), v
+
+        monkeypatch.setattr(analysis, "_block_vectors", shifted)
+        with pytest.raises(NumericalError, match="residual"):
+            eigen_decompose(model)
+
+    def test_four_cider_splits_by_harmonic_parity(self):
+        model = nominal_model("four_cider_six_node", 8)
+        blocks = analysis._decoupled_blocks(analysis._shifted_csr(model))
+        assert [b.size for b in blocks] == [469, 432]
+        # each state channel sits at even harmonics in one block, odd in the other
+        label = np.empty(model.state_dim, int)
+        for k, rows in enumerate(blocks):
+            label[rows] = k
+        label = label.reshape(model.index_set.count, model.state_channels)
+        even = model.index_set.orders % 2 == 0
+        assert np.all(label[even] == label[even][0])
+        assert np.all(label[~even] == 1 - label[even][0])
 
 
 class TestHtf:

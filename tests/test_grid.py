@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -183,13 +185,16 @@ class TestLift:
         gss = build_grid_state_space(two_node_topology())
         iset = HarmonicIndexSet(1, 50.0)
         model = lift_grid_to_hss(gss, iset)
-        layout = model.disturbance_layouts["gamma"]
-        assert layout.ordering == "node-major"
-        assert layout.node_dims == (3, 3)
-        # disturbance column for node n1, order h, phase a maps back to the
-        # harmonic-major dc lift
-        from hss_stab.harmonic import permutation_indices
-
-        idx = permutation_indices(layout.with_ordering("harmonic-major"), "node-major")
-        e_hm = np.kron(np.eye(3), gss.e)
-        assert np.array_equal(model.e["gamma"].toarray(), e_hm[:, idx])
+        # the disturbance column and output row of node k, harmonic block b
+        # and phase q sit at 3*count*k + 3*b + q; in the harmonic-major dc
+        # lift they sit at 6*b + 3*k + q
+        count = iset.count
+        node_major = []
+        harmonic_major = []
+        for k, b, q in itertools.product(range(2), range(count), range(3)):
+            node_major.append(3 * count * k + 3 * b + q)
+            harmonic_major.append(6 * b + 3 * k + q)
+        e_hm = np.kron(np.eye(count), gss.e)
+        c_hm = np.kron(np.eye(count), gss.c)
+        assert np.array_equal(model.e["gamma"].toarray()[:, node_major], e_hm[:, harmonic_major])
+        assert np.array_equal(model.c.toarray()[node_major], c_hm[harmonic_major])

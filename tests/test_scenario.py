@@ -1,6 +1,7 @@
 import copy
 import json
 
+import jsonschema
 import pytest
 
 from hss_stab import (
@@ -11,6 +12,7 @@ from hss_stab import (
 )
 from hss_stab.pipeline import assemble_system
 from hss_stab.runner import run_command
+from hss_stab.scenario import SCHEMA
 from tests.conftest import load_raw, scenario_path
 
 
@@ -51,6 +53,33 @@ class TestLoading:
         raw["grid"]["nodes"][0]["kind"] = "slack"
         with pytest.raises(ScenarioError, match="grid.nodes.0.kind"):
             scenario_from_dict(raw)
+
+    def test_schema_passes_metaschema(self):
+        jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("grid", "nodes", 0, "kind"), "slack"),
+            (("grid", "branches", 0, "r"), [[1.0, 2.0]]),
+            (("system", "hmax"), -1),
+            (("grid", "nodes"), []),
+            (("analysis",), {"stability_margin": "big"}),
+        ],
+    )
+    def test_schema_error_matches_jsonschema_validate(self, path, value):
+        raw = copy.deepcopy(MINIMAL)
+        target = raw
+        for key in path[:-1]:
+            target = target[key] if isinstance(target, list) else target.setdefault(key, {})
+        target[path[-1]] = value
+        with pytest.raises(jsonschema.ValidationError) as reference:
+            jsonschema.validate(raw, SCHEMA)
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(raw, source="s.json")
+        field = ".".join(str(s) for s in reference.value.absolute_path) or "<document>"
+        assert err.value.field == field
+        assert str(err.value) == f"s.json: at '{field}': {reference.value.message}"
 
     def test_unknown_top_level_key(self):
         raw = copy.deepcopy(MINIMAL)
