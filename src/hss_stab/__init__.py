@@ -64,17 +64,13 @@ from .grid import (
     lift_grid_to_hss,
 )
 from .harmonic import (
-    HARMONIC_MAJOR,
-    NODE_MAJOR,
-    GroupingLayout,
     HarmonicIndexSet,
     HarmonicSignal,
     ToeplitzOperator,
     default_sample_count,
     fourier_from_samples,
+    node_major_order,
     omega_diagonal,
-    permutation_indices,
-    permute_grouping,
     sample_series,
     series_from_samples,
     toeplitz_from_fourier,

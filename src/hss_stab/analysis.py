@@ -46,10 +46,6 @@ class EigenSolution:
     vectors: np.ndarray
     labels: tuple[tuple[str, int], ...]
 
-    @property
-    def spectral_radius(self) -> float:
-        return float(np.max(np.abs(self.eigenvalues))) if self.eigenvalues.size else 0.0
-
     def reordered(self, order) -> "EigenSolution":
         """The same eigenpairs in the order given by the index array ``order``."""
         return EigenSolution(self.eigenvalues[order], self.vectors[:, order], self.labels)

@@ -23,7 +23,6 @@ class InterconnectionMatrix:
     """Anti-diagonal identity pairing two equally sized port groups."""
 
     matrix: np.ndarray
-    block_dims: tuple[int, int]
 
 
 def build_interconnection(dims: tuple[int, int]) -> InterconnectionMatrix:
@@ -33,7 +32,7 @@ def build_interconnection(dims: tuple[int, int]) -> InterconnectionMatrix:
     j = np.zeros((n1 + n2, n1 + n2))
     j[:n1, n1:] = np.eye(n1)
     j[n1:, :n1] = np.eye(n2)
-    return InterconnectionMatrix(j, (n1, n2))
+    return InterconnectionMatrix(j)
 
 
 @dataclass(frozen=True)
@@ -56,9 +55,7 @@ class ResourceBlock:
 @dataclass(frozen=True)
 class OpenLoopSystem:
     model: HssModel
-    resource_nodes: tuple[str, ...]
-    #: split of the gamma port into (resource block, grid block) columns
-    gamma_split: tuple[int, int]
+    #: split of the output into (resource block, grid block) rows
     output_split: tuple[int, int]
 
 
@@ -103,12 +100,7 @@ def build_open_loop(resources: ResourceBlock, grid: HssModel, grid_nodes) -> Ope
             f"gamma port sizes do not pair up: resources {rq_in}in/{rq_out}out, "
             f"grid {g_in}in/{g_out}out"
         )
-    return OpenLoopSystem(
-        stack_models([rm, grid]),
-        resources.node_ids,
-        gamma_split=(rq_in, g_in),
-        output_split=(rq_out, g_out),
-    )
+    return OpenLoopSystem(stack_models([rm, grid]), output_split=(rq_out, g_out))
 
 
 def _permutation_rows(j: sp.csr_array) -> np.ndarray | None:

@@ -22,6 +22,7 @@ from .harmonic import (
     HarmonicIndexSet,
     ToeplitzOperator,
     default_sample_count,
+    normalize_series,
     sample_series,
     series_from_samples,
     toeplitz_from_fourier,
@@ -51,10 +52,10 @@ class LtpBlock:
     state_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _series(self.a))
-        object.__setattr__(self, "b", _series(self.b))
-        object.__setattr__(self, "c", _series(self.c))
-        object.__setattr__(self, "d", _series(self.d))
+        object.__setattr__(self, "a", normalize_series(self.a))
+        object.__setattr__(self, "b", normalize_series(self.b))
+        object.__setattr__(self, "c", normalize_series(self.c))
+        object.__setattr__(self, "d", normalize_series(self.d))
         nx, nx2 = _series_shape(self.a)
         nu = _series_shape(self.b)[1]
         ny = _series_shape(self.c)[0]
@@ -85,16 +86,6 @@ class LtpBlock:
         if self.state_names is not None:
             return tuple(self.state_names)
         return tuple(f"{self.name}.x{i}" for i in range(self.n_states))
-
-
-def _series(series) -> dict[int, np.ndarray]:
-    out = {int(h): np.atleast_2d(np.asarray(m, dtype=complex)) for h, m in series.items()}
-    if not out:
-        raise ShapeError("empty coefficient series")
-    shapes = {m.shape for m in out.values()}
-    if len(shapes) != 1:
-        raise ShapeError(f"inconsistent coefficient shapes {shapes}")
-    return out
 
 
 def _series_shape(series) -> tuple[int, int]:
@@ -261,18 +252,10 @@ def assemble_internal_response(
     count = index_set.count
     lift = lambda mat: np.kron(np.eye(count), mat)  # noqa: E731
 
-    b_hw = toeplitz_from_fourier(hw.b, index_set).matrix if hw.n_inputs else np.zeros(
-        (count * hw.n_states, 0)
-    )
-    d_hw = toeplitz_from_fourier(hw.d, index_set).matrix if hw.n_inputs else np.zeros(
-        (count * hw.n_outputs, 0)
-    )
-    b_ctl = toeplitz_from_fourier(ctl.b, index_set).matrix if ctl.n_inputs else np.zeros(
-        (count * ctl.n_states, 0)
-    )
-    d_ctl = toeplitz_from_fourier(ctl.d, index_set).matrix if ctl.n_inputs else np.zeros(
-        (count * ctl.n_outputs, 0)
-    )
+    b_hw = toeplitz_from_fourier(hw.b, index_set).matrix
+    d_hw = toeplitz_from_fourier(hw.d, index_set).matrix
+    b_ctl = toeplitz_from_fourier(ctl.b, index_set).matrix
+    d_ctl = toeplitz_from_fourier(ctl.d, index_set).matrix
 
     p_grid = lift(_selector(routing.hw_grid_inputs, hw.n_inputs))
     p_act = lift(_selector(routing.hw_actuation_inputs, hw.n_inputs))
@@ -294,25 +277,17 @@ def assemble_internal_response(
     n_act, n_ms = count * n_act_t, count * n_meas
     hw_model = HssModel(
         index_set=index_set,
-        a=toeplitz_from_fourier(hw.a, index_set).matrix
-        if hw.n_states
-        else np.zeros((0, 0)),
+        a=toeplitz_from_fourier(hw.a, index_set).matrix,
         e={"loop": b_hw @ p_act, "pi": b_hw @ p_grid},
-        c=toeplitz_from_fourier(hw.c, index_set).matrix
-        if hw.n_states * hw.n_outputs
-        else np.zeros((ny_h, count * hw.n_states)),
+        c=toeplitz_from_fourier(hw.c, index_set).matrix,
         f={"loop": d_hw @ p_act, "pi": d_hw @ p_grid},
         state_names=hw.resolved_state_names(),
     )
     ctl_model = HssModel(
         index_set=index_set,
-        a=toeplitz_from_fourier(ctl.a, index_set).matrix
-        if ctl.n_states
-        else np.zeros((0, 0)),
+        a=toeplitz_from_fourier(ctl.a, index_set).matrix,
         e={"loop": b_ctl @ s_meas, "kappa": b_ctl @ s_ref},
-        c=toeplitz_from_fourier(ctl.c, index_set).matrix
-        if ctl.n_states * ctl.n_outputs
-        else np.zeros((count * ctl.n_outputs, count * ctl.n_states)),
+        c=toeplitz_from_fourier(ctl.c, index_set).matrix,
         f={"loop": d_ctl @ s_meas, "kappa": d_ctl @ s_ref},
         state_names=ctl.resolved_state_names(),
     )
@@ -341,7 +316,7 @@ def pinv_series(
     Only defined for series that are square and invertible at every
     sample; non-square output transforms need a user-supplied inverse.
     """
-    shape = _series_shape(_series(series))
+    shape = _series_shape(normalize_series(series))
     if shape[0] != shape[1]:
         raise ConfigurationError(
             f"output transform with block shape {shape} has no default "

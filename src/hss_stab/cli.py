@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--hmax", type=int, default=None, help="override scenario hmax")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sweep evaluations")
+        p.add_argument("--jobs", type=int, default=1, help="parallel sweep and classify rebuilds")
         p.add_argument(
             "--no-timestamp",
             action="store_true",
@@ -74,16 +74,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(convert, text: str, flag: str):
+    try:
+        return convert(text)
+    except ValueError:
+        raise ConfigurationError(f"{flag}: cannot read '{text}' as a {convert.__name__}") from None
+
+
 def _options(args) -> dict:
     opts = {"jobs": args.jobs}
     if args.command == "htf":
-        opts["s"] = complex(args.s)
+        opts["s"] = _parse(complex, args.s, "--s")
         opts["ports"] = tuple(args.port) if args.port else None
     if args.command == "sweep":
         opts["sweep_name"] = args.sweep_name
         opts["parameter"] = args.parameter
         if args.values is not None:
-            opts["values"] = [float(v) for v in args.values.split(",") if v.strip()]
+            values = [v for v in args.values.split(",") if v.strip()]
+            opts["values"] = [_parse(float, v, "--values") for v in values]
         opts["refine_on_crossing"] = not args.no_refine
     if args.command == "classify":
         if args.control_params:

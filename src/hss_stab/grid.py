@@ -21,13 +21,7 @@ from .errors import (
     ShapeError,
     TopologyError,
 )
-from .harmonic import (
-    HARMONIC_MAJOR,
-    NODE_MAJOR,
-    GroupingLayout,
-    HarmonicIndexSet,
-    permutation_indices,
-)
+from .harmonic import HarmonicIndexSet, node_major_order
 from .model import HssModel, block_diag_csr
 
 FORMING = "forming"
@@ -239,10 +233,9 @@ def lift_grid_to_hss(gss: GridStateSpace, index_set: HarmonicIndexSet) -> HssMod
     harmonics of one node form a contiguous block, matching the
     resource-side port layout.
     """
-    top = gss.topology
-    port_dims = tuple([3] * len(top.forming_ids) + [3] * len(top.following_ids))
     count = index_set.count
-    idx = permutation_indices(GroupingLayout(HARMONIC_MAJOR, port_dims, index_set), NODE_MAJOR)
+    # harmonic-major port position -> its node-major position
+    idx = np.argsort(node_major_order(count, [3] * len(gss.topology.ordered_ids)))
 
     return HssModel(
         index_set=index_set,

@@ -24,9 +24,6 @@ NUMERIC_TOL = 1e-9
 #: absolute tolerance for the conjugate-symmetry (real signal) check
 CONJ_SYM_TOL = 1e-12
 
-HARMONIC_MAJOR = "harmonic-major"
-NODE_MAJOR = "node-major"
-
 
 @dataclass(frozen=True)
 class HarmonicIndexSet:
@@ -173,9 +170,7 @@ def sample_series(
     """Evaluate a matrix-valued Fourier series on one period, shape (N, m, n)."""
     n = n_samples or default_sample_count(index_set)
     t = np.arange(n) / (n * index_set.f1)
-    mats = {h: np.atleast_2d(np.asarray(a, dtype=complex)) for h, a in series.items()}
-    if not mats:
-        raise ShapeError("empty Fourier series")
+    mats = normalize_series(series)
     shape = next(iter(mats.values())).shape
     out = np.zeros((n,) + shape, dtype=complex)
     for h, a in mats.items():
@@ -206,7 +201,8 @@ class ToeplitzOperator:
         return self.matrix[i * m : (i + 1) * m, k * n : (k + 1) * n]
 
 
-def _normalize_series(series: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
+def normalize_series(series: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """{int order: complex 2-D coefficient}, all of one shape; empty series are rejected."""
     out = {}
     shape = None
     for h, a in series.items():
@@ -234,7 +230,7 @@ def toeplitz_from_fourier(
     i - k; orders absent from the series give zero blocks.  Series orders
     beyond hmax are rejected: truncation is the caller's decision.
     """
-    mats = _normalize_series(series)
+    mats = normalize_series(series)
     hc = max(abs(h) for h in mats)
     if hc > index_set.hmax:
         raise ShapeError(
@@ -261,69 +257,17 @@ def omega_diagonal(index_set: HarmonicIndexSet, block_dim: int) -> np.ndarray:
     return np.repeat(index_set.omega1 * index_set.orders.astype(float), block_dim)
 
 
-@dataclass(frozen=True)
-class GroupingLayout:
-    """Describes whether a stacked vector is grouped per harmonic or per node."""
+def node_major_order(count: int, dims) -> np.ndarray:
+    """Index array p with v_node_major = v_harmonic_major[p].
 
-    ordering: str
-    node_dims: tuple[int, ...]
-    index_set: HarmonicIndexSet
-
-    def __post_init__(self):
-        if self.ordering not in (HARMONIC_MAJOR, NODE_MAJOR):
-            raise ConfigurationError(f"unknown ordering '{self.ordering}'")
-        object.__setattr__(self, "node_dims", tuple(int(d) for d in self.node_dims))
-        if any(d < 1 for d in self.node_dims):
-            raise ShapeError("node dimensions must be positive")
-
-    @property
-    def total_dim(self) -> int:
-        return self.index_set.count * sum(self.node_dims)
-
-    def with_ordering(self, ordering: str) -> "GroupingLayout":
-        return GroupingLayout(ordering, self.node_dims, self.index_set)
-
-
-def permutation_indices(layout: GroupingLayout, target: str) -> np.ndarray:
-    """Index array p such that v_target = v_source[p]."""
-    if target not in (HARMONIC_MAJOR, NODE_MAJOR):
-        raise ConfigurationError(f"unknown ordering '{target}'")
-    n_total = sum(layout.node_dims)
-    count = layout.index_set.count
-    if layout.ordering == target:
-        return np.arange(count * n_total)
-    offsets = np.cumsum((0,) + layout.node_dims[:-1])
-    # harmonic-major position of (node k, order index i, channel c)
-    hm = np.empty(count * n_total, dtype=int)
-    pos = 0
-    for k, d in enumerate(layout.node_dims):
-        for i in range(count):
-            for c in range(d):
-                hm[pos] = i * n_total + offsets[k] + c
-                pos += 1
-    if layout.ordering == HARMONIC_MAJOR:  # -> node-major
-        return hm
-    inv = np.empty_like(hm)
-    inv[hm] = np.arange(hm.size)
-    return inv
-
-
-def permute_grouping(obj: np.ndarray, layout: GroupingLayout, target: str):
-    """Reorder a stacked vector, or similarity-transform a square matrix.
-
-    Returns ``(permuted, new_layout)``.  Applying the operation twice
-    restores the original object bit-exactly.
+    A harmonic-major vector stacks, for each of the ``count`` orders, the
+    channels of every node (``dims[k]`` channels for node k) in node order;
+    the node-major vector holds all orders of node 0, then of node 1, ...
+    Every ``HssModel`` keeps its state harmonic-major, so a block-diagonal
+    stack of subsystems, which is node-major, is re-interleaved with this
+    map; ports grouped per node use it the other way round.  A zero-width
+    node adds no indices.
     """
-    obj = np.asarray(obj)
-    idx = permutation_indices(layout, target)
-    if obj.ndim == 1:
-        if obj.shape[0] != idx.size:
-            raise ShapeError(f"vector length {obj.shape[0]} != layout dim {idx.size}")
-        return obj[idx], layout.with_ordering(target)
-    if obj.ndim == 2:
-        if obj.shape != (idx.size, idx.size):
-            raise ShapeError(
-                f"matrix shape {obj.shape} incompatible with layout dim {idx.size}"
-            )
-        return obj[np.ix_(idx, idx)], layout.with_ordering(target)
-    raise ShapeError("only vectors and square matrices can be regrouped")
+    node = np.repeat(np.arange(len(dims)), np.asarray(dims, dtype=int))
+    # harmonic-major positions sorted stably by node: within a node they already run by order
+    return np.argsort(np.tile(node, count), kind="stable")

@@ -16,15 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError, ShapeError
-from .harmonic import (
-    HARMONIC_MAJOR,
-    NODE_MAJOR,
-    GroupingLayout,
-    HarmonicIndexSet,
-    omega_diagonal,
-    permutation_indices,
-    toeplitz_from_fourier,
-)
+from .harmonic import HarmonicIndexSet, node_major_order, omega_diagonal, toeplitz_from_fourier
 
 
 @dataclass(frozen=True)
@@ -181,35 +173,16 @@ def check_same_grid(models, what="models") -> HarmonicIndexSet:
     return next(iter(sets))
 
 
-def state_interleave_indices(
-    index_set: HarmonicIndexSet, channel_counts
-) -> np.ndarray:
-    """Permutation turning a subsystem-stacked state into the h-major layout.
-
-    Stacking two lifted models block-diagonally leaves the state grouped
-    per subsystem; every ``HssModel`` keeps its state h-major instead, so
-    compositions re-interleave rows/columns with this index array.
-    """
-    dims = tuple(int(c) for c in channel_counts if c > 0)
-    if not dims:
-        return np.zeros(0, dtype=int)
-    layout = GroupingLayout(NODE_MAJOR, dims, index_set)
-    return permutation_indices(layout, HARMONIC_MAJOR)
-
-
 def block_diag_csr(mats, rows=None, cols=None) -> sp.csr_array:
-    """Complex CSR block diagonal of dense or sparse blocks, gathered as
-    ``block_diag(mats)[rows][:, cols]`` by the index arrays given.
+    """Complex CSR block diagonal of dense or sparse blocks, with row r of
+    ``block_diag(mats)`` moved to ``rows[r]`` and column c to ``cols[c]``.
 
     ``rows`` and ``cols`` must be permutations.  Entries are only copied,
     so the result holds the blocks' values bit for bit.
     """
     bd = sp.block_diag(mats, format="coo")
-    row, col = bd.row, bd.col
-    if rows is not None:
-        row = np.argsort(rows)[row]
-    if cols is not None:
-        col = np.argsort(cols)[col]
+    row = bd.row if rows is None else rows[bd.row]
+    col = bd.col if cols is None else cols[bd.col]
     out = sp.csr_array((bd.data.astype(complex), (row, col)), shape=bd.shape)
     out.eliminate_zeros()  # dense blocks arrive with their zeros stored
     return out
@@ -223,7 +196,7 @@ def stack_models(models) -> HssModel:
     re-interleaved h-major.
     """
     index_set = check_same_grid(models)
-    idx = state_interleave_indices(index_set, [m.state_channels for m in models])
+    idx = node_major_order(index_set.count, [m.state_channels for m in models])
     ports = tuple(dict.fromkeys(p for m in models for p in m.ports))
     return HssModel(
         index_set=index_set,

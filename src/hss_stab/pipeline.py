@@ -82,10 +82,6 @@ class SystemModel:
     interconnection: InterconnectionMatrix | None
     closed: ClosedLoopSystem | None
 
-    @property
-    def grid_only(self) -> bool:
-        return self.closed is None
-
 
 def assemble_system(scenario: Scenario, state_only: bool = False) -> SystemModel:
     """Run the full assembly pipeline for a scenario.

@@ -172,10 +172,6 @@ class OperatingPoint:
             [self.w_kappa.coeffs, self.w_pi.coeffs, self.w_sigma.coeffs]
         )
 
-    @property
-    def packed_dims(self) -> tuple[int, int, int]:
-        return (self.w_kappa.channels, self.w_pi.channels, self.w_sigma.channels)
-
 
 def make_operating_point(
     plugin: ReferencePlugin,

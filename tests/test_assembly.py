@@ -6,9 +6,6 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from hss_stab import (
-    HARMONIC_MAJOR,
-    NODE_MAJOR,
-    GroupingLayout,
     HarmonicIndexSet,
     HssModel,
     WellPosednessError,
@@ -20,10 +17,8 @@ from hss_stab import (
     evaluate_htf,
     load_scenario,
     match_eigenvalues,
-    permutation_indices,
     scenario_from_dict,
 )
-from hss_stab.model import state_interleave_indices
 from hss_stab.pipeline import assemble_system
 from tests.conftest import load_raw, scenario_path
 
@@ -269,15 +264,24 @@ class TestDenseOracle:
     """The CSR composition against a dense one written out here."""
 
     @staticmethod
-    def dense_reference(system):
+    def harmonic_major_positions(count, dims):
+        """Harmonic-major position of each (node k, order i, channel c), node-major."""
+        return np.array(
+            [
+                i * sum(dims) + sum(dims[:k]) + c
+                for k, d in enumerate(dims)
+                for i in range(count)
+                for c in range(d)
+            ],
+            dtype=int,
+        )
+
+    def dense_reference(self, system):
         """Closed-loop (A, C, E, F) composed densely from the dense leaves."""
         scenario, iset = system.scenario, system.index_set
         count = iset.count
         gss = build_grid_state_space(scenario.topology)
-        nodes = GroupingLayout(
-            HARMONIC_MAJOR, (3,) * len(scenario.topology.ordered_ids), iset
-        )
-        to_node = permutation_indices(nodes, NODE_MAJOR)
+        to_node = self.harmonic_major_positions(count, [3] * len(scenario.topology.ordered_ids))
         leaves = [
             (m.a, m.c, dict(m.e), dict(m.f), m.state_channels)
             for m in (c.model for c in system.ciders)
@@ -292,7 +296,8 @@ class TestDenseOracle:
         leaves.append(
             (np.kron(np.eye(count), gss.a), grid_c, grid_e, grid_f, len(gss.state_names))
         )
-        idx = state_interleave_indices(iset, [leaf[4] for leaf in leaves])
+        # gather the subsystem-stacked (node-major) state into harmonic-major order
+        idx = np.argsort(self.harmonic_major_positions(count, [leaf[4] for leaf in leaves]))
 
         def diag(mats):
             return scipy.linalg.block_diag(*mats).astype(complex)

@@ -125,6 +125,20 @@ class TestValidationErrors:
         assert record["error"] == "ShapeError"
         assert record["exit_code"] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("htf", "--scenario", RLC, "--s", "1+x"),
+            ("sweep", "--scenario", RLC, "--param", "grid.branches.0.r", "--values", "0.1,abc"),
+        ],
+        ids=["htf-s", "sweep-values"],
+    )
+    def test_malformed_number_exit_2(self, argv, capsys):
+        assert run_cli(*argv) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigurationError"
+        assert record["exit_code"] == 2
+
     def test_htf_at_pole_exit_3(self, capsys):
         # s exactly on an RLC eigenvalue
         code = run_cli("htf", "--scenario", RLC, "--s=-50+9999.8749992187j")

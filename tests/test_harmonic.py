@@ -1,18 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hss_stab import (
-    HARMONIC_MAJOR,
-    NODE_MAJOR,
-    GroupingLayout,
     HarmonicIndexSet,
     HarmonicSignal,
     ShapeError,
     fourier_from_samples,
+    node_major_order,
     omega_diagonal,
-    permutation_indices,
-    permute_grouping,
     toeplitz_from_fourier,
 )
 from hss_stab.errors import ConfigurationError
@@ -60,6 +56,14 @@ class TestToeplitz:
         op = toeplitz_from_fourier({0: np.zeros((2, 2))}, iset)
         assert op.matrix.shape == (10, 10)
         assert not op.matrix.any()
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 2), (0, 0)], ids=["3x0", "0x2", "0x0"])
+    def test_empty_block_lifts_to_empty_shape(self, shape):
+        # blocks without inputs, states or outputs lift to (count*m, count*n)
+        iset = HarmonicIndexSet(2, 50.0)
+        op = toeplitz_from_fourier({0: np.zeros(shape), 1: np.zeros(shape)}, iset)
+        assert op.block_shape == shape
+        assert op.matrix.shape == (5 * shape[0], 5 * shape[1])
 
     def test_cos_series_product(self):
         # a(t) = 2cos(2 pi f1 t) acting on x(t) = e^{j 2 pi f1 t}
@@ -230,51 +234,47 @@ class TestOmega:
 
 class TestGrouping:
     def test_single_node_identity(self):
-        lay = GroupingLayout(HARMONIC_MAJOR, (2,), HarmonicIndexSet(3, 50.0))
-        idx = permutation_indices(lay, NODE_MAJOR)
-        assert np.array_equal(idx, np.arange(14))
+        assert np.array_equal(node_major_order(7, (2,)), np.arange(14))
 
     def test_two_node_example(self):
-        lay = GroupingLayout(HARMONIC_MAJOR, (1, 1), HarmonicIndexSet(1, 50.0))
         v = np.array([0.0, 10.0, 1.0, 11.0, 2.0, 12.0])  # (a-1,b-1,a0,b0,a+1,b+1)
-        out, new_lay = permute_grouping(v, lay, NODE_MAJOR)
+        out = v[node_major_order(3, (1, 1))]
         assert np.array_equal(out, [0.0, 1.0, 2.0, 10.0, 11.0, 12.0])
-        assert new_lay.ordering == NODE_MAJOR
 
     @given(
-        st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        st.lists(st.integers(0, 4), max_size=4),
         st.integers(0, 3),
     )
+    @example(dims=[1, 0, 2], hmax=1)  # a zero-width node adds no indices
+    @example(dims=[], hmax=0)
     @settings(max_examples=40, deadline=None)
     def test_involution_and_orthogonality(self, dims, hmax):
-        iset = HarmonicIndexSet(hmax, 50.0)
-        lay = GroupingLayout(HARMONIC_MAJOR, tuple(dims), iset)
-        idx = permutation_indices(lay, NODE_MAJOR)
-        n = lay.total_dim
+        count = 2 * hmax + 1
+        idx = node_major_order(count, dims)
+        # written out: node k, order i, channel c sits at i*sum(dims) + offset_k + c
+        expected = [
+            i * sum(dims) + sum(dims[:k]) + c
+            for k, d in enumerate(dims)
+            for i in range(count)
+            for c in range(d)
+        ]
+        assert np.array_equal(idx, np.array(expected, dtype=int))
+        n = idx.size
         p = np.zeros((n, n))
         p[np.arange(n), idx] = 1.0
         assert np.array_equal(p @ p.T, np.eye(n))
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal(n)
-        there, lay2 = permute_grouping(v, lay, NODE_MAJOR)
-        back, lay3 = permute_grouping(there, lay2, HARMONIC_MAJOR)
-        assert np.array_equal(back, v)
-        assert lay3 == lay
+        # node-major and back, through the inverse the grid lift scatters with
+        v = np.random.default_rng(0).standard_normal(n)
+        assert np.array_equal(v[idx][np.argsort(idx)], v)
 
     def test_similarity_preserves_spectrum(self):
         rng = np.random.default_rng(5)
-        iset = HarmonicIndexSet(1, 50.0)
-        lay = GroupingLayout(HARMONIC_MAJOR, (2, 1), iset)
+        idx = node_major_order(3, (2, 1))
         m = rng.standard_normal((9, 9))
-        permuted, _ = permute_grouping(m, lay, NODE_MAJOR)
+        permuted = m[np.ix_(idx, idx)]
         lam1 = np.sort_complex(np.linalg.eigvals(m))
         lam2 = np.sort_complex(np.linalg.eigvals(permuted))
         assert np.max(np.abs(lam1 - lam2)) < 1e-10 * max(1.0, np.max(np.abs(lam1)))
-
-    def test_dimension_mismatch(self):
-        lay = GroupingLayout(HARMONIC_MAJOR, (1, 1), HarmonicIndexSet(1, 50.0))
-        with pytest.raises(ShapeError):
-            permute_grouping(np.zeros(5), lay, NODE_MAJOR)
 
 
 class TestHarmonicSignal:
