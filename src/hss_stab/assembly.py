@@ -103,16 +103,6 @@ def build_open_loop(resources: ResourceBlock, grid: HssModel, grid_nodes) -> Ope
     return OpenLoopSystem(stack_models([rm, grid]), output_split=(rq_out, g_out))
 
 
-def _permutation_rows(j: sp.csr_array) -> np.ndarray | None:
-    """Row-gather indices when J is a 0/1 permutation, else None."""
-    n = j.shape[0]
-    if j.shape != (n, n) or np.any(np.diff(j.indptr) != 1) or np.any(j.data != 1.0):
-        return None
-    if np.any(np.bincount(j.indices, minlength=n) != 1):
-        return None
-    return j.indices
-
-
 class _LoopSolver:
     """Applies (I - J*F_gamma)^-1 to stacked CSR right-hand sides.
 
@@ -122,9 +112,8 @@ class _LoopSolver:
     """
 
     def __init__(self, f_gamma: sp.csr_array, j: sp.csr_array):
-        self.j_rows = _permutation_rows(j)
         self.j = j
-        self.jf = self.apply_j(f_gamma)
+        self.jf = j @ f_gamma
         self.lu = None
         if not (self.jf @ self.jf).count_nonzero():
             self.certificate = WellPosednessCertificate(True, 0.0, None)
@@ -145,12 +134,9 @@ class _LoopSolver:
         self.certificate = WellPosednessCertificate(False, float(log_det), cond)
         self.lu = scipy.linalg.lu_factor(m)
 
-    def apply_j(self, x: sp.csr_array) -> sp.csr_array:
-        return x[self.j_rows] if self.j_rows is not None else self.j @ x
-
     def solve_j(self, x: sp.csr_array) -> sp.csr_array:
         """(I - J F)^-1 J x."""
-        jx = self.apply_j(x)
+        jx = self.j @ x
         if self.lu is not None:
             return sp.csr_array(scipy.linalg.lu_solve(self.lu, jx.toarray()))
         return jx + self.jf @ jx

@@ -3,7 +3,7 @@
     hss-stab <command> --scenario <file> [options]
 
 Commands: eig, htf, sweep, classify, spurious.  Exit codes: 0 success,
-2 validation/configuration or shape error, 3 numerical error, 4
+2 usage, validation/configuration or shape error, 3 numerical error, 4
 instability detected while --fail-on-unstable is set.
 """
 
@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigurationError, HssError, NumericalError, ShapeError
+from .errors import ConfigurationError, HssError, NumericalError
 from .runner import COMMANDS, export_results, run_command
 from .scenario import load_scenario
 
@@ -23,8 +23,29 @@ EXIT_NUMERICAL = 3
 EXIT_UNSTABLE = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a ConfigurationError, so it ends in the JSON record."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
+def _comma_list(convert):
+    """argparse type: a comma-separated list, blank entries dropped."""
+
+    def parse(text: str) -> list:
+        return [convert(v) for v in text.split(",") if v.strip()]
+
+    parse.__name__ = f"comma-separated {convert.__name__}"
+    return parse
+
+
+#: dests that main reads itself; every other dest is a run_command option
+MAIN_FLAGS = ("command", "scenario", "out", "format", "hmax", "no_timestamp", "fail_on_unstable")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hss-stab",
         description="Harmonic stability assessment of converter-dominated grids",
     )
@@ -48,9 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
                 help="exit with code 4 when the verdict is unstable",
             )
         if name == "htf":
-            p.add_argument("--s", required=True, help="Laplace point, e.g. '1+6j'")
+            p.add_argument("--s", type=complex, required=True, help="Laplace point, e.g. '1+6j'")
             p.add_argument(
                 "--port",
+                dest="ports",
                 action="append",
                 default=None,
                 help="disturbance port(s) to include (default: all)",
@@ -58,15 +80,24 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "sweep":
             p.add_argument("--sweep", dest="sweep_name", default=None)
             p.add_argument("--param", dest="parameter", default=None)
-            p.add_argument("--values", default=None, help="comma-separated values")
+            p.add_argument(
+                "--values", type=_comma_list(float), default=None, help="comma-separated values"
+            )
             p.add_argument(
                 "--no-refine",
-                action="store_true",
+                dest="refine_on_crossing",
+                action="store_false",
                 help="disable step bisection near suspected crossings",
             )
         if name == "classify":
-            p.add_argument("--control-params", default=None, help="comma-separated paths")
-            p.add_argument("--hardware-params", default=None, help="comma-separated paths")
+            for kind in ("control", "hardware"):
+                p.add_argument(
+                    f"--{kind}-params",
+                    dest=f"{kind}_parameters",
+                    type=_comma_list(str),
+                    default=None,
+                    help="comma-separated paths",
+                )
             p.add_argument("--epsilon", type=float, default=None)
         if name == "spurious":
             p.add_argument("--hmax-probe", type=int, default=None)
@@ -74,66 +105,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(convert, text: str, flag: str):
-    try:
-        return convert(text)
-    except ValueError:
-        raise ConfigurationError(f"{flag}: cannot read '{text}' as a {convert.__name__}") from None
-
-
-def _options(args) -> dict:
-    opts = {"jobs": args.jobs}
-    if args.command == "htf":
-        opts["s"] = _parse(complex, args.s, "--s")
-        opts["ports"] = tuple(args.port) if args.port else None
-    if args.command == "sweep":
-        opts["sweep_name"] = args.sweep_name
-        opts["parameter"] = args.parameter
-        if args.values is not None:
-            values = [v for v in args.values.split(",") if v.strip()]
-            opts["values"] = [_parse(float, v, "--values") for v in values]
-        opts["refine_on_crossing"] = not args.no_refine
-    if args.command == "classify":
-        if args.control_params:
-            opts["control_parameters"] = [p for p in args.control_params.split(",") if p]
-        if args.hardware_params:
-            opts["hardware_parameters"] = [p for p in args.hardware_params.split(",") if p]
-        opts["epsilon"] = args.epsilon
-    if args.command == "spurious":
-        opts["hmax_probe"] = args.hmax_probe
-        opts["delta"] = args.delta
-    return opts
-
-
-def _error_record(exc: HssError, code: int) -> str:
-    return json.dumps(
-        {"error": type(exc).__name__, "message": str(exc), "exit_code": code},
-        sort_keys=True,
-    )
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        options = {k: v for k, v in vars(args).items() if k not in MAIN_FLAGS}
         scenario = load_scenario(args.scenario)
         if args.hmax is not None:
             scenario = scenario.with_hmax(args.hmax)
-        results = run_command(args.command, scenario, **_options(args))
+        results = run_command(args.command, scenario, **options)
         destination = args.out if args.out else sys.stdout
         export_results(
             results, args.format, destination, timestamp=not args.no_timestamp
         )
-    except (ConfigurationError, ShapeError) as exc:
-        print(_error_record(exc, EXIT_VALIDATION), file=sys.stderr)
-        return EXIT_VALIDATION
-    except NumericalError as exc:
-        print(_error_record(exc, EXIT_NUMERICAL), file=sys.stderr)
-        return EXIT_NUMERICAL
-    if (
-        args.command == "eig"
-        and getattr(args, "fail_on_unstable", False)
-        and not results.meta.get("stable", True)
-    ):
+    except HssError as exc:
+        code = EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_VALIDATION
+        record = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
+        print(json.dumps(record, sort_keys=True), file=sys.stderr)
+        return code
+    if getattr(args, "fail_on_unstable", False) and not results.meta.get("stable", True):
         return EXIT_UNSTABLE
     return EXIT_OK
 

@@ -23,8 +23,6 @@ from .errors import ConfigurationError
 from .pipeline import assemble_system
 from .scenario import Scenario
 
-COMMANDS = ("eig", "htf", "sweep", "classify", "spurious")
-
 EIGEN_COLUMNS = (
     "index",
     "re",
@@ -78,95 +76,93 @@ def _eigen_records(solution: EigenSolution, classification=None, flags=None):
     )
 
 
-def run_command(command: str, scenario: Scenario, **options) -> ResultSet:
-    """Assemble the scenario and run one analysis command."""
-    if command not in COMMANDS:
-        raise ConfigurationError(f"unknown command '{command}' (choose from {COMMANDS})")
-    jobs = int(options.get("jobs") or 1)
+def _eig(scenario: Scenario, **_) -> ResultSet:
+    solution = eigen_decompose(assemble_system(scenario, state_only=True).model)
+    lam = solution.eigenvalues
+    solution = solution.reordered(np.lexsort((lam.imag, -lam.real)))
+    verdict = stability_verdict(solution.eigenvalues, scenario.analysis.stability_margin)
+    records = _eigen_records(solution)
+    meta = {
+        "command": "eig",
+        "stable": verdict.stable,
+        "stability_margin": verdict.margin,
+        "n_unstable": verdict.n_unstable,
+        "worst_re": None if verdict.worst_eigenvalue is None else verdict.worst_eigenvalue.real,
+    }
+    return ResultSet("eigenvalues", EIGEN_COLUMNS, records, meta)
 
-    if command == "eig":
-        solution = eigen_decompose(assemble_system(scenario, state_only=True).model)
-        lam = solution.eigenvalues
-        solution = solution.reordered(np.lexsort((lam.imag, -lam.real)))
-        verdict = stability_verdict(solution.eigenvalues, scenario.analysis.stability_margin)
-        records = _eigen_records(solution)
-        meta = {
-            "command": "eig",
-            "stable": verdict.stable,
-            "stability_margin": verdict.margin,
-            "n_unstable": verdict.n_unstable,
-            "worst_re": None if verdict.worst_eigenvalue is None else verdict.worst_eigenvalue.real,
-        }
-        return ResultSet("eigenvalues", EIGEN_COLUMNS, records, meta)
 
-    if command == "htf":
-        s_point = options.get("s")
-        if s_point is None:
-            raise ConfigurationError("htf needs a Laplace point (--s)")
-        system = assemble_system(scenario)
-        ports = options.get("ports")
-        g = evaluate_htf(system.model, complex(s_point), ports)
-        records = tuple(
-            (i, k, g[i, k].real, g[i, k].imag)
-            for i in range(g.shape[0])
-            for k in range(g.shape[1])
-        )
-        meta = {"command": "htf", "s": str(complex(s_point)), "shape": list(g.shape)}
-        return ResultSet("matrix", MATRIX_COLUMNS, records, meta)
+def _htf(scenario: Scenario, s=None, ports=None, **_) -> ResultSet:
+    if s is None:
+        raise ConfigurationError("htf needs a Laplace point (--s)")
+    system = assemble_system(scenario)
+    g = evaluate_htf(system.model, complex(s), ports)
+    records = tuple(
+        (i, k, g[i, k].real, g[i, k].imag)
+        for i in range(g.shape[0])
+        for k in range(g.shape[1])
+    )
+    meta = {"command": "htf", "s": str(complex(s)), "shape": list(g.shape)}
+    return ResultSet("matrix", MATRIX_COLUMNS, records, meta)
 
-    if command == "sweep":
-        path, values = _sweep_spec(scenario, options)
-        trace = sweep_parameter(
-            scenario,
-            path,
-            values,
-            refine_on_crossing=bool(options.get("refine_on_crossing", True)),
-            jobs=jobs,
-        )
-        records = tuple(
-            (trace.values[k], t, trace.traces[t, k].real, trace.traces[t, k].imag)
-            for k in range(len(trace.values))
-            for t in range(trace.traces.shape[0])
-        )
-        meta = {
-            "command": "sweep",
-            "parameter": path,
-            "steps": len(trace.values),
-            "unresolved_steps": int(trace.unresolved.any(axis=0).sum()),
-        }
-        return ResultSet("traces", TRACE_COLUMNS, records, meta)
 
-    if command == "classify":
-        control = tuple(options.get("control_parameters") or scenario.analysis.control_parameters)
-        hardware = tuple(options.get("hardware_parameters") or scenario.analysis.hardware_parameters)
-        eps = options.get("epsilon")
-        if eps is None:
-            eps = scenario.analysis.classification_tolerance
-        result = classify_eigenvalues(
-            scenario, control, hardware, epsilon=eps, jobs=jobs
-        )
-        records = _eigen_records(result.solution, classification=result.labels)
-        meta = {
-            "command": "classify",
-            "epsilon": result.epsilon,
-            "control_parameters": list(control),
-            "hardware_parameters": list(hardware),
-            "counts": {
-                label: int(sum(1 for l in result.labels if l == label))
-                for label in ("CDV", "CDI", "DI", "unresolved")
-            },
-        }
-        return ResultSet("eigenvalues", EIGEN_COLUMNS, records, meta)
+def _sweep(
+    scenario: Scenario, sweep_name=None, parameter=None, values=None, refine_on_crossing=True,
+    jobs=1, **_
+) -> ResultSet:
+    if sweep_name:
+        if sweep_name not in scenario.sweeps:
+            raise ConfigurationError(
+                f"scenario defines no sweep '{sweep_name}' (has {sorted(scenario.sweeps)})"
+            )
+        sweep = scenario.sweeps[sweep_name]
+        parameter, values = sweep.path, sweep.values
+    elif not parameter or values is None:
+        raise ConfigurationError("sweep needs --sweep NAME or --param PATH --values ...")
+    values = tuple(float(v) for v in values)
+    trace = sweep_parameter(
+        scenario, parameter, values, refine_on_crossing=refine_on_crossing, jobs=jobs
+    )
+    records = tuple(
+        (trace.values[k], t, trace.traces[t, k].real, trace.traces[t, k].imag)
+        for k in range(len(trace.values))
+        for t in range(trace.traces.shape[0])
+    )
+    meta = {
+        "command": "sweep",
+        "parameter": parameter,
+        "steps": len(trace.values),
+        "unresolved_steps": int(trace.unresolved.any(axis=0).sum()),
+    }
+    return ResultSet("traces", TRACE_COLUMNS, records, meta)
 
-    # spurious
-    delta = options.get("delta")
+
+def _classify(
+    scenario: Scenario, control_parameters=None, hardware_parameters=None, epsilon=None, jobs=1, **_
+) -> ResultSet:
+    control = tuple(control_parameters or scenario.analysis.control_parameters)
+    hardware = tuple(hardware_parameters or scenario.analysis.hardware_parameters)
+    if epsilon is None:
+        epsilon = scenario.analysis.classification_tolerance
+    result = classify_eigenvalues(scenario, control, hardware, epsilon=epsilon, jobs=jobs)
+    meta = {
+        "command": "classify",
+        "epsilon": result.epsilon,
+        "control_parameters": list(control),
+        "hardware_parameters": list(hardware),
+        "counts": {
+            label: int(sum(1 for l in result.labels if l == label))
+            for label in ("CDV", "CDI", "DI", "unresolved")
+        },
+    }
+    records = _eigen_records(result.solution, classification=result.labels)
+    return ResultSet("eigenvalues", EIGEN_COLUMNS, records, meta)
+
+
+def _spurious(scenario: Scenario, hmax_probe=None, delta=None, **_) -> ResultSet:
     if delta is None:
         delta = scenario.analysis.spurious_tolerance
-    report = detect_spurious(
-        scenario,
-        hmax_probe=options.get("hmax_probe"),
-        delta=delta,
-    )
+    report = detect_spurious(scenario, hmax_probe=hmax_probe, delta=delta)
     verdict = stability_verdict(
         report.eigenvalues, scenario.analysis.stability_margin, spurious=report.spurious
     )
@@ -174,7 +170,6 @@ def run_command(command: str, scenario: Scenario, **options) -> ResultSet:
         "spurious" if bad else ("boundary" if rim else "ok")
         for bad, rim in zip(report.spurious, report.boundary_suspect)
     ]
-    records = _eigen_records(report.solution, flags=flags)
     meta = {
         "command": "spurious",
         "hmax": report.hmax,
@@ -184,23 +179,20 @@ def run_command(command: str, scenario: Scenario, **options) -> ResultSet:
         "n_boundary_suspect": int(report.boundary_suspect.sum()),
         "stable": verdict.stable,
     }
+    records = _eigen_records(report.solution, flags=flags)
     return ResultSet("eigenvalues", EIGEN_COLUMNS, records, meta)
 
 
-def _sweep_spec(scenario: Scenario, options):
-    name = options.get("sweep_name")
-    if name:
-        if name not in scenario.sweeps:
-            raise ConfigurationError(
-                f"scenario defines no sweep '{name}' (has {sorted(scenario.sweeps)})"
-            )
-        sw = scenario.sweeps[name]
-        return sw.path, sw.values
-    path = options.get("parameter")
-    values = options.get("values")
-    if not path or values is None:
-        raise ConfigurationError("sweep needs --sweep NAME or --param PATH --values ...")
-    return path, tuple(float(v) for v in values)
+#: command name -> handler; each handler's keyword parameters are its options
+COMMANDS = {"eig": _eig, "htf": _htf, "sweep": _sweep, "classify": _classify, "spurious": _spurious}
+
+
+def run_command(command: str, scenario: Scenario, **options) -> ResultSet:
+    """Assemble the scenario and run one analysis command; options that the
+    command does not read are ignored."""
+    if command not in COMMANDS:
+        raise ConfigurationError(f"unknown command '{command}' (choose from {tuple(COMMANDS)})")
+    return COMMANDS[command](scenario, **options)
 
 
 def export_results(results: ResultSet, fmt: str, destination, timestamp: bool = True) -> None:
@@ -212,8 +204,11 @@ def export_results(results: ResultSet, fmt: str, destination, timestamp: bool = 
     text = _to_csv(results, timestamp) if fmt == "csv" else _to_json(results, timestamp)
     if hasattr(destination, "write"):
         destination.write(text)
-    else:
+        return
+    try:
         Path(destination).write_text(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write '{destination}': {exc.strerror}") from None
 
 
 def _format_cell(value) -> str:

@@ -243,11 +243,13 @@ def _assign(doc, path: str, value, source=None):
 def load_scenario(path) -> Scenario:
     """Parse and fully validate a scenario file."""
     p = Path(path)
-    if not p.exists():
-        raise ScenarioError("file not found", path=str(p))
     try:
         raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except FileNotFoundError:
+        raise ScenarioError("file not found", path=str(p)) from None
+    except OSError as exc:
+        raise ScenarioError(f"cannot read file: {exc.strerror}", path=str(p)) from None
+    except ValueError as exc:
         raise ScenarioError(f"invalid JSON: {exc}", path=str(p))
     return scenario_from_dict(raw, source=str(p))
 

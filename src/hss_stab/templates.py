@@ -93,6 +93,8 @@ def parse_harmonic_vectors(value, channels: int, field: str) -> dict[int, np.nda
     out: dict[int, np.ndarray] = {}
     if value is None:
         return out
+    if not isinstance(value, dict):
+        raise ScenarioError("expected {harmonic order: vector}", field=field)
     for key, vec in value.items():
         try:
             h = int(key)
@@ -136,10 +138,31 @@ def _require(section, key, field):
     return section[key]
 
 
+def _number(section, key, field, kind=float):
+    """A required numeric entry, converted by ``kind``."""
+    value = _require(section, key, field)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"expected a number, got {value!r}", field=f"{field}.{key}") from None
+
+
+def _w_pi(raw, field, channels: int) -> dict[int, np.ndarray]:
+    """The operating voltage trajectory, empty when the resource gives none."""
+    op = raw.get("operating_point", {})
+    if not isinstance(op, dict) or not isinstance(op.get("w_pi", {}), dict):
+        raise ScenarioError(
+            "expected an object with an object 'w_pi'", field=f"{field}.operating_point"
+        )
+    return parse_harmonic_vectors(
+        op.get("w_pi", {}).get("harmonics"), channels, f"{field}.operating_point.w_pi.harmonics"
+    )
+
+
 def _gains(raw, field) -> tuple[float, float]:
     gains = _require(_require(raw, "control", field), "gains", f"{field}.control")
-    kp = float(_require(gains, "kp", f"{field}.control.gains"))
-    ki = float(_require(gains, "ki", f"{field}.control.gains"))
+    kp = _number(gains, "kp", f"{field}.control.gains")
+    ki = _number(gains, "ki", f"{field}.control.gains")
     return kp, ki
 
 
@@ -177,9 +200,9 @@ def _dq_transforms() -> CiderTransforms:
 
 def _vf_config(raw, field) -> CiderConfig:
     filt = _require(_require(raw, "hardware", field), "filter", f"{field}.hardware")
-    l = float(_require(filt, "l", f"{field}.hardware.filter"))
-    r = float(_require(filt, "r", f"{field}.hardware.filter"))
-    c = float(_require(filt, "c", f"{field}.hardware.filter"))
+    l = _number(filt, "l", f"{field}.hardware.filter")
+    r = _number(filt, "r", f"{field}.hardware.filter")
+    c = _number(filt, "c", f"{field}.hardware.filter")
     if l <= 0 or c <= 0 or r < 0:
         raise ScenarioError("filter values must be positive (r >= 0)", field=f"{field}.hardware.filter")
     eye, zero = np.eye(3), np.zeros((3, 3))
@@ -191,7 +214,7 @@ def _vf_config(raw, field) -> CiderConfig:
     hardware = lti_block("lc", a, b, c_mat, d, state_names=names)
     kp, ki = _gains(raw, field)
     return CiderConfig(
-        node_id=raw["node"],
+        node_id=_require(raw, "node", field),
         kind=GRID_FORMING,
         hardware=(hardware,),
         control=(_pi_control(kp, ki),),
@@ -202,19 +225,15 @@ def _vf_config(raw, field) -> CiderConfig:
             _require(raw, "setpoint", field).get("harmonics"), 2, f"{field}.setpoint.harmonics"
         ),
         setpoint_channels=2,
-        w_pi=parse_harmonic_vectors(
-            raw.get("operating_point", {}).get("w_pi", {}).get("harmonics"),
-            3,
-            f"{field}.operating_point.w_pi.harmonics",
-        ),
+        w_pi=_w_pi(raw, field, 3),
         w_pi_channels=3,
     )
 
 
 def _pq_config(raw, field) -> CiderConfig:
     filt = _require(_require(raw, "hardware", field), "filter", f"{field}.hardware")
-    l = float(_require(filt, "l", f"{field}.hardware.filter"))
-    r = float(_require(filt, "r", f"{field}.hardware.filter"))
+    l = _number(filt, "l", f"{field}.hardware.filter")
+    r = _number(filt, "r", f"{field}.hardware.filter")
     if l <= 0 or r < 0:
         raise ScenarioError("filter values must be positive (r >= 0)", field=f"{field}.hardware.filter")
     eye, zero = np.eye(3), np.zeros((3, 3))
@@ -223,14 +242,14 @@ def _pq_config(raw, field) -> CiderConfig:
     names = tuple(f"lf.i.{p}" for p in PHASES)
     hardware = lti_block("lf", a, b, eye, np.zeros((3, 6)), state_names=names)
     kp, ki = _gains(raw, field)
-    op = raw.get("operating_point")
-    if not op or "w_pi" not in op:
+    w_pi = _w_pi(raw, field, 3)
+    if "w_pi" not in raw.get("operating_point", {}):
         raise ScenarioError(
             "power-controlled resource needs an operating voltage trajectory",
             field=f"{field}.operating_point.w_pi",
         )
     return CiderConfig(
-        node_id=raw["node"],
+        node_id=_require(raw, "node", field),
         kind=GRID_FOLLOWING,
         hardware=(hardware,),
         control=(_pi_control(kp, ki),),
@@ -241,9 +260,7 @@ def _pq_config(raw, field) -> CiderConfig:
             _require(raw, "setpoint", field).get("harmonics"), 2, f"{field}.setpoint.harmonics"
         ),
         setpoint_channels=2,
-        w_pi=parse_harmonic_vectors(
-            op["w_pi"].get("harmonics"), 3, f"{field}.operating_point.w_pi.harmonics"
-        ),
+        w_pi=w_pi,
         w_pi_channels=3,
     )
 
@@ -342,17 +359,16 @@ def _custom_config(raw, field) -> CiderConfig:
     )
     plugin = _parse_reference(_require(raw, "reference", field), f"{field}.reference")
     sp = _require(raw, "setpoint", field)
-    channels = int(_require(sp, "channels", f"{field}.setpoint"))
+    channels = _number(sp, "channels", f"{field}.setpoint", int)
     if channels != plugin.d_sigma:
         raise ScenarioError(
             f"setpoint has {channels} channels, reference law expects {plugin.d_sigma}",
             field=f"{field}.setpoint",
         )
     d_pi = len(routing.hw_grid_inputs)
-    op = raw.get("operating_point", {})
     return CiderConfig(
-        node_id=raw["node"],
-        kind=raw["kind"],
+        node_id=_require(raw, "node", field),
+        kind=_require(raw, "kind", field),
         hardware=hardware,
         control=control,
         routing=routing,
@@ -362,9 +378,7 @@ def _custom_config(raw, field) -> CiderConfig:
             sp.get("harmonics"), channels, f"{field}.setpoint.harmonics"
         ),
         setpoint_channels=channels,
-        w_pi=parse_harmonic_vectors(
-            op.get("w_pi", {}).get("harmonics"), d_pi, f"{field}.operating_point.w_pi.harmonics"
-        ),
+        w_pi=_w_pi(raw, field, d_pi),
         w_pi_channels=d_pi,
     )
 

@@ -130,14 +130,50 @@ class TestValidationErrors:
         [
             ("htf", "--scenario", RLC, "--s", "1+x"),
             ("sweep", "--scenario", RLC, "--param", "grid.branches.0.r", "--values", "0.1,abc"),
+            ("eig", "--scenario", RLC, "--hmax", "x"),
+            ("eig", "--scenario", RLC, "--jobs", "x"),
+            ("eig", "--scenario", RLC, "--format", "xml"),
+            ("classify", "--scenario", TWO_NODE, "--epsilon", "x"),
+            ("spurious", "--scenario", RLC, "--delta", "x"),
+            ("spurious", "--scenario", RLC, "--hmax-probe", "x"),
+            ("eig",),
         ],
-        ids=["htf-s", "sweep-values"],
+        ids=[
+            "htf-s",
+            "sweep-values",
+            "hmax",
+            "jobs",
+            "format",
+            "classify-epsilon",
+            "spurious-delta",
+            "spurious-hmax-probe",
+            "missing-scenario",
+        ],
     )
     def test_malformed_number_exit_2(self, argv, capsys):
         assert run_cli(*argv) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "ConfigurationError"
         assert record["exit_code"] == 2
+
+    def test_unreadable_scenario_exit_2(self, tmp_path, capsys):
+        assert run_cli("eig", "--scenario", str(tmp_path)) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ScenarioError"
+        assert record["exit_code"] == 2
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "eig.csv"
+        assert run_cli("eig", "--scenario", RLC, "--out", str(out)) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigurationError"
+        assert record["exit_code"] == 2
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("eig", "--help")
+        assert exc.value.code == 0
+        assert "--scenario" in capsys.readouterr().out
 
     def test_htf_at_pole_exit_3(self, capsys):
         # s exactly on an RLC eigenvalue

@@ -15,6 +15,7 @@ from hss_stab.runner import run_command
 from hss_stab.scenario import SCHEMA
 from tests.conftest import load_raw, scenario_path
 
+DELETE = object()
 
 MINIMAL = {
     "grid": {
@@ -129,6 +130,31 @@ class TestLoading:
         raw["sweeps"] = {"bad": {"path": "grid.branches.3.r", "values": [0.1, 0.2]}}
         with pytest.raises(ScenarioError):
             scenario_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "cider, path, value, field",
+        [
+            (0, "hardware.filter.l", "x", "ciders.0.hardware.filter.l"),
+            (0, "control.gains.kp", None, "ciders.0.control.gains.kp"),
+            (0, "node", DELETE, "ciders.0"),
+            (0, "setpoint.harmonics", [1, 2], "ciders.0.setpoint.harmonics"),
+            (1, "operating_point", 5, "ciders.1.operating_point"),
+        ],
+        ids=["filter-l-string", "kp-null", "node-missing", "harmonics-list", "op-number"],
+    )
+    def test_malformed_resource_names_field(self, cider, path, value, field):
+        raw = load_raw("two_node")
+        *parents, key = path.split(".")
+        entry = raw["ciders"][cider]
+        for segment in parents:
+            entry = entry[segment]
+        if value is DELETE:
+            del entry[key]
+        else:
+            entry[key] = value
+        with pytest.raises(ScenarioError) as exc:
+            scenario_from_dict(raw)
+        assert exc.value.field == field
 
 
 class TestParameterPaths:
