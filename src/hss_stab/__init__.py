@@ -14,6 +14,7 @@ from .analysis import (
     evaluate_htf,
     fold_to_strip,
     match_eigenvalues,
+    spectral_order,
     stability_verdict,
     sweep_parameter,
 )

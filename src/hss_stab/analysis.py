@@ -60,10 +60,26 @@ class EigenSolution:
         return np.abs(self.vectors.reshape(count, len(self.labels) // count, n)) ** 2
 
 
+def spectral_order(eigenvalues: np.ndarray, descending: bool = False) -> np.ndarray:
+    """Indices that sort ``eigenvalues`` by real part, then imaginary part.
+
+    Real parts that lie within ``VERDICT_RTOL`` times the largest |Re| of
+    their neighbour in sorted order count as equal, so copies of one mode
+    whose real parts differ only by rounding sort by Im alone.
+    ``descending`` puts the largest real part first.
+    """
+    lam = np.asarray(eigenvalues, complex)
+    re = -lam.real if descending else lam.real
+    by_re = np.argsort(re, kind="stable")
+    tol = VERDICT_RTOL * float(np.max(np.abs(re), initial=0.0))
+    tier = np.empty(lam.size, int)
+    tier[by_re] = np.cumsum(np.diff(re[by_re], prepend=-np.inf) > tol)
+    return np.lexsort((lam.imag, tier))
+
+
 def by_real_part(solution: EigenSolution) -> EigenSolution:
-    """``solution`` sorted lexicographically by (Re, Im)."""
-    lam = solution.eigenvalues
-    return solution.reordered(np.lexsort((lam.imag, lam.real)))
+    """``solution`` in ``spectral_order``."""
+    return solution.reordered(spectral_order(solution.eigenvalues))
 
 
 def _shifted_csr(model: HssModel) -> sp.csr_array:
@@ -86,27 +102,81 @@ def _decoupled_blocks(a: sp.csr_array) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
-def _block_vectors(y: np.ndarray, rows: np.ndarray, p: np.ndarray | None):
-    """``(support, unit-norm vectors)`` of the eigenvectors ``y`` of one block.
+def _dense_blocks(a: sp.csr_array, blocks: list[np.ndarray]):
+    """Yield ``a[rows][:, rows]`` densely for each of the ``blocks``, the
+    index sets ``_decoupled_blocks`` split ``a`` into, from one pass over
+    its entries; no entry of ``a`` lies outside these blocks."""
+    label = np.empty(a.shape[0], int)
+    pos = np.empty(a.shape[0], int)
+    for k, rows in enumerate(blocks):
+        label[rows] = k
+        pos[rows] = np.arange(rows.size)
+    coo = a.tocoo()
+    coo.sum_duplicates()
+    order = np.argsort(label[coo.row], kind="stable")
+    bounds = np.searchsorted(label[coo.row[order]], np.arange(len(blocks) + 1))
+    for k, rows in enumerate(blocks):
+        take = order[bounds[k] : bounds[k + 1]]
+        block = np.zeros((rows.size, rows.size), a.dtype)
+        block[pos[coo.row[take]], pos[coo.col[take]]] = coo.data[take]
+        yield block
 
-    ``y`` is nonzero on ``rows`` only and is overwritten.  In real form
-    (``p`` given) it maps back as v = T y, whose row i reads rows i and
-    p(i) of y; v then lives on ``rows`` and their flips, which is correct
-    whether or not the flip maps the block onto itself.
+
+def _parity_form(model: HssModel, m: sp.csr_array):
+    """``(T^H M T, T)`` in real form, or ``(M, I)`` when M has no real form.
+
+    A real trajectory A(t) makes M conjugate-symmetric under the harmonic
+    flip P (order h -> -h, channel kept): P conj(M) P = M.  The unitary
+    T = e^{-j pi/4} (I + j P) / sqrt(2) then makes
+    T^H M T = (M + j M P - j P M + P M P) / 2 real, so the real solver
+    (dgeev) does the work of the costlier complex one (zgeev).  A model
+    whose defect exceeds ``REAL_FORM_TOL`` keeps its complex form.
     """
-    if p is None:
-        support, v = rows, y
-    else:
-        support = np.union1d(rows, p[rows])  # closed under the flip
-        y = y.astype(complex, copy=False)  # real when the block's spectrum is
-        if support.size != rows.size:
-            padded = np.zeros((support.size, y.shape[1]), complex)
-            padded[np.searchsorted(support, rows)] = y
-            y = padded
-        v = y[np.searchsorted(support, p[support])]  # P y
-        v *= 1j
-        v += y
-        v *= np.exp(-0.25j * np.pi) / np.sqrt(2.0)
+    n = m.shape[0]
+    eye = sp.eye_array(n, dtype=complex, format="csr")
+    p = np.arange(n).reshape(model.index_set.count, -1)[::-1].ravel()
+    mpp = m[p][:, p]
+    defect = (mpp.conj() - m).data
+    if np.max(np.abs(defect), initial=0.0) > REAL_FORM_TOL * np.max(np.abs(m.data), initial=0.0):
+        return m, eye
+    a = 0.5 * (m.real + mpp.real - m.imag[:, p] + m.imag[p, :])
+    a.eliminate_zeros()
+    return a, np.exp(-0.25j * np.pi) / np.sqrt(2.0) * (eye + 1j * eye[p])
+
+
+#: columns: the zero, positive and negative sequence of an abc triple
+FORTESCUE = np.exp(-2j * np.pi / 3 * np.outer([0, 1, 2], [0, 1, -1])) / np.sqrt(3.0)
+
+
+def _sequence_form(model: HssModel, m: sp.csr_array):
+    """``(U^H M U, U)`` with U the symmetrical-component unitary.
+
+    U is block diagonal: ``FORTESCUE`` on each declared phase triple at
+    each harmonic, identity on the other channels.  Entries of U^H M U at
+    or below ``REAL_FORM_TOL * max|M|`` are rounding residue of exact
+    zeros for a balanced triple; dropping them perturbs M no more than the
+    dense solver's own backward error, by the argument of ``_parity_form``.
+    """
+    per_order = np.eye(model.state_channels, dtype=complex)
+    for t in model.phase_triples:
+        per_order[t : t + 3, t : t + 3] = FORTESCUE
+    u = sp.kron(sp.eye_array(model.index_set.count), sp.csr_array(per_order), format="csr")
+    s = (u.conj().T @ m @ u).tocsr()
+    s.data[np.abs(s.data) <= REAL_FORM_TOL * np.max(np.abs(m.data), initial=0.0)] = 0.0
+    s.eliminate_zeros()
+    return s, u
+
+
+def _back_map(t: sp.csc_array, rows: np.ndarray, y: np.ndarray):
+    """``(support, unit-norm columns of T[:, rows] y on their support)``.
+
+    ``y`` holds the eigenvectors of the block ``rows`` of T^H M T, so
+    v = T y are those of M; ``support`` is every row where T[:, rows]
+    is nonzero.
+    """
+    sub = t[:, rows]
+    support = np.unique(sub.indices)
+    v = sub[support] @ y
     norms = np.linalg.norm(v, axis=0)
     norms[norms == 0] = 1.0
     v /= norms
@@ -116,46 +186,43 @@ def _block_vectors(y: np.ndarray, rows: np.ndarray, p: np.ndarray | None):
 def _solve_spectrum(model: HssModel, vectors: bool):
     """``(M, eigenvalues, unit-norm right eigenvectors or None)`` of M = A - j*Omega.
 
-    M is returned in CSR.  A real trajectory A(t) makes M conjugate-symmetric
-    under the harmonic flip P (order h -> -h, channel kept):
-    P conj(M) P = M.  The unitary T = e^{-j pi/4} (I + j P) / sqrt(2) then
-    makes T^H M T = (M + j M P - j P M + P M P) / 2 real, so the real
-    solver (dgeev) does the work of the costlier complex one (zgeev);
-    eigenvectors map back as v = T y.  A model whose defect exceeds
-    ``REAL_FORM_TOL`` is solved in complex form as it stands.
+    M is returned in CSR.  The spectrum is solved as that of a unitary
+    similarity T^H M T, whose eigenvectors map back as v = T y:
+
+    * in sequence form (``_sequence_form``) when the model declares phase
+      triples and the split below then yields a smaller largest block;
+      each block is solved in complex form;
+    * otherwise in real form (``_parity_form``).
 
     The matrix solved stays sparse until it is split into the diagonal
-    blocks its nonzero pattern decouples into (a state channel at even
-    harmonics and at odd ones, for the bundled converter models); only
-    the blocks are densified and solved, one LAPACK call each.  The
-    spectrum of a block-diagonal matrix is the union of its blocks'
-    spectra, so the split is exact.  Eigenvalues come block by block.
+    blocks its nonzero pattern decouples into (one rotating-frame rung:
+    positive sequence at harmonic m+1, negative at m-1, dq states at m,
+    for a balanced converter model in sequence form; a state channel at
+    even harmonics and at odd ones in real form); only the blocks are
+    densified and solved, one LAPACK call each.  The spectrum of a
+    block-diagonal matrix is the union of its blocks' spectra, so the
+    split is exact.  Eigenvalues come block by block.
     """
     m = _shifted_csr(model)
     n = m.shape[0]
     if n == 0:
         return m, np.zeros(0, complex), np.zeros((0, 0), complex) if vectors else None
-    p = np.arange(n).reshape(model.index_set.count, -1)[::-1].ravel()
-    mpp = m[p][:, p]
-    defect = (mpp.conj() - m).data
-    real_form = bool(
-        np.max(np.abs(defect), initial=0.0)
-        <= REAL_FORM_TOL * np.max(np.abs(m.data), initial=0.0)
-    )
-    if real_form:
-        a = 0.5 * (m.real + mpp.real - m.imag[:, p] + m.imag[p, :])
-        a.eliminate_zeros()
-    else:
-        a = m
+    a, t = _parity_form(model, m)
+    blocks = _decoupled_blocks(a)
+    if model.phase_triples:
+        s, u = _sequence_form(model, m)
+        rungs = _decoupled_blocks(s)
+        if max(b.size for b in rungs) < max(b.size for b in blocks):
+            a, t, blocks = s, u, rungs
+    t = t.tocsc()
     w = np.empty(n, complex)
     v = np.zeros((n, n), complex) if vectors else None
     start = 0
-    for rows in _decoupled_blocks(a):
+    for rows, block in zip(blocks, _dense_blocks(a, blocks)):
         cols = slice(start, start + rows.size)
-        block = a[rows][:, rows].toarray()
         if vectors:
             w[cols], y = scipy.linalg.eig(block, overwrite_a=True)
-            support, y = _block_vectors(y, rows, p if real_form else None)
+            support, y = _back_map(t, rows, y)
             v[support, cols] = y
         else:
             w[cols] = scipy.linalg.eigvals(block, overwrite_a=True)
@@ -164,12 +231,18 @@ def _solve_spectrum(model: HssModel, vectors: bool):
 
 
 def _worst_residual(m: sp.csr_array, w: np.ndarray, v: np.ndarray) -> float:
-    """Largest ||M v - lambda v|| over the eigenpairs, in column chunks."""
+    """Largest ||M v - lambda v|| over the eigenpairs, in column chunks.
+
+    Each chunk multiplies only the columns of M at its nonzero rows; the
+    rows it skips are exact zeros of every eigenvector in the chunk.
+    """
+    m = m.tocsc()
     worst = 0.0
     for start in range(0, w.size, _RESIDUAL_CHUNK):
         cols = slice(start, start + _RESIDUAL_CHUNK)
         chunk = v[:, cols]
-        r = m @ chunk - chunk * w[cols]
+        rows = np.flatnonzero(chunk.any(axis=1))
+        r = m[:, rows] @ chunk[rows] - chunk * w[cols]
         worst = max(worst, float(np.linalg.norm(r, axis=0).max()))
     return worst
 
@@ -367,8 +440,8 @@ def sweep_parameter(
     n = spectra[0].size
     scale = max(float(np.max(np.abs(s))) for s in spectra) if n else 1.0
 
-    # trace identities follow the lexicographic order of the first spectrum
-    order0 = np.lexsort((spectra[0].imag, spectra[0].real))
+    # trace identities follow the spectral order of the first spectrum
+    order0 = spectral_order(spectra[0])
     traces = np.empty((n, len(values)), complex)
     traces[:, 0] = spectra[0][order0]
     unresolved = np.zeros((n, len(values) - 1), bool)

@@ -193,5 +193,6 @@ def close_loop(
         c=c_closed,
         f=f_closed,
         state_names=open_model.state_names,
+        phase_triples=open_model.phase_triples,
     )
     return ClosedLoopSystem(model, solver.certificate)

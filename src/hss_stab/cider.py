@@ -27,7 +27,7 @@ from .harmonic import (
     series_from_samples,
     toeplitz_from_fourier,
 )
-from .model import HssModel, stack_models
+from .model import HssModel, check_phase_triples, stack_models, stacked_phase_triples
 from .references import (
     OperatingPoint,
     ReferencePlugin,
@@ -42,7 +42,11 @@ GRID_FOLLOWING = "grid-following"
 
 @dataclass(frozen=True)
 class LtpBlock:
-    """One LTP subsystem given by matrix-valued Fourier series A, B, C, D."""
+    """One LTP subsystem given by matrix-valued Fourier series A, B, C, D.
+
+    ``phase_triples`` lists the first state of each abc phase triple, as
+    in ``HssModel``.
+    """
 
     name: str
     a: Mapping[int, np.ndarray]
@@ -50,6 +54,7 @@ class LtpBlock:
     c: Mapping[int, np.ndarray]
     d: Mapping[int, np.ndarray]
     state_names: tuple[str, ...] | None = None
+    phase_triples: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "a", normalize_series(self.a))
@@ -69,6 +74,9 @@ class LtpBlock:
             raise ShapeError(f"block '{self.name}': D shape != (outputs, inputs)")
         if self.state_names is not None and len(self.state_names) != nx:
             raise ShapeError(f"block '{self.name}': {len(self.state_names)} names for {nx} states")
+        object.__setattr__(
+            self, "phase_triples", check_phase_triples(self.phase_triples, nx, f"block '{self.name}'")
+        )
 
     @property
     def n_states(self) -> int:
@@ -92,7 +100,7 @@ def _series_shape(series) -> tuple[int, int]:
     return next(iter(series.values())).shape
 
 
-def lti_block(name, a, b, c, d, state_names=None) -> LtpBlock:
+def lti_block(name, a, b, c, d, state_names=None, phase_triples=()) -> LtpBlock:
     """Constant-coefficient block (pure DC series)."""
     return LtpBlock(
         name,
@@ -101,6 +109,7 @@ def lti_block(name, a, b, c, d, state_names=None) -> LtpBlock:
         {0: np.atleast_2d(c)},
         {0: np.atleast_2d(d)},
         state_names,
+        phase_triples,
     )
 
 
@@ -125,7 +134,10 @@ def stack_blocks(blocks: Sequence[LtpBlock], group: str) -> LtpBlock:
         return out
 
     names = tuple(n for blk in blocks for n in blk.resolved_state_names())
-    return LtpBlock(group, stacked("a"), stacked("b"), stacked("c"), stacked("d"), names)
+    triples = stacked_phase_triples((blk.n_states, blk.phase_triples) for blk in blocks)
+    return LtpBlock(
+        group, stacked("a"), stacked("b"), stacked("c"), stacked("d"), names, triples
+    )
 
 
 @dataclass(frozen=True)
@@ -282,6 +294,7 @@ def assemble_internal_response(
         c=toeplitz_from_fourier(hw.c, index_set).matrix,
         f={"loop": d_hw @ p_act, "pi": d_hw @ p_grid},
         state_names=hw.resolved_state_names(),
+        phase_triples=hw.phase_triples,
     )
     ctl_model = HssModel(
         index_set=index_set,
@@ -290,6 +303,7 @@ def assemble_internal_response(
         c=toeplitz_from_fourier(ctl.c, index_set).matrix,
         f={"loop": d_ctl @ s_meas, "kappa": d_ctl @ s_ref},
         state_names=ctl.resolved_state_names(),
+        phase_triples=ctl.phase_triples,
     )
     # open loop over col(x_hw, x_ctl), re-interleaved into the h-major layout
     open_model = stack_models([hw_model, ctl_model])
@@ -426,6 +440,7 @@ def assemble_cider_hss(
         c=c_gamma,
         f={"gamma": f_gamma, "sigma": f_sigma, "o": f_o},
         state_names=tuple(f"{node_id}.{n}" for n in internal.model.state_names),
+        phase_triples=internal.model.phase_triples,
     )
     return CiderHss(node_id, kind, model, operating_point)
 

@@ -147,7 +147,11 @@ class GridTopology:
 
 @dataclass(frozen=True)
 class GridStateSpace:
-    """Real-valued quadruple of the grid; the feedthrough is identically zero."""
+    """Real-valued quadruple of the grid; the feedthrough is identically zero.
+
+    Every state is one phase of a branch current or node voltage, so the
+    states form consecutive abc triples.
+    """
 
     topology: GridTopology
     a: np.ndarray
@@ -155,6 +159,10 @@ class GridStateSpace:
     c: np.ndarray
     f: np.ndarray
     state_names: tuple[str, ...]
+
+    @property
+    def phase_triples(self) -> tuple[int, ...]:
+        return tuple(range(0, len(self.state_names), len(PHASES)))
 
 
 def _incidence(topology: GridTopology) -> tuple[np.ndarray, np.ndarray]:
@@ -244,4 +252,5 @@ def lift_grid_to_hss(gss: GridStateSpace, index_set: HarmonicIndexSet) -> HssMod
         c=block_diag_csr([gss.c] * count, rows=idx),
         f={"gamma": block_diag_csr([gss.f] * count)},
         state_names=gss.state_names,
+        phase_triples=gss.phase_triples,
     )

@@ -31,6 +31,11 @@ class HssModel:
     The state is stacked h-major.  The order of disturbance columns and
     output rows is the builder's to document (the grid lift and the
     resources group the gamma port per node); the model does not record it.
+
+    ``phase_triples`` lists the first state channel of each abc phase
+    triple (channels t, t+1, t+2).  The eigen solve reads it to split the
+    spectrum by symmetrical components; a triple that is not balanced
+    costs speed there, never accuracy.
     """
 
     index_set: HarmonicIndexSet
@@ -39,11 +44,15 @@ class HssModel:
     c: np.ndarray
     f: Mapping[str, np.ndarray]
     state_names: tuple[str, ...]
+    phase_triples: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "e", MappingProxyType(dict(self.e)))
         object.__setattr__(self, "f", MappingProxyType(dict(self.f)))
         object.__setattr__(self, "state_names", tuple(self.state_names))
+        object.__setattr__(
+            self, "phase_triples", check_phase_triples(self.phase_triples, self.state_channels)
+        )
         n = self.state_dim
         if self.a.shape != (n, n):
             raise ShapeError(f"A has shape {self.a.shape}, state dim is {n}")
@@ -165,6 +174,27 @@ def hss_from_lti(
     )
 
 
+def check_phase_triples(triples, channels: int, what: str = "model") -> tuple[int, ...]:
+    """``triples`` as a sorted tuple, each triple inside ``channels`` and
+    disjoint from the others."""
+    triples = tuple(sorted(int(t) for t in triples))
+    if triples and (triples[0] < 0 or triples[-1] + 3 > channels):
+        raise ShapeError(f"{what}: phase triples {triples} exceed {channels} state channels")
+    if any(b - a < 3 for a, b in zip(triples, triples[1:])):
+        raise ShapeError(f"{what}: phase triples {triples} overlap")
+    return triples
+
+
+def stacked_phase_triples(parts) -> tuple[int, ...]:
+    """Phase triples of a stack of parts given as (channels, triples) pairs:
+    each part's triples move by the channels of the parts before it."""
+    out, offset = [], 0
+    for channels, triples in parts:
+        out += [offset + t for t in triples]
+        offset += channels
+    return tuple(out)
+
+
 def check_same_grid(models, what="models") -> HarmonicIndexSet:
     """All models must share (hmax, f1); returns the common index set."""
     sets = {m.index_set for m in models}
@@ -211,4 +241,5 @@ def stack_models(models) -> HssModel:
             for p in ports
         },
         state_names=tuple(name for m in models for name in m.state_names),
+        phase_triples=stacked_phase_triples((m.state_channels, m.phase_triples) for m in models),
     )

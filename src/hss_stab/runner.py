@@ -16,6 +16,7 @@ from .analysis import (
     detect_spurious,
     eigen_decompose,
     evaluate_htf,
+    spectral_order,
     stability_verdict,
     sweep_parameter,
 )
@@ -78,8 +79,7 @@ def _eigen_records(solution: EigenSolution, classification=None, flags=None):
 
 def _eig(scenario: Scenario, **_) -> ResultSet:
     solution = eigen_decompose(assemble_system(scenario, state_only=True).model)
-    lam = solution.eigenvalues
-    solution = solution.reordered(np.lexsort((lam.imag, -lam.real)))
+    solution = solution.reordered(spectral_order(solution.eigenvalues, descending=True))
     verdict = stability_verdict(solution.eigenvalues, scenario.analysis.stability_margin)
     records = _eigen_records(solution)
     meta = {

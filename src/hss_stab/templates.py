@@ -124,22 +124,31 @@ def parse_transform(spec, field: str) -> dict[int, np.ndarray]:
             raise ScenarioError("identity transform needs integer 'dim'", field=field)
         return identity_series(dim)
     if kind == "park":
-        return park_series(float(spec.get("theta0", 0.0)))
+        return park_series(_number(spec, "theta0", field, default=0.0))
     if kind == "inverse-park":
-        return inverse_park_series(float(spec.get("theta0", 0.0)))
+        return inverse_park_series(_number(spec, "theta0", field, default=0.0))
     if kind == "custom":
         return parse_series(spec.get("harmonics"), f"{field}.harmonics")
     raise ScenarioError(f"unknown transform type '{kind}'", field=field)
 
 
-def _require(section, key, field):
+_KINDS = {list: "an array", dict: "an object"}
+
+
+def _require(section, key, field, kind=object):
+    """The entry ``key`` of ``section``, which must be an instance of ``kind``."""
     if not isinstance(section, dict) or key not in section:
         raise ScenarioError(f"missing required entry '{key}'", field=field)
-    return section[key]
+    value = section[key]
+    if not isinstance(value, kind):
+        raise ScenarioError(f"expected {_KINDS[kind]}, got {value!r}", field=f"{field}.{key}")
+    return value
 
 
-def _number(section, key, field, kind=float):
-    """A required numeric entry, converted by ``kind``."""
+def _number(section, key, field, kind=float, default=None):
+    """A numeric entry converted by ``kind``; required unless ``default`` is given."""
+    if default is not None and isinstance(section, dict) and key not in section:
+        return default
     value = _require(section, key, field)
     try:
         return kind(value)
@@ -211,7 +220,7 @@ def _vf_config(raw, field) -> CiderConfig:
     c_mat = np.hstack([zero, eye])
     d = np.zeros((3, 6))
     names = tuple(f"lc.i_f.{p}" for p in PHASES) + tuple(f"lc.v_c.{p}" for p in PHASES)
-    hardware = lti_block("lc", a, b, c_mat, d, state_names=names)
+    hardware = lti_block("lc", a, b, c_mat, d, state_names=names, phase_triples=(0, 3))
     kp, ki = _gains(raw, field)
     return CiderConfig(
         node_id=_require(raw, "node", field),
@@ -222,7 +231,7 @@ def _vf_config(raw, field) -> CiderConfig:
         transforms=_dq_transforms(),
         plugin=VfReference(channels=2, d_rho=2),
         setpoint=parse_harmonic_vectors(
-            _require(raw, "setpoint", field).get("harmonics"), 2, f"{field}.setpoint.harmonics"
+            _require(raw, "setpoint", field, dict).get("harmonics"), 2, f"{field}.setpoint.harmonics"
         ),
         setpoint_channels=2,
         w_pi=_w_pi(raw, field, 3),
@@ -240,7 +249,7 @@ def _pq_config(raw, field) -> CiderConfig:
     a = -(r / l) * eye
     b = np.hstack([(1.0 / l) * eye, -(1.0 / l) * eye])
     names = tuple(f"lf.i.{p}" for p in PHASES)
-    hardware = lti_block("lf", a, b, eye, np.zeros((3, 6)), state_names=names)
+    hardware = lti_block("lf", a, b, eye, np.zeros((3, 6)), state_names=names, phase_triples=(0,))
     kp, ki = _gains(raw, field)
     w_pi = _w_pi(raw, field, 3)
     if "w_pi" not in raw.get("operating_point", {}):
@@ -257,7 +266,7 @@ def _pq_config(raw, field) -> CiderConfig:
         transforms=_dq_transforms(),
         plugin=PqReference(),
         setpoint=parse_harmonic_vectors(
-            _require(raw, "setpoint", field).get("harmonics"), 2, f"{field}.setpoint.harmonics"
+            _require(raw, "setpoint", field, dict).get("harmonics"), 2, f"{field}.setpoint.harmonics"
         ),
         setpoint_channels=2,
         w_pi=w_pi,
@@ -292,7 +301,7 @@ def parse_block(raw, field) -> LtpBlock:
     series.setdefault("b", {0: np.zeros((nx, nu))})
     series.setdefault("c", {0: np.zeros((ny, nx))})
     series.setdefault("d", {0: np.zeros((ny, nu))})
-    state_names = tuple(raw["state_names"]) if "state_names" in raw else None
+    state_names = tuple(_require(raw, "state_names", field, list)) if "state_names" in raw else None
     return LtpBlock(name, series["a"], series["b"], series["c"], series["d"], state_names)
 
 
@@ -305,11 +314,11 @@ def _series_dim(series, key, axis):
 def _custom_config(raw, field) -> CiderConfig:
     hardware = tuple(
         parse_block(b, f"{field}.hardware.{i}")
-        for i, b in enumerate(_require(raw, "hardware", field))
+        for i, b in enumerate(_require(raw, "hardware", field, list))
     )
     control = tuple(
         parse_block(b, f"{field}.control.{i}")
-        for i, b in enumerate(_require(raw, "control", field))
+        for i, b in enumerate(_require(raw, "control", field, list))
     )
     routing_raw = _require(raw, "routing", field)
     ctl_inputs = tuple(
@@ -318,15 +327,15 @@ def _custom_config(raw, field) -> CiderConfig:
             meas_index=src.get("meas"),
             ref_index=src.get("ref"),
         )
-        for i, src in enumerate(_require(routing_raw, "ctl_inputs", f"{field}.routing"))
+        for i, src in enumerate(_require(routing_raw, "ctl_inputs", f"{field}.routing", list))
     )
     routing = InternalRouting(
-        hw_grid_inputs=tuple(_require(routing_raw, "hw_grid_inputs", f"{field}.routing")),
+        hw_grid_inputs=tuple(_require(routing_raw, "hw_grid_inputs", f"{field}.routing", list)),
         hw_actuation_inputs=tuple(
-            _require(routing_raw, "hw_actuation_inputs", f"{field}.routing")
+            _require(routing_raw, "hw_actuation_inputs", f"{field}.routing", list)
         ),
         ctl_measured_outputs=tuple(
-            _require(routing_raw, "ctl_measured_outputs", f"{field}.routing")
+            _require(routing_raw, "ctl_measured_outputs", f"{field}.routing", list)
         ),
         ctl_inputs=ctl_inputs,
     )
@@ -387,7 +396,8 @@ def _parse_reference(raw, field) -> ReferencePlugin:
     kind = _require(raw, "type", field)
     if kind == "vf":
         return VfReference(
-            channels=int(raw.get("channels", 2)), d_rho=int(raw.get("d_rho", 2))
+            channels=_number(raw, "channels", field, int, default=2),
+            d_rho=_number(raw, "d_rho", field, int, default=2),
         )
     if kind == "pq":
         return PqReference()

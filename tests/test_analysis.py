@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,19 +107,38 @@ def assert_valid_vectors(sol, m):
     assert residual.max() <= RESIDUAL_TOL
 
 
+REAL = np.dtype(np.float64)
+COMPLEX = np.dtype(np.complex128)
+
+
 class TestRealFormSolve:
-    """The real-form block solve checked against the dense complex solver."""
+    """The block solve checked against the dense complex solver: in real
+    form for models without phase triples, in sequence form (one complex
+    call per rotating-frame rung) for the converter scenarios."""
 
     @pytest.mark.parametrize(
-        "name, hmax, sizes",
+        "name, hmax, dtype, sizes",
         [
-            pytest.param("toy_gain", None, [1, 1, 1], id="toy_gain-None"),
-            pytest.param("rlc_grid", None, [2, 2, 2], id="rlc_grid-None"),
-            pytest.param("two_node", None, [110, 99], id="two_node-None"),
-            pytest.param("four_cider_six_node", 8, [469, 432], id="four_cider_six_node-8"),
+            pytest.param("toy_gain", None, REAL, [1, 1, 1], id="toy_gain-None"),
+            # three sequence blocks of 2 gain nothing over the real form
+            pytest.param("rlc_grid", None, REAL, [2, 2, 2], id="rlc_grid-None"),
+            pytest.param(
+                "two_node",
+                None,
+                COMPLEX,
+                [5, 5, 14, 9] + [5, 14] * 8 + [5, 9, 5, 5],
+                id="two_node-None",
+            ),
+            pytest.param(
+                "four_cider_six_node",
+                8,
+                COMPLEX,
+                [15, 15, 38, 23] + [15, 38] * 14 + [15, 23, 15, 15],
+                id="four_cider_six_node-8",
+            ),
         ],
     )
-    def test_matches_complex_solver(self, name, hmax, sizes, monkeypatch):
+    def test_matches_complex_solver(self, name, hmax, dtype, sizes, monkeypatch):
         model = nominal_model(name, hmax)
         m = model.shifted_state_matrix()
         reference = scipy.linalg.eigvals(m)
@@ -126,9 +146,9 @@ class TestRealFormSolve:
         calls = spy_solvers(monkeypatch)
         lam = eigenvalues_only(model)
         sol = eigen_decompose(model)
-        # one real LAPACK call per decoupled block
+        # one LAPACK call per decoupled block
         for seen in calls.values():
-            assert seen == [(np.dtype(np.float64), size) for size in sizes]
+            assert seen == [(dtype, size) for size in sizes]
 
         for got in (lam, sol.eigenvalues):
             assert_spectrum_matches(got, reference)
@@ -222,17 +242,29 @@ class TestBlockSolve:
         )
         assert_valid_vectors(sol, model.shifted_state_matrix())
 
-    def test_corrupted_scatter_fails_residual(self, monkeypatch):
+    @pytest.mark.parametrize("form", ["sequence", "parity"])
+    def test_corrupted_back_map_fails_residual(self, form, monkeypatch):
         model = nominal_model("two_node")
-        solve_block = analysis._block_vectors
+        if form == "parity":
+            model = replace(model, phase_triples=())
+        calls = spy_solvers(monkeypatch)
+        back_map = analysis._back_map
 
-        def shifted(y, rows, p):
-            support, v = solve_block(y, rows, p)
+        def shifted(t, rows, y):
+            support, v = back_map(t, rows, y)
             return np.roll(support, 1), v
 
-        monkeypatch.setattr(analysis, "_block_vectors", shifted)
+        monkeypatch.setattr(analysis, "_back_map", shifted)
         with pytest.raises(NumericalError, match="residual"):
             eigen_decompose(model)
+        assert calls["eig"][0][0] == (COMPLEX if form == "sequence" else REAL)
+
+    def test_residual_reads_every_nonzero_row(self):
+        m, w, v = analysis._solve_spectrum(nominal_model("two_node"), vectors=True)
+        rng = np.random.default_rng(7)
+        v = v * (1.0 + 1e-3 * rng.standard_normal(v.shape))  # zero rows stay zero
+        dense = np.linalg.norm(m.toarray() @ v - v * w, axis=0).max()
+        assert analysis._worst_residual(m, w, v) == pytest.approx(dense, rel=1e-12)
 
     def test_four_cider_splits_by_harmonic_parity(self):
         model = nominal_model("four_cider_six_node", 8)
@@ -246,6 +278,129 @@ class TestBlockSolve:
         even = model.index_set.orders % 2 == 0
         assert np.all(label[even] == label[even][0])
         assert np.all(label[~even] == 1 - label[even][0])
+
+
+def distorted_four_cider(hmax=12):
+    """``four_cider_six_node`` with a 5 %, 5th-harmonic, negative-sequence
+    distortion of the operating voltage at n2."""
+    raw = load_raw("four_cider_six_node")
+    raw["system"]["hmax"] = hmax
+    harmonics = raw["ciders"][1]["operating_point"]["w_pi"]["harmonics"]
+    v1 = complex(*harmonics["1"][0])
+    negative = 0.05 * v1 * np.exp(2j * np.pi / 3 * np.arange(3))  # a, then c leads b
+    harmonics["5"] = [[x.real, x.imag] for x in negative]
+    harmonics["-5"] = [[x.real, -x.imag] for x in negative]
+    return scenario_from_dict(raw)
+
+
+def unequal_branch_two_node(hmax=8):
+    """``two_node`` whose branch resistance differs between phases."""
+    raw = load_raw("two_node")
+    raw["system"]["hmax"] = hmax
+    raw["grid"]["branches"][0]["r"] = [[0.1, 0.0, 0.0], [0.0, 0.15, 0.0], [0.0, 0.0, 0.1]]
+    raw.pop("sweeps")  # their paths address the scalar r
+    raw["analysis"] = {}
+    return scenario_from_dict(raw)
+
+
+def sequence_blocks(model):
+    return analysis._decoupled_blocks(analysis._sequence_form(model, analysis._shifted_csr(model))[0])
+
+
+class TestSequenceSolve:
+    """The spectrum solved one symmetrical-component rung at a time."""
+
+    def test_models_declare_phase_triples(self):
+        model = nominal_model("two_node")
+        # n1: lc currents and voltages, pi; n2: lf currents, pi; grid: branch, shunt
+        assert model.phase_triples == (0, 3, 8, 13, 16)
+        for t in model.phase_triples:
+            names = [name for name, _ in model.state_labels()[t : t + 3]]
+            assert [n[-1] for n in names] == ["a", "b", "c"]
+
+    @pytest.mark.parametrize(
+        "name, hmax, count, largest",
+        [("four_cider_six_node", 25, 104, 38), ("two_node", 8, 36, 14)],
+    )
+    def test_rung_split(self, name, hmax, count, largest):
+        model = nominal_model(name, hmax)
+        blocks = sequence_blocks(model)
+        assert len(blocks) == count
+        assert max(b.size for b in blocks) == largest
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(model.state_dim))
+
+    @pytest.mark.parametrize(
+        "build, dtype, count, largest",
+        [
+            # the 5th harmonic couples rungs 6 apart: still far below 1325
+            pytest.param(distorted_four_cider, COMPLEX, 33, 160, id="w_pi-5th-negative"),
+            # unbalance couples every rung of one parity: the real form is kept
+            pytest.param(unequal_branch_two_node, REAL, 2, 167, id="unequal-phase-r"),
+        ],
+    )
+    def test_coupled_model_matches_dense(self, build, dtype, count, largest, monkeypatch):
+        model = assemble_system(build(), state_only=True).model
+        m = model.shifted_state_matrix()
+        reference = scipy.linalg.eigvals(m)
+
+        calls = spy_solvers(monkeypatch)
+        lam = eigenvalues_only(model)
+        sol = eigen_decompose(model)
+        for seen in calls.values():
+            assert len(seen) == count
+            assert max(size for _, size in seen) == largest
+            assert {d for d, _ in seen} == {dtype}
+        for got in (lam, sol.eigenvalues):
+            assert_spectrum_matches(got, reference)
+        assert_valid_vectors(sol, m)
+
+    def test_unbalanced_triple_stays_exact(self, monkeypatch):
+        # a random LTI triple is no balanced three-phase system, yet the
+        # unitary similarity keeps the spectrum exact
+        iset = HarmonicIndexSet(3, 50.0)
+        rng = np.random.default_rng(4)
+        model = hss_from_lti(
+            rng.standard_normal((4, 4)), {"w": np.eye(4)}, np.eye(4), {"w": np.zeros((4, 4))}, iset
+        )
+        model = replace(model, phase_triples=(1,))
+        m = model.shifted_state_matrix()
+
+        calls = spy_solvers(monkeypatch)
+        sol = eigen_decompose(model)
+        assert calls["eig"] == [(COMPLEX, 4)] * iset.count
+        assert_spectrum_matches(sol.eigenvalues, scipy.linalg.eigvals(m))
+        assert_valid_vectors(sol, m)
+
+    def test_undeclared_triples_keep_real_form(self, monkeypatch):
+        model = replace(nominal_model("two_node"), phase_triples=())
+        calls = spy_solvers(monkeypatch)
+        eigen_decompose(model)
+        assert calls["eig"] == [(REAL, 110), (REAL, 99)]
+
+    def test_matches_parity_solve(self):
+        model = nominal_model("four_cider_six_node", 8)
+        lam = eigenvalues_only(model)
+        assert_spectrum_matches(lam, eigenvalues_only(replace(model, phase_triples=())))
+
+
+class TestSpectralOrder:
+    def test_ladder_copies_sort_by_im(self):
+        w1 = 2 * np.pi * 50.0
+        rng = np.random.default_rng(5)
+        lam = -3.0 + 1e-15 * rng.standard_normal(9) + 1j * w1 * rng.permutation(9)
+        order = analysis.spectral_order(lam)
+        assert np.array_equal(lam[order].imag, np.sort(lam.imag))
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_rounding_perturbation_keeps_order(self, descending):
+        lam = eigenvalues_only(nominal_model("two_node", 8))
+        rng = np.random.default_rng(6)
+        noise = 1e-15 * np.max(np.abs(lam.real)) * rng.standard_normal(lam.size)
+        order = analysis.spectral_order(lam, descending)
+        assert np.array_equal(analysis.spectral_order(lam + noise, descending), order)
+        re = lam[order].real
+        tol = analysis.VERDICT_RTOL * np.max(np.abs(re))
+        assert np.all((np.diff(re) <= tol) if descending else (np.diff(re) >= -tol))
 
 
 class TestHtf:

@@ -7,6 +7,7 @@ from hss_stab import (
     CtlInput,
     HarmonicIndexSet,
     InternalRouting,
+    ShapeError,
     WellPosednessError,
     assemble_cider_hss,
     assemble_internal_response,
@@ -304,3 +305,14 @@ class TestDqSignature:
         n = len(cider.model.state_names)
         offsets = block_offsets(cider.model.a, iset, (n, n))
         assert offsets == {-1, 0, 1}
+
+
+def test_stack_blocks_offsets_phase_triples():
+    three = lti_block("abc", -np.eye(3), np.eye(3), np.eye(3), np.zeros((3, 3)), phase_triples=(0,))
+    two = lti_block("dq", -np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
+    assert stack_blocks([three, two, three], "hw").phase_triples == (0, 5)
+
+
+def test_block_phase_triples_validated():
+    with pytest.raises(ShapeError, match="block 'dq'"):
+        lti_block("dq", -np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)), phase_triples=(0,))

@@ -102,15 +102,21 @@ class TestValidationErrors:
         )
         assert code == 2
 
-    def test_classify_missing_hardware_exit_2(self, capsys):
+    def test_classify_missing_hardware_exit_2(self, tmp_path, capsys):
+        raw = json.loads(open(RLC).read())
+        raw["analysis"] = {"stability_margin": raw["analysis"]["stability_margin"]}
+        p = tmp_path / "no_params.json"
+        p.write_text(json.dumps(raw))
         code = run_cli(
             "classify",
             "--scenario",
-            RLC,
+            str(p),
             "--control-params",
             "analysis.stability_margin",
         )
         assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "non-empty control and hardware parameter sets" in record["message"]
 
     def test_shape_error_exit_2(self, tmp_path, capsys):
         # hardware block 'plant' gets a C with one column more than it has states
@@ -219,6 +225,16 @@ class TestCommands:
         assert code == 0
         body = out.read_text()
         assert "CDI" in body
+
+    @pytest.mark.parametrize("scenario", [RLC, TOY], ids=["rlc_grid", "toy_gain"])
+    def test_classify_bundled_parameter_sets(self, scenario, tmp_path):
+        out = tmp_path / "cls.json"
+        code = run_cli(
+            "classify", "--scenario", scenario, "--format", "json", "--out", str(out), "--no-timestamp"
+        )
+        assert code == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["control_parameters"] and meta["hardware_parameters"]
 
     def test_spurious_runs(self, tmp_path):
         out = tmp_path / "sp.csv"

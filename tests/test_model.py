@@ -10,6 +10,7 @@ from hss_stab import (
     hss_from_lti,
     match_eigenvalues,
 )
+from hss_stab.model import stack_models
 from tests.conftest import random_stable_lti
 
 
@@ -67,3 +68,30 @@ def test_port_consistency_checked():
             f={"w": np.zeros((1, 3), complex)},  # width mismatch with E
             state_names=("x",),
         )
+
+
+def bare_model(channels, triples=()):
+    n = channels
+    return HssModel(
+        HarmonicIndexSet(0, 50.0),
+        np.zeros((n, n)),
+        {},
+        np.zeros((0, n)),
+        {},
+        tuple(f"x{i}" for i in range(n)),
+        triples,
+    )
+
+
+@pytest.mark.parametrize(
+    "triples", [(-1,), (3,), (0, 2)], ids=["negative", "past-last-channel", "overlap"]
+)
+def test_phase_triples_validated(triples):
+    with pytest.raises(ShapeError, match="phase triples"):
+        bare_model(5, triples)
+
+
+def test_stack_models_offsets_phase_triples():
+    stacked = stack_models([bare_model(4, (1,)), bare_model(2), bare_model(3, (0,))])
+    assert stacked.phase_triples == (1, 6)
+    assert bare_model(6, (3, 0)).phase_triples == (0, 3)

@@ -132,22 +132,44 @@ class TestLoading:
             scenario_from_dict(raw)
 
     @pytest.mark.parametrize(
-        "cider, path, value, field",
+        "name, cider, path, value, field",
         [
-            (0, "hardware.filter.l", "x", "ciders.0.hardware.filter.l"),
-            (0, "control.gains.kp", None, "ciders.0.control.gains.kp"),
-            (0, "node", DELETE, "ciders.0"),
-            (0, "setpoint.harmonics", [1, 2], "ciders.0.setpoint.harmonics"),
-            (1, "operating_point", 5, "ciders.1.operating_point"),
+            ("two_node", 0, "hardware.filter.l", "x", "ciders.0.hardware.filter.l"),
+            ("two_node", 0, "control.gains.kp", None, "ciders.0.control.gains.kp"),
+            ("two_node", 0, "node", DELETE, "ciders.0"),
+            ("two_node", 0, "setpoint.harmonics", [1, 2], "ciders.0.setpoint.harmonics"),
+            ("two_node", 1, "operating_point", 5, "ciders.1.operating_point"),
+            ("two_node", 0, "setpoint", 5, "ciders.0.setpoint"),
+            ("toy_gain", 0, "reference.channels", "x", "ciders.0.reference.channels"),
+            ("toy_gain", 0, "routing.ctl_inputs", 5, "ciders.0.routing.ctl_inputs"),
+            ("toy_gain", 0, "hardware.0.state_names", 5, "ciders.0.hardware.0.state_names"),
+            (
+                "toy_gain",
+                0,
+                "transforms.hardware_to_control",
+                {"type": "park", "theta0": "x"},
+                "ciders.0.transforms.hardware_to_control.theta0",
+            ),
         ],
-        ids=["filter-l-string", "kp-null", "node-missing", "harmonics-list", "op-number"],
+        ids=[
+            "filter-l-string",
+            "kp-null",
+            "node-missing",
+            "harmonics-list",
+            "op-number",
+            "setpoint-number",
+            "reference-channels-string",
+            "ctl-inputs-number",
+            "state-names-number",
+            "theta0-string",
+        ],
     )
-    def test_malformed_resource_names_field(self, cider, path, value, field):
-        raw = load_raw("two_node")
+    def test_malformed_resource_names_field(self, name, cider, path, value, field):
+        raw = load_raw(name)
         *parents, key = path.split(".")
         entry = raw["ciders"][cider]
         for segment in parents:
-            entry = entry[segment]
+            entry = entry[int(segment)] if isinstance(entry, list) else entry[segment]
         if value is DELETE:
             del entry[key]
         else:
