@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from scipy.linalg import lapack
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
@@ -34,30 +35,39 @@ REAL_FORM_TOL = 1e-12
 #: margin by this fraction of the largest |Re| in the spectrum: about 100
 #: times the rounding noise that leaves truncation-rim modes at Re ~ +1e-12
 VERDICT_RTOL = 1e-10
-#: eigenvector columns per residual product, so no n x n temporary is formed
-_RESIDUAL_CHUNK = 256
+#: eigenvector columns per residual product, which bounds the product's size
+_RESIDUAL_CHUNK = 64
 
 
 @dataclass(frozen=True)
 class EigenSolution:
-    """Full spectrum of A - j*Omega with unit-norm right eigenvectors."""
+    """Full spectrum of A - j*Omega with unit-norm right eigenvectors.
+
+    ``vectors`` holds the eigenvectors as the columns of a CSC array that
+    stores only each eigenvector's support: the rows its diagonal block of
+    the eigen solve maps back to.
+    """
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
+    vectors: sp.csc_array
     labels: tuple[tuple[str, int], ...]
 
     def reordered(self, order) -> "EigenSolution":
         """The same eigenpairs in the order given by the index array ``order``."""
         return EigenSolution(self.eigenvalues[order], self.vectors[:, order], self.labels)
 
-    def energy(self) -> np.ndarray:
-        """Eigenvector energy |v|^2 per (harmonic block, state channel, eigenpair).
+    def energy_by(self, group: np.ndarray, groups: int) -> np.ndarray:
+        """Eigenvector energy |v|^2 summed per row group, shape (groups, n).
 
-        Blocks follow the ascending harmonic orders of ``labels``.
+        ``group[r]`` in ``range(groups)`` is the group of state row r.
         """
-        count = len({h for _, h in self.labels}) or 1
-        n = self.eigenvalues.size
-        return np.abs(self.vectors.reshape(count, len(self.labels) // count, n)) ** 2
+        v = self.vectors
+        n = v.shape[1]
+        cols = np.repeat(np.arange(n), np.diff(v.indptr))
+        flat = np.bincount(
+            group[v.indices] * n + cols, weights=np.abs(v.data) ** 2, minlength=groups * n
+        )
+        return flat.reshape(groups, n)
 
 
 def spectral_order(eigenvalues: np.ndarray, descending: bool = False) -> np.ndarray:
@@ -201,12 +211,14 @@ def _solve_spectrum(model: HssModel, vectors: bool):
     even harmonics and at odd ones in real form); only the blocks are
     densified and solved, one LAPACK call each.  The spectrum of a
     block-diagonal matrix is the union of its blocks' spectra, so the
-    split is exact.  Eigenvalues come block by block.
+    split is exact.  Eigenvalues come block by block, and the eigenvectors
+    are returned in CSC, each column storing only the rows ``_back_map``
+    gives its block.
     """
     m = _shifted_csr(model)
     n = m.shape[0]
     if n == 0:
-        return m, np.zeros(0, complex), np.zeros((0, 0), complex) if vectors else None
+        return m, np.zeros(0, complex), sp.csc_array((0, 0), dtype=complex) if vectors else None
     a, t = _parity_form(model, m)
     blocks = _decoupled_blocks(a)
     if model.phase_triples:
@@ -216,34 +228,34 @@ def _solve_spectrum(model: HssModel, vectors: bool):
             a, t, blocks = s, u, rungs
     t = t.tocsc()
     w = np.empty(n, complex)
-    v = np.zeros((n, n), complex) if vectors else None
+    data, indices, counts = [], [], []
     start = 0
     for rows, block in zip(blocks, _dense_blocks(a, blocks)):
         cols = slice(start, start + rows.size)
         if vectors:
             w[cols], y = scipy.linalg.eig(block, overwrite_a=True)
             support, y = _back_map(t, rows, y)
-            v[support, cols] = y
+            data.append(y.ravel(order="F"))
+            indices.append(np.tile(support, rows.size))
+            counts.append(np.full(rows.size, support.size))
         else:
             w[cols] = scipy.linalg.eigvals(block, overwrite_a=True)
         start += rows.size
+    if not vectors:
+        return m, w, None
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    v = sp.csc_array((np.concatenate(data), np.concatenate(indices), indptr), shape=(n, n))
     return m, w, v
 
 
-def _worst_residual(m: sp.csr_array, w: np.ndarray, v: np.ndarray) -> float:
-    """Largest ||M v - lambda v|| over the eigenpairs, in column chunks.
-
-    Each chunk multiplies only the columns of M at its nonzero rows; the
-    rows it skips are exact zeros of every eigenvector in the chunk.
-    """
-    m = m.tocsc()
+def _worst_residual(m: sp.csr_array, w: np.ndarray, v: sp.csc_array) -> float:
+    """Largest ||M v - lambda v|| over the eigenpairs, in sparse column chunks."""
     worst = 0.0
     for start in range(0, w.size, _RESIDUAL_CHUNK):
         cols = slice(start, start + _RESIDUAL_CHUNK)
         chunk = v[:, cols]
-        rows = np.flatnonzero(chunk.any(axis=1))
-        r = m[:, rows] @ chunk[rows] - chunk * w[cols]
-        worst = max(worst, float(np.linalg.norm(r, axis=0).max()))
+        r = m @ chunk - chunk @ sp.diags_array(w[cols])
+        worst = max(worst, float(scipy.sparse.linalg.norm(r, axis=0).max()))
     return worst
 
 
@@ -653,11 +665,11 @@ def detect_spurious(
         dist = np.full(lam.shape, np.inf)
     spurious = dist > tol
 
-    per_order = sol.energy().sum(axis=1)  # (count, n_eigs)
     orders = np.abs(system.model.index_set.orders)
     rim = orders >= max(hmax - 1, 1)
     if rim.any() and hmax >= 1:
-        boundary = per_order[rim].sum(axis=0) >= 0.5
+        rim_rows = np.repeat(rim, system.model.state_channels).astype(int)
+        boundary = sol.energy_by(rim_rows, 2)[1] >= 0.5
     else:
         boundary = np.zeros(lam.shape, bool)
 

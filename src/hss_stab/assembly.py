@@ -1,9 +1,10 @@
 """Interconnection of harmonic state-space models.
 
 Stacks resource models, combines them with the grid into the open-loop
-system, and closes the feedback w_gamma = J * y.  The compositions are
-held in CSR; only the closed loop is dense.  The loop closure is generic
-in J and is reused for the converter-internal control loop.
+system, and closes the feedback w_gamma = J * y.  The compositions and
+the interconnection J are held in CSR; only the closed loop is dense.
+The loop closure is generic in J and is reused for the
+converter-internal control loop.
 """
 
 from __future__ import annotations
@@ -20,19 +21,17 @@ from .model import HssModel, check_same_grid, stack_models
 
 @dataclass(frozen=True)
 class InterconnectionMatrix:
-    """Anti-diagonal identity pairing two equally sized port groups."""
+    """Anti-diagonal identity pairing two equally sized port groups, in CSR."""
 
-    matrix: np.ndarray
+    matrix: sp.csr_array
 
 
 def build_interconnection(dims: tuple[int, int]) -> InterconnectionMatrix:
     n1, n2 = dims
     if n1 != n2:
         raise WiringError(f"interconnected port groups differ in size: {n1} vs {n2}")
-    j = np.zeros((n1 + n2, n1 + n2))
-    j[:n1, n1:] = np.eye(n1)
-    j[n1:, :n1] = np.eye(n2)
-    return InterconnectionMatrix(j)
+    eye = sp.eye_array(n1, format="csr")
+    return InterconnectionMatrix(sp.block_array([[None, eye], [eye, None]], format="csr"))
 
 
 @dataclass(frozen=True)
@@ -144,16 +143,16 @@ class _LoopSolver:
 
 def close_loop(
     open_model: HssModel,
-    j: np.ndarray,
+    j: np.ndarray | sp.csr_array,
     loop_port: str = "gamma",
     state_only: bool = False,
 ) -> ClosedLoopSystem:
     """Close the feedback w[loop_port] = J*y and eliminate the loop port.
 
     All closed-loop matrices are computed through linear solves against
-    (I - J*F) rather than explicit inverses.  The open model may be held
-    dense or in CSR; the products run in CSR and the closed-loop matrices
-    are returned dense.  ``state_only`` skips the output and
+    (I - J*F) rather than explicit inverses.  The open model and J may be
+    held dense or in CSR; the products run in CSR and the closed-loop
+    matrices are returned dense.  ``state_only`` skips the output and
     remaining-port matrices (enough for eigenvalue work).
     """
 

@@ -26,7 +26,9 @@ class HssModel:
     Representation rule: composed models (stacked subsystems, the grid
     lift, open loops) hold CSR matrices, because a Toeplitz lift couples
     only nearby harmonics; per-resource leaves and closed loops, the
-    models the analysis reads, hold dense ndarrays.
+    models the analysis reads, hold dense ndarrays.  A closed-loop A is
+    mostly zeros too, but ``perfbench/checks.py`` reads it as an ndarray,
+    so it stays dense until the benchmark changes with it.
 
     The state is stacked h-major.  The order of disturbance columns and
     output rows is the builder's to document (the grid lift and the

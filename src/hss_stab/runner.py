@@ -9,6 +9,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .analysis import (
     EigenSolution,
@@ -50,19 +53,42 @@ def _num(x) -> str:
     return f"{float(x):.17g}"
 
 
+#: eigenvalues within this fraction of the spectral radius of each other
+#: form one near-degenerate cluster
+DEGENERATE_RTOL = 1e-10
+
+
+def _clusters(lam: np.ndarray) -> np.ndarray:
+    """Cluster label of each eigenvalue: the connected components of the
+    pairs that lie within ``DEGENERATE_RTOL`` times max|lambda| of each other."""
+    tol = DEGENERATE_RTOL * float(np.max(np.abs(lam)))
+    pairs = cKDTree(np.column_stack((lam.real, lam.imag))).query_pairs(tol, output_type="ndarray")
+    graph = sp.coo_array((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(lam.size,) * 2)
+    return connected_components(graph, directed=False)[1]
+
+
 def _eigen_records(solution: EigenSolution, classification=None, flags=None):
     """One row per eigenpair, in the solution's order, with its dominant
-    component and harmonic block from the eigenvector energy."""
+    component and harmonic block from the eigenvector energy.
+
+    Any unit vector of a (near) degenerate eigenspace is a valid
+    eigenvector, so the dominant component is read from the energy summed
+    over each cluster of ``_clusters`` and shared by its members.
+    """
     lam = solution.eigenvalues
     if lam.size == 0:
         return ()
-    energy = solution.energy()
     orders = sorted({h for _, h in solution.labels})
-    comps = [name.split(".", 1)[0] for name, _ in solution.labels[: energy.shape[1]]]
-    names = sorted(set(comps))
-    per_comp = [energy[:, [c == k for c in comps]].sum(axis=(0, 1)) for k in names]
-    h_dom = np.argmax(energy.sum(axis=1), axis=0)
-    comp_dom = np.argmax(per_comp, axis=0)
+    channels = len(solution.labels) // len(orders)
+    names, comp_of_channel = np.unique(
+        [name.split(".", 1)[0] for name, _ in solution.labels[:channels]], return_inverse=True
+    )
+    rows = np.arange(len(solution.labels))
+    h_dom = np.argmax(solution.energy_by(rows // channels, len(orders)), axis=0)
+    per_comp = solution.energy_by(comp_of_channel[rows % channels], len(names))
+    cluster = _clusters(lam)
+    per_cluster = np.stack([np.bincount(cluster, weights=e) for e in per_comp])
+    comp_dom = np.argmax(per_cluster, axis=0)[cluster]
     return tuple(
         (
             i,

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -68,11 +69,40 @@ class TestEigenDecompose:
         a = rng.standard_normal((3, 3))
         model = hss_from_lti(a, {"w": np.eye(3)}, np.eye(3), {"w": np.zeros((3, 3))}, iset)
         sol = eigen_decompose(model)
-        assert np.allclose(np.linalg.norm(sol.vectors, axis=0), 1.0)
+        v = sol.vectors.toarray()
+        assert np.allclose(np.linalg.norm(v, axis=0), 1.0)
         m = model.shifted_state_matrix()
-        residual = np.linalg.norm(m @ sol.vectors - sol.vectors * sol.eigenvalues, axis=0)
+        residual = np.linalg.norm(m @ v - v * sol.eigenvalues, axis=0)
         assert residual.max() <= 1e-8
         assert len(sol.labels) == model.state_dim
+
+    def test_energy_by_matches_dense_group_sums(self):
+        model = nominal_model("two_node", 8)
+        sol = eigen_decompose(model)
+        energy = np.abs(sol.vectors.toarray()) ** 2
+        rows = np.arange(model.state_dim)
+        channels = model.state_channels
+        for group, groups in [
+            (rows // channels, model.index_set.count),
+            (rows % channels, channels),
+            (np.random.default_rng(9).integers(0, 3, rows.size), 3),
+        ]:
+            dense = np.stack([energy[group == k].sum(axis=0) for k in range(groups)])
+            np.testing.assert_allclose(sol.energy_by(group, groups), dense, rtol=1e-12, atol=0.0)
+
+    def test_vectors_store_no_dense_array(self):
+        # the vectors hold only each block's support: the peak allocation of
+        # the whole decomposition stays below a quarter of one n x n array
+        model = nominal_model("four_cider_six_node", 12)
+        n = model.state_dim
+        assert n == 1325
+        tracemalloc.start()
+        try:
+            eigen_decompose(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 16 / 4
 
 
 def nominal_model(name, hmax=None):
@@ -102,8 +132,9 @@ def assert_spectrum_matches(lam, reference):
 
 
 def assert_valid_vectors(sol, m):
-    assert np.allclose(np.linalg.norm(sol.vectors, axis=0), 1.0, rtol=0.0, atol=1e-12)
-    residual = np.linalg.norm(m @ sol.vectors - sol.vectors * sol.eigenvalues, axis=0)
+    v = sol.vectors.toarray()
+    assert np.allclose(np.linalg.norm(v, axis=0), 1.0, rtol=0.0, atol=1e-12)
+    residual = np.linalg.norm(m @ v - v * sol.eigenvalues, axis=0)
     assert residual.max() <= RESIDUAL_TOL
 
 
@@ -173,7 +204,7 @@ class TestRealFormSolve:
             assert seen == [(np.dtype(np.complex128), 3)] * 5
         assert np.array_equal(lam, expected_w)
         assert np.array_equal(sol.eigenvalues, expected_w)
-        assert np.array_equal(sol.vectors, expected_v)
+        assert np.array_equal(sol.vectors.toarray(), expected_v)
         for got in (lam, sol.eigenvalues):
             assert_spectrum_matches(got, scipy.linalg.eigvals(m))
         assert_valid_vectors(sol, m)
@@ -262,8 +293,10 @@ class TestBlockSolve:
     def test_residual_reads_every_nonzero_row(self):
         m, w, v = analysis._solve_spectrum(nominal_model("two_node"), vectors=True)
         rng = np.random.default_rng(7)
-        v = v * (1.0 + 1e-3 * rng.standard_normal(v.shape))  # zero rows stay zero
-        dense = np.linalg.norm(m.toarray() @ v - v * w, axis=0).max()
+        v = v.copy()
+        v.data *= 1.0 + 1e-3 * rng.standard_normal(v.data.shape)  # the same stored entries
+        dense = v.toarray()
+        dense = np.linalg.norm(m.toarray() @ dense - dense * w, axis=0).max()
         assert analysis._worst_residual(m, w, v) == pytest.approx(dense, rel=1e-12)
 
     def test_four_cider_splits_by_harmonic_parity(self):

@@ -1,10 +1,13 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from hss_stab import analysis, pipeline
+from hss_stab import analysis, pipeline, runner
 from hss_stab.cli import main
 from hss_stab.runner import export_results, run_command
 from hss_stab import ConfigurationError, load_scenario
@@ -287,6 +290,28 @@ class TestSingleNominalSolve:
         )
         assemblies = {"eig": 1, "spurious": 2, "classify": 1 + 4 * n_params}[command]
         assert solve_counts == {"assemble_system": assemblies, "eigen_decompose": 1}
+
+
+class TestEigenRecords:
+    def test_degenerate_component_invariant_under_mixing(self):
+        # any unit vector in the eigenspace of a (near) double eigenvalue is
+        # a valid eigenvector, so mixing a pair must not move its component
+        scenario = load_scenario(TWO_NODE).with_hmax(8)
+        sol = analysis.eigen_decompose(pipeline.assemble_system(scenario, state_only=True).model)
+        records = runner._eigen_records(sol)
+        cluster = runner._clusters(sol.eigenvalues)
+        pairs = [np.flatnonzero(cluster == k) for k in np.flatnonzero(np.bincount(cluster) == 2)]
+        assert len(pairs) == 12
+        dense = sol.vectors.toarray()
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            mixed = dense.copy()
+            for pair in pairs:
+                q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+                mixed[:, pair] = dense[:, pair] @ q
+            got = runner._eigen_records(replace(sol, vectors=sp.csc_array(mixed)))
+            for pair in pairs:
+                assert [got[i][3] for i in pair] == [records[pair[0]][3]] * 2
 
 
 class TestExport:
