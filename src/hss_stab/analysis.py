@@ -17,7 +17,6 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
 from scipy.linalg import lapack
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigurationError, HssError, NumericalError, PoleProximityError, ShapeError
@@ -112,6 +111,10 @@ def _decoupled_blocks(a: sp.csr_array) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
+def _largest(blocks: list[np.ndarray]) -> int:
+    return max(b.size for b in blocks)
+
+
 def _dense_blocks(a: sp.csr_array, blocks: list[np.ndarray]):
     """Yield ``a[rows][:, rows]`` densely for each of the ``blocks``, the
     index sets ``_decoupled_blocks`` split ``a`` into, from one pass over
@@ -204,6 +207,13 @@ def _solve_spectrum(model: HssModel, vectors: bool):
       each block is solved in complex form;
     * otherwise in real form (``_parity_form``).
 
+    The parity form is built only when the largest sequence block is not
+    smaller than M's own largest block, which stands in for the parity
+    split's: the flip joins harmonics h and -h, which the bundled models'
+    M already couples, so their parity split is as coarse as M's.  A model
+    whose real form splits finer than M may thus keep the sequence form
+    where the parity form would give smaller blocks; both are exact.
+
     The matrix solved stays sparse until it is split into the diagonal
     blocks its nonzero pattern decouples into (one rotating-frame rung:
     positive sequence at harmonic m+1, negative at m-1, dq states at m,
@@ -219,13 +229,14 @@ def _solve_spectrum(model: HssModel, vectors: bool):
     n = m.shape[0]
     if n == 0:
         return m, np.zeros(0, complex), sp.csc_array((0, 0), dtype=complex) if vectors else None
-    a, t = _parity_form(model, m)
-    blocks = _decoupled_blocks(a)
-    if model.phase_triples:
-        s, u = _sequence_form(model, m)
-        rungs = _decoupled_blocks(s)
-        if max(b.size for b in rungs) < max(b.size for b in blocks):
-            a, t, blocks = s, u, rungs
+    form = _sequence_form(model, m) if model.phase_triples else None
+    blocks = _decoupled_blocks(form[0]) if form else None
+    if form is None or _largest(blocks) >= _largest(_decoupled_blocks(m)):
+        parity = _parity_form(model, m)
+        parity_blocks = _decoupled_blocks(parity[0])
+        if form is None or _largest(blocks) >= _largest(parity_blocks):
+            form, blocks = parity, parity_blocks
+    a, t = form
     t = t.tocsc()
     w = np.empty(n, complex)
     data, indices, counts = [], [], []
@@ -330,6 +341,8 @@ def match_eigenvalues(lam: np.ndarray, lam_other: np.ndarray):
     n = lam.size
     if n == 0:
         return np.zeros(0, int), 0.0
+    from scipy.optimize import linear_sum_assignment  # its import is slow; only matching needs it
+
     order_a = np.lexsort((lam.imag, lam.real))
     order_b = np.lexsort((lam_other.imag, lam_other.real))
     cost = np.abs(lam[order_a][:, None] - lam_other[order_b][None, :])
@@ -398,9 +411,10 @@ def stability_verdict(
 # scenario-driven operations (rebuild the model per parameter value)
 
 
-def _rebuild_eigenvalues(scenario):
-    """Eigenvalues of the analysis model of a scenario (no eigenvectors)."""
-    return eigenvalues_only(assemble_system(scenario, state_only=True).model)
+def _rebuild_eigenvalues(scenario, like):
+    """Eigenvalues of the analysis model of a scenario (no eigenvectors),
+    assembled with the pieces of ``like`` it leaves unchanged."""
+    return eigenvalues_only(assemble_system(scenario, state_only=True, like=like).model)
 
 
 def _map_jobs(fn, items, jobs: int):
@@ -437,16 +451,21 @@ def sweep_parameter(
     Consecutive spectra are matched by the assignment solver; a step whose
     worst pair cost is far above the step median is re-matched through a
     bisected intermediate point, and pairs that stay ambiguous are marked
-    unresolved rather than silently guessed.
+    unresolved rather than silently guessed.  Every rebuild after the first
+    reuses the first point's unchanged pieces (``assemble_system(like=...)``).
     """
     values = [float(v) for v in values]
     if len(values) < 2:
         raise ConfigurationError("a sweep needs at least 2 parameter values")
     scenario.resolve_parameter(parameter_path)  # raises if not a numeric scalar
 
-    spectra = _map_jobs(
-        lambda v: _rebuild_eigenvalues(scenario.with_parameter(parameter_path, v)),
-        values,
+    first = assemble_system(scenario.with_parameter(parameter_path, values[0]), state_only=True)
+    spectra = [eigenvalues_only(first.model)]
+    pieces = first.pieces
+    del first  # the rebuilds hold the first point's pieces, not its closed loop
+    spectra += _map_jobs(
+        lambda v: _rebuild_eigenvalues(scenario.with_parameter(parameter_path, v), pieces),
+        values[1:],
         jobs,
     )
     n = spectra[0].size
@@ -467,7 +486,7 @@ def sweep_parameter(
         threshold = _step_threshold(pair, scale)
         if np.any(pair > threshold) and refine_on_crossing:
             mid_value = 0.5 * (values[k - 1] + values[k])
-            mid = _rebuild_eigenvalues(scenario.with_parameter(parameter_path, mid_value))
+            mid = _rebuild_eigenvalues(scenario.with_parameter(parameter_path, mid_value), pieces)
             perm_a, _ = match_eigenvalues(current, mid)
             perm_b, _ = match_eigenvalues(mid[perm_a], nxt)
             perm = perm_b
@@ -557,7 +576,8 @@ def classify_eigenvalues(
     the per-eigenvalue displacement recorded.  An eigenvalue is
     control-design invariant when no control perturbation moves it beyond
     epsilon, and design invariant when the hardware sweeps stay below
-    epsilon as well.
+    epsilon as well.  Every perturbed rebuild reuses the nominal system's
+    unchanged pieces (``assemble_system(like=...)``).
     """
     control_parameters = tuple(control_parameters)
     hardware_parameters = tuple(hardware_parameters)
@@ -565,7 +585,10 @@ def classify_eigenvalues(
         raise ConfigurationError(
             "classification needs non-empty control and hardware parameter sets"
         )
-    solution = by_real_part(eigen_decompose(assemble_system(scenario, state_only=True).model))
+    system = assemble_system(scenario, state_only=True)
+    solution = by_real_part(eigen_decompose(system.model))
+    pieces = system.pieces
+    del system  # the rebuilds hold the nominal pieces, not its closed loop
     nominal = solution.eigenvalues
     n = nominal.size
     radius = float(np.max(np.abs(nominal))) if n else 1.0
@@ -581,7 +604,7 @@ def classify_eigenvalues(
 
         def one(sc):
             try:
-                return _rebuild_eigenvalues(sc)
+                return _rebuild_eigenvalues(sc, pieces)
             except HssError:
                 return None
 

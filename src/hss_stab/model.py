@@ -209,14 +209,31 @@ def block_diag_csr(mats, rows=None, cols=None) -> sp.csr_array:
     """Complex CSR block diagonal of dense or sparse blocks, with row r of
     ``block_diag(mats)`` moved to ``rows[r]`` and column c to ``cols[c]``.
 
-    ``rows`` and ``cols`` must be permutations.  Entries are only copied,
-    so the result holds the blocks' values bit for bit.
+    One pass: the entries of every block (the nonzeros of a dense one, the
+    stored ones of a sparse one), offset by the rows and columns of the
+    blocks before it, are concatenated, mapped through ``rows`` and
+    ``cols``, and built into one CSR array without stored zeros (duplicate
+    entries of a sparse block are summed).  ``rows``
+    and ``cols`` must be permutations.  Entries are only copied, so the
+    result holds the blocks' values bit for bit.
     """
-    bd = sp.block_diag(mats, format="coo")
-    row = bd.row if rows is None else rows[bd.row]
-    col = bd.col if cols is None else cols[bd.col]
-    out = sp.csr_array((bd.data.astype(complex), (row, col)), shape=bd.shape)
-    out.eliminate_zeros()  # dense blocks arrive with their zeros stored
+    parts, n_rows, n_cols = [], 0, 0
+    for mat in mats:
+        if sp.issparse(mat):
+            coo = mat.tocoo()
+            row, col, data = coo.row, coo.col, coo.data
+        else:
+            mat = np.asarray(mat)
+            row, col = np.nonzero(mat)
+            data = mat[row, col]
+        parts.append((row + n_rows, col + n_cols, data))
+        n_rows += mat.shape[0]
+        n_cols += mat.shape[1]
+    row, col, data = (np.concatenate(x) for x in zip(*parts))
+    row = row if rows is None else rows[row]
+    col = col if cols is None else cols[col]
+    out = sp.csr_array((data.astype(complex), (row, col)), shape=(n_rows, n_cols))
+    out.eliminate_zeros()  # a sparse block may store zeros
     return out
 
 

@@ -65,6 +65,15 @@ def assemble_cider(config: CiderConfig, index_set: HarmonicIndexSet) -> CiderHss
 
 
 @dataclass(frozen=True)
+class AssemblyPieces:
+    """What ``assemble_system(like=...)`` reuses of an assembled system."""
+
+    scenario: Scenario
+    grid_model: HssModel
+    ciders: tuple[CiderHss, ...]
+
+
+@dataclass(frozen=True)
 class SystemModel:
     """Assembled analysis target of a scenario.
 
@@ -82,8 +91,16 @@ class SystemModel:
     interconnection: InterconnectionMatrix | None
     closed: ClosedLoopSystem | None
 
+    @property
+    def pieces(self) -> AssemblyPieces:
+        """The reusable pieces alone, so that holding them for later
+        rebuilds does not keep the closed loop alive."""
+        return AssemblyPieces(self.scenario, self.grid_model, self.ciders)
 
-def assemble_system(scenario: Scenario, state_only: bool = False) -> SystemModel:
+
+def assemble_system(
+    scenario: Scenario, state_only: bool = False, like: AssemblyPieces | None = None
+) -> SystemModel:
     """Run the full assembly pipeline for a scenario.
 
     Resources are ordered voltage-forming first (matching the grid's node
@@ -91,20 +108,36 @@ def assemble_system(scenario: Scenario, state_only: bool = False) -> SystemModel
     zero-injection placeholder so the interconnection stays square.
     ``state_only`` propagates to the loop closure when only the spectrum
     of the result is needed.
+
+    ``like`` holds the pieces (``SystemModel.pieces``) of a system
+    assembled earlier in the same command, typically the nominal one of a
+    sweep or classification.  On the same harmonic grid, its grid lift is
+    taken when ``raw["grid"]`` is unchanged, and its ``CiderHss`` of every
+    resource whose ``raw["ciders"]`` entry is unchanged: each depends on
+    nothing else.  Only the other pieces, the stacking, the open loop and
+    the loop closure are rebuilt, so the result equals a fresh assembly
+    bit for bit.  Reused pieces are only read.
     """
     index_set = HarmonicIndexSet(scenario.hmax, scenario.f1)
-    gss = build_grid_state_space(scenario.topology)
-    grid_model = lift_grid_to_hss(gss, index_set)
+    if like is not None and like.grid_model.index_set != index_set:
+        like = None
+    if like is not None and scenario.raw["grid"] == like.scenario.raw["grid"]:
+        grid_model = like.grid_model
+    else:
+        grid_model = lift_grid_to_hss(build_grid_state_space(scenario.topology), index_set)
 
     if not scenario.ciders:
         return SystemModel(
             scenario, index_set, grid_model.dense(), grid_model, (), None, None, None, None
         )
 
+    kept = {} if like is None else _unchanged_ciders(scenario, like)
     by_node = {cfg.node_id: cfg for cfg in scenario.ciders}
     ciders = []
     for node_id in scenario.topology.ordered_ids:
-        if node_id in by_node:
+        if node_id in kept:
+            ciders.append(kept[node_id])
+        elif node_id in by_node:
             ciders.append(assemble_cider(by_node[node_id], index_set))
         else:
             kind = dict((n.node_id, n.kind) for n in scenario.topology.nodes)[node_id]
@@ -136,3 +169,16 @@ def assemble_system(scenario: Scenario, state_only: bool = False) -> SystemModel
         interconnection,
         closed,
     )
+
+
+def _unchanged_ciders(scenario: Scenario, like: AssemblyPieces) -> dict[str, CiderHss]:
+    """``like``'s assembled resources, by node, whose scenario entry
+    ``scenario`` repeats unchanged."""
+    built = {c.node_id: c for c in like.ciders}
+    return {
+        cfg.node_id: built[cfg.node_id]
+        for cfg, entry, old in zip(
+            scenario.ciders, scenario.raw["ciders"], like.scenario.raw.get("ciders", ())
+        )
+        if entry == old
+    }

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .analysis import (
     EigenSolution,
@@ -58,11 +57,31 @@ def _num(x) -> str:
 DEGENERATE_RTOL = 1e-10
 
 
+def _close_pairs(lam: np.ndarray, tol: float) -> np.ndarray:
+    """Index pairs (i, j), i < j, of the eigenvalues with |lam_i - lam_j| <= tol.
+
+    Sort and sweep over Re: after sorting, the partners of each eigenvalue
+    lie within the run of neighbours whose real parts are at most ``tol``
+    further, so the k-th neighbours are compared for k = 1, 2, ... until
+    no real part lies that close.
+    """
+    order = np.argsort(lam.real, kind="stable")
+    re, z = lam.real[order], lam[order]
+    pairs = [np.zeros((0, 2), int)]
+    for k in range(1, lam.size):
+        near = np.flatnonzero(re[k:] - re[:-k] <= tol)
+        if near.size == 0:
+            break
+        near = near[np.abs(z[near + k] - z[near]) <= tol]
+        pairs.append(np.column_stack((order[near], order[near + k])))
+    pairs = np.sort(np.concatenate(pairs), axis=1)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
 def _clusters(lam: np.ndarray) -> np.ndarray:
     """Cluster label of each eigenvalue: the connected components of the
     pairs that lie within ``DEGENERATE_RTOL`` times max|lambda| of each other."""
-    tol = DEGENERATE_RTOL * float(np.max(np.abs(lam)))
-    pairs = cKDTree(np.column_stack((lam.real, lam.imag))).query_pairs(tol, output_type="ndarray")
+    pairs = _close_pairs(lam, DEGENERATE_RTOL * float(np.max(np.abs(lam))))
     graph = sp.coo_array((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(lam.size,) * 2)
     return connected_components(graph, directed=False)[1]
 

@@ -410,6 +410,31 @@ class TestSequenceSolve:
         eigen_decompose(model)
         assert calls["eig"] == [(REAL, 110), (REAL, 99)]
 
+    @pytest.mark.parametrize(
+        "build, built",
+        [
+            pytest.param(lambda: nominal_model("two_node", 8), False, id="two_node-8"),
+            pytest.param(lambda: nominal_model("four_cider_six_node", 8), False, id="four_cider-8"),
+            pytest.param(
+                lambda: assemble_system(unequal_branch_two_node(), state_only=True).model,
+                True,
+                id="unequal-phase-r",
+            ),
+            pytest.param(
+                lambda: replace(nominal_model("two_node"), phase_triples=()), True, id="no-triples"
+            ),
+        ],
+    )
+    def test_parity_form_built_only_when_needed(self, build, built, monkeypatch):
+        model = build()
+        calls = []
+        parity_form = analysis._parity_form
+        monkeypatch.setattr(
+            analysis, "_parity_form", lambda *args: calls.append(1) or parity_form(*args)
+        )
+        eigenvalues_only(model)
+        assert calls == ([1] if built else [])
+
     def test_matches_parity_solve(self):
         model = nominal_model("four_cider_six_node", 8)
         lam = eigenvalues_only(model)

@@ -314,6 +314,45 @@ class TestEigenRecords:
                 assert [got[i][3] for i in pair] == [records[pair[0]][3]] * 2
 
 
+def brute_force_pairs(lam, tol):
+    i, j = np.triu_indices(lam.size, 1)
+    near = np.abs(lam[i] - lam[j]) <= tol
+    return np.column_stack((i[near], j[near]))
+
+
+class TestClosePairs:
+    """``runner._close_pairs`` against every pair compared directly."""
+
+    def test_random_spectrum(self):
+        rng = np.random.default_rng(11)
+        for size in (1, 2, 40, 300):
+            lam = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            lam = np.concatenate((lam, lam[: size // 3] + 1e-3 * rng.standard_normal(size // 3)))
+            for tol in (1e-10, 1e-3, 0.2):
+                assert np.array_equal(runner._close_pairs(lam, tol), brute_force_pairs(lam, tol))
+
+    def test_ladder_with_ties_in_re(self):
+        # copies of three modes 2*pi*50 apart, equal in Re or 1e-15 apart,
+        # plus a near-double pair on every rung; the order is shuffled
+        rng = np.random.default_rng(12)
+        rungs = 1j * 2 * np.pi * 50 * np.arange(-25, 26)
+        modes = np.array([-3.0 + 10j, -3.0 + 10j + 1e-12, -3.0 + 1e-15 + 40j, -7.5 + 0j])
+        lam = rng.permutation((modes[:, None] + rungs[None, :]).ravel())
+        tol = runner.DEGENERATE_RTOL * np.max(np.abs(lam))
+        pairs = runner._close_pairs(lam, tol)
+        assert np.array_equal(pairs, brute_force_pairs(lam, tol))
+        assert len(pairs) == rungs.size  # one near-double pair per rung
+
+    def test_pairs_at_exactly_the_tolerance(self):
+        tol = 1e-10
+        lam = np.array([0.0, tol, 1j * tol, tol + 1j * tol, -np.nextafter(tol, 1.0)])
+        pairs = runner._close_pairs(lam, tol)
+        assert np.array_equal(pairs, brute_force_pairs(lam, tol))
+        # the sides of the square are exactly tol long: in; its diagonals
+        # and the point one ulp beyond tol from 0: out
+        assert pairs.tolist() == [[0, 1], [0, 2], [1, 3], [2, 3]]
+
+
 class TestExport:
     def test_round_trip_exact(self, tmp_path):
         scenario = load_scenario(RLC)

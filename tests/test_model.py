@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hss_stab import (
     HarmonicIndexSet,
@@ -10,7 +11,7 @@ from hss_stab import (
     hss_from_lti,
     match_eigenvalues,
 )
-from hss_stab.model import stack_models
+from hss_stab.model import block_diag_csr, stack_models
 from tests.conftest import random_stable_lti
 
 
@@ -95,3 +96,45 @@ def test_stack_models_offsets_phase_triples():
     stacked = stack_models([bare_model(4, (1,)), bare_model(2), bare_model(3, (0,))])
     assert stacked.phase_triples == (1, 6)
     assert bare_model(6, (3, 0)).phase_triples == (0, 3)
+
+
+def block_diag_blocks(rng):
+    """Dense blocks with stored zeros, CSR blocks with explicit zeros, a COO
+    block whose duplicate entries sum to zero, and blocks without rows,
+    columns or both."""
+    dense = rng.standard_normal((3, 4)) * (rng.random((3, 4)) < 0.5)
+    complex_dense = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * [[1, 0], [0, 1]]
+    csr = sp.csr_array(rng.standard_normal((4, 3)) * (rng.random((4, 3)) < 0.6))
+    csr.data[::2] = 0.0  # stored, but zero
+    duplicates = sp.coo_array(([1.5, -1.5, 2.0, 0.25], ([0, 0, 1, 1], [1, 1, 0, 0])), shape=(2, 2))
+    return [
+        dense, np.zeros((2, 0)), csr, np.zeros((0, 3)), complex_dense, np.zeros((0, 0)), csr,
+        duplicates,
+    ]
+
+
+@pytest.mark.parametrize("mapped", ["none", "rows", "cols", "both"])
+def test_block_diag_csr_matches_scipy(mapped):
+    rng = np.random.default_rng(5)
+    mats = block_diag_blocks(rng)
+    before = [(m.data if sp.issparse(m) else m).copy() for m in mats]
+    expected = sp.csr_array(sp.block_diag(mats, format="csr"), dtype=complex)
+    expected.eliminate_zeros()
+    rows = rng.permutation(expected.shape[0]) if mapped in ("rows", "both") else None
+    cols = rng.permutation(expected.shape[1]) if mapped in ("cols", "both") else None
+    if rows is not None:
+        expected = expected[np.argsort(rows)]  # row r of the block diagonal moves to rows[r]
+    if cols is not None:
+        expected = expected[:, np.argsort(cols)]
+    expected.sort_indices()
+
+    got = block_diag_csr(mats, rows, cols)
+    assert isinstance(got, sp.csr_array) and got.dtype == complex
+    assert got.shape == expected.shape == (17, 17)
+    assert got.has_canonical_format
+    assert np.array_equal(got.indptr, expected.indptr)
+    assert np.array_equal(got.indices, expected.indices)
+    assert np.array_equal(got.data.view(float), expected.data.view(float))  # bit for bit
+    assert np.all(got.data != 0)
+    for mat, stored in zip(mats, before):  # the blocks are only read
+        assert np.array_equal(mat.data if sp.issparse(mat) else mat, stored)
