@@ -9,7 +9,6 @@ and folding of the ladder spectrum to the fundamental strip.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -417,13 +416,6 @@ def _rebuild_eigenvalues(scenario, like):
     return eigenvalues_only(assemble_system(scenario, state_only=True, like=like).model)
 
 
-def _map_jobs(fn, items, jobs: int):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 @dataclass(frozen=True)
 class EigenTrace:
     """Assignment-matched eigenvalue loci along one parameter sweep."""
@@ -453,6 +445,8 @@ def sweep_parameter(
     bisected intermediate point, and pairs that stay ambiguous are marked
     unresolved rather than silently guessed.  Every rebuild after the first
     reuses the first point's unchanged pieces (``assemble_system(like=...)``).
+    The points are solved one after another; ``jobs`` is accepted and
+    ignored.
     """
     values = [float(v) for v in values]
     if len(values) < 2:
@@ -463,11 +457,10 @@ def sweep_parameter(
     spectra = [eigenvalues_only(first.model)]
     pieces = first.pieces
     del first  # the rebuilds hold the first point's pieces, not its closed loop
-    spectra += _map_jobs(
-        lambda v: _rebuild_eigenvalues(scenario.with_parameter(parameter_path, v), pieces),
-        values[1:],
-        jobs,
-    )
+    spectra += [
+        _rebuild_eigenvalues(scenario.with_parameter(parameter_path, v), pieces)
+        for v in values[1:]
+    ]
     n = spectra[0].size
     scale = max(float(np.max(np.abs(s))) for s in spectra) if n else 1.0
 
@@ -577,7 +570,8 @@ def classify_eigenvalues(
     control-design invariant when no control perturbation moves it beyond
     epsilon, and design invariant when the hardware sweeps stay below
     epsilon as well.  Every perturbed rebuild reuses the nominal system's
-    unchanged pieces (``assemble_system(like=...)``).
+    unchanged pieces (``assemble_system(like=...)``).  The rebuilds run one
+    after another; ``jobs`` is accepted and ignored.
     """
     control_parameters = tuple(control_parameters)
     hardware_parameters = tuple(hardware_parameters)
@@ -602,14 +596,12 @@ def classify_eigenvalues(
             for rel in perturbations:
                 tasks.append(scenario.with_parameter(path, base * (1.0 + rel)))
 
-        def one(sc):
+        for sc in tasks:
             try:
-                return _rebuild_eigenvalues(sc, pieces)
+                lam = _rebuild_eigenvalues(sc, pieces)
             except HssError:
-                return None
-
-        for lam in _map_jobs(one, tasks, jobs):
-            if lam is None or lam.size != n:
+                return np.full(n, np.nan)
+            if lam.size != n:
                 return np.full(n, np.nan)
             perm, _ = match_eigenvalues(nominal, lam)
             disp = np.maximum(disp, np.abs(nominal - lam[perm]))
@@ -671,11 +663,13 @@ def detect_spurious(
     system = assemble_system(scenario, state_only=True)
     sol = by_real_part(eigen_decompose(system.model))
     lam = sol.eigenvalues
+    index_set, channels = system.index_set, system.model.state_channels
+    del system  # the probe assembly need not share memory with the nominal one
 
     probe_lam = eigenvalues_only(
         assemble_system(scenario.with_hmax(probe), state_only=True).model
     )
-    f1 = system.model.index_set.f1
+    f1 = index_set.f1
     folded = fold_to_strip(lam, f1).folded
     folded_probe = fold_to_strip(probe_lam, f1).folded
 
@@ -688,10 +682,10 @@ def detect_spurious(
         dist = np.full(lam.shape, np.inf)
     spurious = dist > tol
 
-    orders = np.abs(system.model.index_set.orders)
+    orders = np.abs(index_set.orders)
     rim = orders >= max(hmax - 1, 1)
     if rim.any() and hmax >= 1:
-        rim_rows = np.repeat(rim, system.model.state_channels).astype(int)
+        rim_rows = np.repeat(rim, channels).astype(int)
         boundary = sol.energy_by(rim_rows, 2)[1] >= 0.5
     else:
         boundary = np.zeros(lam.shape, bool)

@@ -1,10 +1,11 @@
 """Interconnection of harmonic state-space models.
 
 Stacks resource models, combines them with the grid into the open-loop
-system, and closes the feedback w_gamma = J * y.  The compositions and
-the interconnection J are held in CSR; only the closed loop is dense.
-The loop closure is generic in J and is reused for the
-converter-internal control loop.
+system, and closes the feedback w_gamma = J * y.  Every model here, the
+closed loop included, and the interconnection J are held in CSR
+(``HssModel``'s representation rule); ``assemble_system`` densifies the
+system closed loop alone.  The loop closure is generic in J and is reused
+for the converter-internal control loop.
 """
 
 from __future__ import annotations
@@ -152,8 +153,9 @@ def close_loop(
     All closed-loop matrices are computed through linear solves against
     (I - J*F) rather than explicit inverses.  The open model and J may be
     held dense or in CSR; the products run in CSR and the closed-loop
-    matrices are returned dense.  ``state_only`` skips the output and
-    remaining-port matrices (enough for eigenvalue work).
+    matrices are returned in CSR.  ``state_only`` skips the output and
+    remaining-port matrices (enough for eigenvalue work), so it reads only
+    A, C and the loop port of the open model.
     """
 
     def csr(mat) -> sp.csr_array:
@@ -171,19 +173,19 @@ def close_loop(
     # w_loop = (I - J F)^-1 J (C x + sum_j F_j w_j)
     c = csr(open_model.c)
     jc = solver.solve_j(c)
-    a_closed = (csr(open_model.a) + e_gamma @ jc).toarray()
+    a_closed = csr(open_model.a) + e_gamma @ jc
 
     e_closed = {}
     f_closed = {}
     if state_only:
-        c_closed = np.zeros((0, open_model.state_dim), dtype=complex)
+        c_closed = sp.csr_array((0, open_model.state_dim), dtype=complex)
     else:
-        c_closed = (c + f_gamma @ jc).toarray()
+        c_closed = c + f_gamma @ jc
         for port in (p for p in open_model.ports if p != loop_port):
             f_port = csr(open_model.f[port])
             jf = solver.solve_j(f_port)
-            e_closed[port] = (csr(open_model.e[port]) + e_gamma @ jf).toarray()
-            f_closed[port] = (f_port + f_gamma @ jf).toarray()
+            e_closed[port] = csr(open_model.e[port]) + e_gamma @ jf
+            f_closed[port] = f_port + f_gamma @ jf
 
     model = HssModel(
         index_set=open_model.index_set,

@@ -15,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .assembly import close_loop
 from .errors import ConfigurationError, ShapeError, WellPosednessError
@@ -240,10 +241,10 @@ def assemble_internal_response(
     """
     hw = stack_blocks(tuple(hardware), "hw")
     ctl = stack_blocks(tuple(control), "ctl")
-    t_act = toeplitz_from_fourier(ctl_to_hw, index_set)
-    t_meas = toeplitz_from_fourier(hw_to_ctl, index_set)
-    n_act_t, ny_c_t = t_act.block_shape
-    n_meas, n_sel_t = t_meas.block_shape
+    act = normalize_series(ctl_to_hw)
+    meas = normalize_series(hw_to_ctl)
+    n_act_t, ny_c_t = _series_shape(act)
+    n_meas, n_sel_t = _series_shape(meas)
     routing.validate(hw, ctl, n_meas)
     if ny_c_t != ctl.n_outputs:
         raise ShapeError(
@@ -261,16 +262,13 @@ def assemble_internal_response(
             f"{len(routing.ctl_measured_outputs)} hardware outputs selected"
         )
 
-    count = index_set.count
-    lift = lambda mat: np.kron(np.eye(count), mat)  # noqa: E731
+    def lift(series, right):
+        """T(series) @ kron(I, right), lifted as T(series * right): a
+        constant factor on the right passes through the Toeplitz lift."""
+        return toeplitz_from_fourier({h: m @ right for h, m in series.items()}, index_set).matrix
 
-    b_hw = toeplitz_from_fourier(hw.b, index_set).matrix
-    d_hw = toeplitz_from_fourier(hw.d, index_set).matrix
-    b_ctl = toeplitz_from_fourier(ctl.b, index_set).matrix
-    d_ctl = toeplitz_from_fourier(ctl.d, index_set).matrix
-
-    p_grid = lift(_selector(routing.hw_grid_inputs, hw.n_inputs))
-    p_act = lift(_selector(routing.hw_actuation_inputs, hw.n_inputs))
+    p_grid = _selector(routing.hw_grid_inputs, hw.n_inputs)
+    p_act = _selector(routing.hw_actuation_inputs, hw.n_inputs)
     s_ref = np.zeros((ctl.n_inputs, routing.n_ref))
     s_meas = np.zeros((ctl.n_inputs, n_meas))
     for ch, src in enumerate(routing.ctl_inputs):
@@ -281,36 +279,31 @@ def assemble_internal_response(
             s_meas[ch, src.meas_index] = 1.0
         else:
             s_ref[ch, src.ref_index] = 1.0
-    s_ref = lift(s_ref)
-    s_meas = lift(s_meas)
-    s_out = lift(_selector(routing.ctl_measured_outputs, hw.n_outputs).T)
+    s_out = _selector(routing.ctl_measured_outputs, hw.n_outputs).T
 
-    ny_h = count * hw.n_outputs
-    n_act, n_ms = count * n_act_t, count * n_meas
     hw_model = HssModel(
         index_set=index_set,
         a=toeplitz_from_fourier(hw.a, index_set).matrix,
-        e={"loop": b_hw @ p_act, "pi": b_hw @ p_grid},
+        e={"loop": lift(hw.b, p_act), "pi": lift(hw.b, p_grid)},
         c=toeplitz_from_fourier(hw.c, index_set).matrix,
-        f={"loop": d_hw @ p_act, "pi": d_hw @ p_grid},
+        f={"loop": lift(hw.d, p_act), "pi": lift(hw.d, p_grid)},
         state_names=hw.resolved_state_names(),
         phase_triples=hw.phase_triples,
     )
     ctl_model = HssModel(
         index_set=index_set,
         a=toeplitz_from_fourier(ctl.a, index_set).matrix,
-        e={"loop": b_ctl @ s_meas, "kappa": b_ctl @ s_ref},
+        e={"loop": lift(ctl.b, s_meas), "kappa": lift(ctl.b, s_ref)},
         c=toeplitz_from_fourier(ctl.c, index_set).matrix,
-        f={"loop": d_ctl @ s_meas, "kappa": d_ctl @ s_ref},
+        f={"loop": lift(ctl.d, s_meas), "kappa": lift(ctl.d, s_ref)},
         state_names=ctl.resolved_state_names(),
         phase_triples=ctl.phase_triples,
     )
     # open loop over col(x_hw, x_ctl), re-interleaved into the h-major layout
     open_model = stack_models([hw_model, ctl_model])
 
-    j_int = np.zeros((n_act + n_ms, open_model.output_dim), dtype=complex)
-    j_int[:n_act, ny_h:] = t_act.matrix
-    j_int[n_act:, :ny_h] = t_meas.matrix @ s_out
+    t_act = toeplitz_from_fourier(act, index_set).matrix
+    j_int = sp.block_array([[None, t_act], [lift(meas, s_out), None]], format="csr")
 
     try:
         closed = close_loop(open_model, j_int, loop_port="loop")
@@ -423,15 +416,14 @@ def assemble_cider_hss(
     e_sigma = e_kappa @ r_sigma.matrix
     e_o = e_kappa @ r_o
 
+    # the grid port sees the hardware outputs, the leading rows, in its own frame
     ny_hw_full = count * internal.ny_hw
-    sel = np.zeros((ny_hw_full, internal.model.output_dim))
-    sel[:, :ny_hw_full] = np.eye(ny_hw_full)
-    pick = out_map.matrix @ sel
+    pick = lambda mat: out_map.matrix @ mat[:ny_hw_full]  # noqa: E731
 
-    f_gamma = pick @ (f_pi @ t_pg.matrix + f_kappa @ ref_path)
-    f_sigma = pick @ (f_kappa @ r_sigma.matrix)
-    f_o = pick @ (f_kappa @ r_o)
-    c_gamma = pick @ internal.model.c
+    f_gamma = pick(f_pi @ t_pg.matrix + f_kappa @ ref_path)
+    f_sigma = pick(f_kappa @ r_sigma.matrix)
+    f_o = pick(f_kappa @ r_o)
+    c_gamma = pick(internal.model.c)
 
     model = HssModel(
         index_set=index_set,
@@ -449,22 +441,17 @@ def make_zero_injection(
     index_set: HarmonicIndexSet, node_id: str, port_dim: int = 3
 ) -> CiderHss:
     """Stateless resource injecting nothing; used for pure junction nodes."""
-    count = index_set.count
-    n = count * port_dim
+    n = index_set.count * port_dim
+
+    def zeros(rows, cols):
+        return sp.csr_array((rows, cols), dtype=complex)
+
     model = HssModel(
         index_set=index_set,
-        a=np.zeros((0, 0), dtype=complex),
-        e={
-            "gamma": np.zeros((0, n), dtype=complex),
-            "sigma": np.zeros((0, 0), dtype=complex),
-            "o": np.zeros((0, 0), dtype=complex),
-        },
-        c=np.zeros((n, 0), dtype=complex),
-        f={
-            "gamma": np.zeros((n, n), dtype=complex),
-            "sigma": np.zeros((n, 0), dtype=complex),
-            "o": np.zeros((n, 0), dtype=complex),
-        },
+        a=zeros(0, 0),
+        e={"gamma": zeros(0, n), "sigma": zeros(0, 0), "o": zeros(0, 0)},
+        c=zeros(n, 0),
+        f={"gamma": zeros(n, n), "sigma": zeros(n, 0), "o": zeros(n, 0)},
         state_names=(),
     )
     return CiderHss(node_id, GRID_FOLLOWING, model, None)

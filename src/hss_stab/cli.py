@@ -56,7 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--hmax", type=int, default=None, help="override scenario hmax")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sweep and classify rebuilds")
+        p.add_argument(
+            "--jobs", type=int, default=1, help="accepted and ignored; rebuilds run in sequence"
+        )
         p.add_argument(
             "--no-timestamp",
             action="store_true",

@@ -3,9 +3,9 @@
 Time-periodic signals are stored as column stacks of complex Fourier
 coefficients over the harmonic orders -hmax..+hmax (ascending, "h-major":
 all channels of the most negative order come first).  A matrix-valued
-Fourier series lifts to a dense block-Toeplitz operator whose (i, k)
-block is the coefficient at order i - k; multiplication by that operator
-realises the time-domain product as a spectral convolution.
+Fourier series lifts to a block-Toeplitz operator, held in CSR, whose
+(i, k) block is the coefficient at order i - k; multiplication by that
+operator realises the time-domain product as a spectral convolution.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigurationError, ShapeError
 
@@ -180,11 +181,11 @@ def sample_series(
 
 @dataclass(frozen=True)
 class ToeplitzOperator:
-    """Dense block-Toeplitz lift of a matrix-valued Fourier series."""
+    """Block-Toeplitz lift of a matrix-valued Fourier series, in CSR."""
 
     index_set: HarmonicIndexSet
     block_shape: tuple[int, int]
-    matrix: np.ndarray
+    matrix: sp.csr_array
 
     def __post_init__(self):
         m, n = self.block_shape
@@ -197,8 +198,9 @@ class ToeplitzOperator:
         return self.matrix.shape
 
     def block(self, i: int, k: int) -> np.ndarray:
+        """Block (i, k) as a dense array."""
         m, n = self.block_shape
-        return self.matrix[i * m : (i + 1) * m, k * n : (k + 1) * n]
+        return self.matrix[i * m : (i + 1) * m, k * n : (k + 1) * n].toarray()
 
 
 def normalize_series(series: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
@@ -229,6 +231,13 @@ def toeplitz_from_fourier(
     Block (i, k) of the result equals the series coefficient at order
     i - k; orders absent from the series give zero blocks.  Series orders
     beyond hmax are rejected: truncation is the caller's decision.
+
+    One pass, with no sort: block row i holds the coefficients of orders
+    hc, ..., -hc side by side from block column i - hc on, so the nonzeros
+    of that band, shifted along the block rows and cut at the matrix
+    edges (the truncation), are the entries in CSR order.  No zero is
+    stored, and entries are only copied, so every block holds its
+    coefficient bit for bit.
     """
     mats = normalize_series(series)
     hc = max(abs(h) for h in mats)
@@ -238,13 +247,16 @@ def toeplitz_from_fourier(
         )
     m, n = next(iter(mats.values())).shape
     count = index_set.count
-    out = np.zeros((count * m, count * n), dtype=complex)
-    for h, a in mats.items():
-        # all blocks on the h-th block diagonal reference the same coefficient
-        for i in range(count):
-            k = i - h
-            if 0 <= k < count:
-                out[i * m : (i + 1) * m, k * n : (k + 1) * n] = a
+    zero = np.zeros((m, n), complex)
+    band = np.hstack([mats.get(h, zero) for h in range(hc, -hc - 1, -1)])
+    r, c = np.nonzero(band)
+    i = np.arange(count)[:, None]
+    cols = (i - hc) * n + c
+    keep = (cols >= 0) & (cols < count * n)
+    rows = (i * m + r)[keep]
+    data = np.broadcast_to(band[r, c], keep.shape)[keep]
+    indptr = np.searchsorted(rows, np.arange(count * m + 1))
+    out = sp.csr_array((data, cols[keep], indptr), shape=(count * m, count * n))
     return ToeplitzOperator(index_set, (m, n), out)
 
 

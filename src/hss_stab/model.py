@@ -23,12 +23,15 @@ from .harmonic import HarmonicIndexSet, node_major_order, omega_diagonal, toepli
 class HssModel:
     """Quadruple (A, E, C, F) over the stacked Fourier coefficients.
 
-    Representation rule: composed models (stacked subsystems, the grid
-    lift, open loops) hold CSR matrices, because a Toeplitz lift couples
-    only nearby harmonics; per-resource leaves and closed loops, the
-    models the analysis reads, hold dense ndarrays.  A closed-loop A is
-    mostly zeros too, but ``perfbench/checks.py`` reads it as an ndarray,
-    so it stays dense until the benchmark changes with it.
+    Representation rule: every model an assembly builds holds CSR
+    matrices, because a Toeplitz lift couples only nearby harmonics: the
+    per-resource leaves and their internal loops, the grid lift, the
+    stacked resources, the open loop and every closed loop.  The one
+    exception is the system closed loop that ``assemble_system`` returns,
+    which it densifies once (``dense``): its A is mostly zeros too, but
+    ``perfbench/checks.py`` reads it as an ndarray, so it stays dense
+    until the benchmark changes with it.  The methods below accept
+    either form.
 
     The state is stacked h-major.  The order of disturbance columns and
     output rows is the builder's to document (the grid lift and the
@@ -41,10 +44,10 @@ class HssModel:
     """
 
     index_set: HarmonicIndexSet
-    a: np.ndarray
-    e: Mapping[str, np.ndarray]
-    c: np.ndarray
-    f: Mapping[str, np.ndarray]
+    a: np.ndarray | sp.csr_array
+    e: Mapping[str, np.ndarray | sp.csr_array]
+    c: np.ndarray | sp.csr_array
+    f: Mapping[str, np.ndarray | sp.csr_array]
     state_names: tuple[str, ...]
     phase_triples: tuple[int, ...] = ()
 
@@ -100,9 +103,15 @@ class HssModel:
             f={p: m.toarray() for p, m in self.f.items()},
         )
 
+    def with_ports(self, ports: tuple[str, ...]) -> "HssModel":
+        """The same model with only the given disturbance ports; no matrix is copied."""
+        return replace(
+            self, e={p: self.e[p] for p in ports}, f={p: self.f[p] for p in ports}
+        )
+
     def shifted_state_matrix(self) -> np.ndarray:
-        """A - j*Omega, the matrix whose spectrum carries harmonic stability."""
-        m = self.a.astype(complex, copy=True)
+        """A - j*Omega, dense: the matrix whose spectrum carries harmonic stability."""
+        m = _dense(self.a).astype(complex)
         m[np.diag_indices_from(m)] -= 1j * omega_diagonal(self.index_set, self.state_channels)
         return m
 
@@ -115,15 +124,19 @@ class HssModel:
         )
 
     def stacked(self, which: str, ports: tuple[str, ...] | None = None) -> np.ndarray:
-        """Horizontal stack of E or F over the given ports (all ports by default)."""
+        """Dense horizontal stack of E or F over the given ports (all ports by default)."""
         mats = self.e if which == "e" else self.f
         names = self.ports if ports is None else ports
         n_rows = self.state_dim if which == "e" else self.output_dim
         return (
-            np.hstack([mats[p] for p in names])
+            np.hstack([_dense(mats[p]) for p in names])
             if names
             else np.zeros((n_rows, 0), dtype=complex)
         )
+
+
+def _dense(mat) -> np.ndarray:
+    return mat.toarray() if sp.issparse(mat) else mat
 
 
 def lift_ltp(

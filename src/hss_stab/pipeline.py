@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,8 +77,11 @@ class AssemblyPieces:
 class SystemModel:
     """Assembled analysis target of a scenario.
 
-    ``model`` is the closed-loop system, or the bare grid model (dense)
-    for scenarios without resources; the intermediate models are CSR.
+    ``model`` is the closed-loop system (``closed.model``), or the bare
+    grid model for scenarios without resources.  It is the one dense model
+    of an assembly; the resources, the grid lift, the stack and the open
+    loop stay in CSR.  A state-only assembly stacks and opens the loop
+    port (gamma) alone, the only one its loop closure reads.
     """
 
     scenario: Scenario
@@ -107,7 +110,11 @@ def assemble_system(
     ordering); following nodes without a declared resource receive a
     zero-injection placeholder so the interconnection stays square.
     ``state_only`` propagates to the loop closure when only the spectrum
-    of the result is needed.
+    of the result is needed; the stack and the open loop then carry the
+    loop port alone.  The system closed loop is densified here, once:
+    ``perfbench/checks.py`` and ``perfbench/traced.py`` read
+    ``model`` and ``closed.model`` as ndarrays.  Every other model
+    stays in CSR.
 
     ``like`` holds the pieces (``SystemModel.pieces``) of a system
     assembled earlier in the same command, typically the nominal one of a
@@ -148,7 +155,10 @@ def assemble_system(
             ciders.append(make_zero_injection(index_set, node_id))
     ciders = tuple(ciders)
 
-    resources = stack_resources(ciders)
+    stacked = ciders
+    if state_only:  # the loop closure then reads A, C and the gamma port alone
+        stacked = [replace(c, model=c.model.with_ports(("gamma",))) for c in ciders]
+    resources = stack_resources(stacked)
     open_loop = build_open_loop(resources, grid_model, scenario.topology.ordered_ids)
     n_res_out, n_grid_out = open_loop.output_split
     interconnection = build_interconnection((n_res_out, n_grid_out))
@@ -158,6 +168,7 @@ def assemble_system(
         loop_port="gamma",
         state_only=state_only,
     )
+    closed = replace(closed, model=closed.model.dense())
     return SystemModel(
         scenario,
         index_set,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     ConfigurationError,
@@ -231,13 +232,13 @@ def build_reference_block(
     r_sigma: ToeplitzOperator,
     ctl_frame_op: ToeplitzOperator,
     op: OperatingPoint,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Offset block [I | -R_rho*T | -R_sigma] and the packed operating vector."""
+) -> tuple[sp.csr_array, np.ndarray]:
+    """Offset block [I | -R_rho*T | -R_sigma], in CSR, and the packed operating vector."""
     count = r_rho.index_set.count
     n_ref = r_rho.block_shape[0]
-    eye = np.eye(count * n_ref, dtype=complex)
-    r_o = np.hstack(
-        [eye, -(r_rho.matrix @ ctl_frame_op.matrix), -r_sigma.matrix]
+    eye = sp.eye_array(count * n_ref, dtype=complex, format="csr")
+    r_o = sp.hstack(
+        [eye, -(r_rho.matrix @ ctl_frame_op.matrix), -r_sigma.matrix], format="csr"
     )
     w_o = op.packed
     if r_o.shape[1] != w_o.shape[0]:

@@ -152,8 +152,7 @@ def _htf(scenario: Scenario, s=None, ports=None, **_) -> ResultSet:
 
 
 def _sweep(
-    scenario: Scenario, sweep_name=None, parameter=None, values=None, refine_on_crossing=True,
-    jobs=1, **_
+    scenario: Scenario, sweep_name=None, parameter=None, values=None, refine_on_crossing=True, **_
 ) -> ResultSet:
     if sweep_name:
         if sweep_name not in scenario.sweeps:
@@ -165,9 +164,7 @@ def _sweep(
     elif not parameter or values is None:
         raise ConfigurationError("sweep needs --sweep NAME or --param PATH --values ...")
     values = tuple(float(v) for v in values)
-    trace = sweep_parameter(
-        scenario, parameter, values, refine_on_crossing=refine_on_crossing, jobs=jobs
-    )
+    trace = sweep_parameter(scenario, parameter, values, refine_on_crossing=refine_on_crossing)
     records = tuple(
         (trace.values[k], t, trace.traces[t, k].real, trace.traces[t, k].imag)
         for k in range(len(trace.values))
@@ -183,13 +180,13 @@ def _sweep(
 
 
 def _classify(
-    scenario: Scenario, control_parameters=None, hardware_parameters=None, epsilon=None, jobs=1, **_
+    scenario: Scenario, control_parameters=None, hardware_parameters=None, epsilon=None, **_
 ) -> ResultSet:
     control = tuple(control_parameters or scenario.analysis.control_parameters)
     hardware = tuple(hardware_parameters or scenario.analysis.hardware_parameters)
     if epsilon is None:
         epsilon = scenario.analysis.classification_tolerance
-    result = classify_eigenvalues(scenario, control, hardware, epsilon=epsilon, jobs=jobs)
+    result = classify_eigenvalues(scenario, control, hardware, epsilon=epsilon)
     meta = {
         "command": "classify",
         "epsilon": result.epsilon,

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -705,3 +706,21 @@ class TestSpurious:
         # boundary-suspect set is nonempty: the rotating-frame integrator
         # modes sit at the rim by construction
         assert report.boundary_suspect.any()
+
+    def test_nominal_system_released_before_probe(self, monkeypatch):
+        # the probe assembly at hmax_probe must not share memory with the
+        # nominal closed loop: it is collected once its spectrum is read
+        nominal_ref = []
+        assemble = analysis.assemble_system
+
+        def recording(scenario, state_only=False, like=None):
+            if nominal_ref:
+                assert nominal_ref[0]() is None, "nominal system still alive at the probe"
+            system = assemble(scenario, state_only=state_only, like=like)
+            if not nominal_ref:
+                nominal_ref.append(weakref.ref(system))
+            return system
+
+        monkeypatch.setattr(analysis, "assemble_system", recording)
+        report = detect_spurious(coupled_fixture(3), hmax_probe=5)
+        assert len(nominal_ref) == 1 and report.hmax_probe == 5

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from hss_stab import (
     HssModel,
     WellPosednessError,
     WiringError,
+    assemble_internal_response,
     build_grid_state_space,
     build_interconnection,
     close_loop,
     eigenvalues_only,
     evaluate_htf,
     load_scenario,
+    make_zero_injection,
     match_eigenvalues,
     scenario_from_dict,
 )
@@ -63,13 +66,13 @@ class TestCloseLoop:
         j = np.eye(1)
         closed = close_loop(model, j)
         # A + E J C with F = 0
-        assert np.allclose(closed.model.a, [[-1.0 + 1.0]])
-        assert np.array_equal(closed.model.c, model.c)
+        assert np.allclose(closed.model.a.toarray(), [[-1.0 + 1.0]])
+        assert np.array_equal(closed.model.c.toarray(), model.c)
         assert closed.certificate.nilpotent_loop
 
     def test_scalar_toy(self):
         closed = close_loop(scalar_open_model(a=-1.0, e=1.0, c=1.0, f=0.0), np.eye(1))
-        assert np.allclose(closed.model.a, [[0.0]])
+        assert np.allclose(closed.model.a.toarray(), [[0.0]])
 
     def test_triangular_feedthrough_det_one(self):
         # strictly upper block-triangular feedthrough under the identity
@@ -116,7 +119,7 @@ class TestCloseLoop:
         model = scalar_open_model(a=-2.0, e=1.5, c=0.7, f=0.3)
         full = close_loop(model, np.eye(1))
         lean = close_loop(model, np.eye(1), state_only=True)
-        assert np.array_equal(full.model.a, lean.model.a)
+        assert np.array_equal(full.model.a.toarray(), lean.model.a.toarray())
         assert lean.model.ports == ()
 
     def test_general_solver_path_matches_series(self):
@@ -135,8 +138,8 @@ class TestCloseLoop:
         )
         j_perm = np.eye(3)[::-1]
         j_dense = j_perm + 1e-30  # defeats the permutation detection only
-        a1 = close_loop(model, j_perm).model.a
-        a2 = close_loop(model, j_dense).model.a
+        a1 = close_loop(model, j_perm).model.a.toarray()
+        a2 = close_loop(model, j_dense).model.a.toarray()
         assert np.allclose(a1, a2, atol=1e-12)
 
 
@@ -148,7 +151,7 @@ class TestSystemAssembly:
         iset = HarmonicIndexSet(2, 50.0)
         cider = assemble_cider(two_node.ciders[0], iset)
         block = stack_resources([cider])
-        assert np.array_equal(block.model.a.toarray(), cider.model.a)
+        assert np.array_equal(block.model.a.toarray(), cider.model.a.toarray())
         assert block.node_ids == ("n1",)
 
     def test_stack_spectrum_union(self, two_node):
@@ -260,6 +263,58 @@ class TestClosedLoopInvariants:
         assert np.max(np.abs(lam_a - lam_b[perm])) <= 1e-9 * scale
 
 
+def matrices(model):
+    return (model.a, model.c, *model.e.values(), *model.f.values())
+
+
+class TestRepresentation:
+    """Every model an assembly builds is CSR, except the system closed loop."""
+
+    @pytest.mark.parametrize("state_only", [True, False])
+    @pytest.mark.parametrize("name", ["two_node", "four_cider_six_node"])
+    def test_only_system_closed_loop_dense(self, name, state_only):
+        scenario = load_scenario(scenario_path(name)).with_hmax(3)
+        system = assemble_system(scenario, state_only=state_only)
+        iset = system.index_set
+        models = [c.model for c in system.ciders]
+        models += [system.grid_model, system.resources.model, system.open_loop.model]
+        for cfg in scenario.ciders:
+            t = cfg.transforms
+            models.append(
+                assemble_internal_response(
+                    cfg.hardware, cfg.control, cfg.routing, t.ctl_to_hw, t.hw_to_ctl, iset
+                ).model
+            )
+        models.append(make_zero_injection(iset, "junction").model)
+        for m in models:
+            assert all(isinstance(x, sp.csr_array) for x in matrices(m))
+        assert isinstance(system.interconnection.matrix, sp.csr_array)
+        assert system.closed.model is system.model
+        assert all(isinstance(x, np.ndarray) for x in matrices(system.model))
+
+    def test_state_only_stacks_loop_port_alone(self):
+        scenario = load_scenario(scenario_path("four_cider_six_node")).with_hmax(3)
+        lean = assemble_system(scenario, state_only=True)
+        full = assemble_system(scenario)
+        assert lean.resources.model.ports == ("gamma",)
+        assert lean.open_loop.model.ports == ("gamma",)
+        assert full.open_loop.model.ports == ("gamma", "sigma", "o")
+        assert np.array_equal(lean.model.a, full.model.a)
+        # the resources themselves keep every port, for full rebuilds that reuse them
+        assert all(c.model.ports == ("gamma", "sigma", "o") for c in lean.ciders)
+
+    def test_state_only_peak_near_closed_loop(self):
+        # the dense closed-loop A dominates: no dense leaf or port stack adds to it
+        scenario = load_scenario(scenario_path("four_cider_six_node")).with_hmax(12)
+        tracemalloc.start()
+        try:
+            model = assemble_system(scenario, state_only=True).model
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * model.a.nbytes
+
+
 class TestDenseOracle:
     """The CSR composition against a dense one written out here."""
 
@@ -277,14 +332,14 @@ class TestDenseOracle:
         )
 
     def dense_reference(self, system):
-        """Closed-loop (A, C, E, F) composed densely from the dense leaves."""
+        """Closed-loop (A, C, E, F) composed densely from the leaves."""
         scenario, iset = system.scenario, system.index_set
         count = iset.count
         gss = build_grid_state_space(scenario.topology)
         to_node = self.harmonic_major_positions(count, [3] * len(scenario.topology.ordered_ids))
         leaves = [
             (m.a, m.c, dict(m.e), dict(m.f), m.state_channels)
-            for m in (c.model for c in system.ciders)
+            for m in (c.model.dense() for c in system.ciders)
         ]
         g_out, g_in = count * gss.c.shape[0], count * gss.e.shape[1]
         grid_e = {"gamma": np.kron(np.eye(count), gss.e)[:, to_node]}
@@ -332,9 +387,12 @@ class TestDenseOracle:
         system = assemble_system(scenario, state_only=state_only)
         model = system.model
 
-        # representation: CSR compositions, dense analysis model
-        for m in (system.grid_model, system.resources.model, system.open_loop.model):
+        # representation: CSR leaves and compositions, dense system closed loop
+        models = [c.model for c in system.ciders]
+        models += [system.grid_model, system.resources.model, system.open_loop.model]
+        for m in models:
             assert all(sp.issparse(x) for x in (m.a, m.c, *m.e.values(), *m.f.values()))
+        assert system.closed.model is model
         dense = (model.a, model.c, *model.e.values(), *model.f.values())
         assert all(isinstance(x, np.ndarray) for x in dense)
 

@@ -53,7 +53,7 @@ class TestInternalResponse:
         internal = assemble_internal_response(
             [hw], [ctl], routing, identity_series(1), identity_series(1), iset
         )
-        assert np.allclose(internal.model.a, [[-2.5]])
+        assert np.allclose(internal.model.a.toarray(), [[-2.5]])
 
     def test_ladder_at_hmax_one(self):
         iset = HarmonicIndexSet(1, 50.0)
@@ -123,11 +123,11 @@ class TestInternalResponse:
             j,
             loop_port="loop",
         ).model
-        assert np.allclose(internal.model.a, merged.a)
-        split = np.hstack([internal.model.e["pi"], internal.model.e["kappa"]])
-        assert np.array_equal(split, merged.e["w"])
-        split_f = np.hstack([internal.model.f["pi"], internal.model.f["kappa"]])
-        assert np.array_equal(split_f, merged.f["w"])
+        assert np.allclose(internal.model.a.toarray(), merged.a.toarray())
+        split = np.hstack([internal.model.e["pi"].toarray(), internal.model.e["kappa"].toarray()])
+        assert np.array_equal(split, merged.e["w"].toarray())
+        split_f = np.hstack([internal.model.f["pi"].toarray(), internal.model.f["kappa"].toarray()])
+        assert np.array_equal(split_f, merged.f["w"].toarray())
 
     def test_singular_loop_reported(self):
         iset = HarmonicIndexSet(0, 50.0)
@@ -219,10 +219,12 @@ class TestGridResponse:
             internal, plugin, transforms, op, iset, "n1", "grid-forming"
         )
         n = iset.count
-        assert np.array_equal(cider.model.e["gamma"], internal.model.e["pi"])
-        assert np.array_equal(cider.model.e["sigma"], internal.model.e["kappa"])
+        assert np.array_equal(cider.model.e["gamma"].toarray(), internal.model.e["pi"].toarray())
+        assert np.array_equal(
+            cider.model.e["sigma"].toarray(), internal.model.e["kappa"].toarray()
+        )
         # output selector [I_pi 0_kappa] picks the hardware rows
-        assert np.array_equal(cider.model.c, internal.model.c[:n, :])
+        assert np.array_equal(cider.model.c.toarray(), internal.model.c[:n, :].toarray())
 
     def test_zero_feedthrough_propagates(self):
         iset = HarmonicIndexSet(1, 50.0)
@@ -232,7 +234,7 @@ class TestGridResponse:
         cider = assemble_cider_hss(
             internal, plugin, transforms, op, iset, "n1", "grid-forming"
         )
-        assert not internal.model.f["pi"][: iset.count].any()
+        assert not internal.model.f["pi"][: iset.count].toarray().any()
 
     def test_deterministic_reassembly(self, two_node):
         from hss_stab.pipeline import assemble_cider
@@ -241,11 +243,11 @@ class TestGridResponse:
         cfg = two_node.ciders[1]
         a = assemble_cider(cfg, iset)
         b = assemble_cider(cfg, iset)
-        assert np.array_equal(a.model.a, b.model.a)
+        assert np.array_equal(a.model.a.toarray(), b.model.a.toarray())
         for port in ("gamma", "sigma", "o"):
-            assert np.array_equal(a.model.e[port], b.model.e[port])
-            assert np.array_equal(a.model.f[port], b.model.f[port])
-        assert np.array_equal(a.model.c, b.model.c)
+            assert np.array_equal(a.model.e[port].toarray(), b.model.e[port].toarray())
+            assert np.array_equal(a.model.f[port].toarray(), b.model.f[port].toarray())
+        assert np.array_equal(a.model.c.toarray(), b.model.c.toarray())
 
     def test_offset_propagation_bound(self, two_node):
         # nonzero blocks of E_gamma stay inside the Minkowski sum of the
@@ -290,7 +292,7 @@ class TestGridResponse:
         z = make_zero_injection(iset, "nx")
         assert z.model.state_dim == 0
         assert z.model.port_dim("gamma") == 15
-        assert not z.model.f["gamma"].any()
+        assert not z.model.f["gamma"].toarray().any()
 
 
 class TestDqSignature:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from hss_stab import (
@@ -49,13 +50,13 @@ class TestIndexSet:
 class TestToeplitz:
     def test_dc_scalar_is_diagonal(self):
         op = toeplitz_from_fourier({0: [[3.0]]}, HarmonicIndexSet(1, 50.0))
-        assert np.array_equal(op.matrix, 3.0 * np.eye(3))
+        assert np.array_equal(op.matrix.toarray(), 3.0 * np.eye(3))
 
     def test_all_zero(self):
         iset = HarmonicIndexSet(2, 50.0)
         op = toeplitz_from_fourier({0: np.zeros((2, 2))}, iset)
         assert op.matrix.shape == (10, 10)
-        assert not op.matrix.any()
+        assert not op.matrix.toarray().any()
 
     @pytest.mark.parametrize("shape", [(3, 0), (0, 2), (0, 0)], ids=["3x0", "0x2", "0x0"])
     def test_empty_block_lifts_to_empty_shape(self, shape):
@@ -70,7 +71,7 @@ class TestToeplitz:
         iset = HarmonicIndexSet(1, 50.0)
         op = toeplitz_from_fourier({1: [[1.0]], -1: [[1.0]]}, iset)
         expected = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
-        assert np.array_equal(op.matrix, expected)
+        assert np.array_equal(op.matrix.toarray(), expected)
         x = np.array([0, 1, 0], dtype=complex)
         oracle = sample_product_dft({1: [[1.0]], -1: [[1.0]]}, x, iset)
         assert np.max(np.abs(op.matrix @ x - oracle)) < 1e-12
@@ -87,6 +88,31 @@ class TestToeplitz:
                     assert np.array_equal(blk, series[h])
                 else:
                     assert not blk.any()
+
+    @pytest.mark.parametrize("hmax", [0, 3])
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 0), (0, 2)])
+    @pytest.mark.parametrize("orders", [(0,), (-1, 2), (-3, 3)])
+    def test_lift_is_canonical_csr(self, hmax, shape, orders):
+        # against a dense loop that writes every block: same values bit for
+        # bit, sorted indices, no duplicates and no stored zeros
+        orders = [h for h in orders if abs(h) <= hmax] or [0]
+        rng = np.random.default_rng(hmax + 10 * len(orders))
+        series = {
+            h: (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            * (rng.random(shape) < 0.6)
+            for h in orders
+        }
+        iset = HarmonicIndexSet(hmax, 50.0)
+        m, n = shape
+        ref = np.zeros((iset.count * m, iset.count * n), complex)
+        for i in range(iset.count):
+            for k in range(iset.count):
+                if i - k in series:
+                    ref[i * m : (i + 1) * m, k * n : (k + 1) * n] = series[i - k]
+        op = toeplitz_from_fourier(series, iset).matrix
+        assert isinstance(op, sp.csr_array) and op.has_canonical_format
+        assert op.nnz == np.count_nonzero(ref)
+        assert np.array_equal(op.toarray(), ref)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):

@@ -115,8 +115,12 @@ def test_classify_leaves_nominal_pieces_unchanged(nominal_snapshots):
     classify_eigenvalues(scenario, opts.control_parameters, opts.hardware_parameters)
     ((system, before),) = nominal_snapshots
     after = dict(pieces(system))
-    # the grid lift (CSR) and every resource model are among the arrays compared
-    assert {"pieces[0].a.data", "pieces[1][0].model.a", "pieces[1][1].model.a"} <= before.keys()
+    # the grid lift and every resource model (all CSR) are among the arrays compared
+    assert {
+        "pieces[0].a.data",
+        "pieces[1][0].model.a.data",
+        "pieces[1][1].model.a.data",
+    } <= before.keys()
     assert before.keys() == after.keys()
     for path, array in before.items():
         assert np.array_equal(after[path], array), path
