@@ -28,16 +28,16 @@ def main():
         f"worst Re={eig.meta['worst_re']:.3e}"
     )
 
-    sweep = run_command("sweep", scenario, sweep_name="voltage_kp", jobs=2)
+    sweep = run_command("sweep", scenario, sweep_name="voltage_kp")
     export_results(sweep, "csv", out_dir / "two_node_kp_sweep.csv")
     print(f"sweep '{sweep.meta['parameter']}': {sweep.meta['steps']} steps, "
           f"{sweep.meta['unresolved_steps']} unresolved")
 
-    classify = run_command("classify", scenario, jobs=2)
+    classify = run_command("classify", scenario)
     export_results(classify, "csv", out_dir / "two_node_classify.csv")
     print("classification counts:", classify.meta["counts"])
 
-    spurious = run_command("spurious", scenario, jobs=2)
+    spurious = run_command("spurious", scenario)
     export_results(spurious, "csv", out_dir / "two_node_spurious.csv")
     print(
         f"spurious flags: {spurious.meta['n_spurious']}, "

@@ -20,7 +20,6 @@ from .analysis import (
 )
 from .assembly import (
     ClosedLoopSystem,
-    InterconnectionMatrix,
     OpenLoopSystem,
     build_interconnection,
     build_open_loop,
@@ -67,7 +66,6 @@ from .grid import (
 from .harmonic import (
     HarmonicIndexSet,
     HarmonicSignal,
-    ToeplitzOperator,
     default_sample_count,
     fourier_from_samples,
     node_major_order,

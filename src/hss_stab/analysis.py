@@ -302,6 +302,9 @@ def evaluate_htf(
     default).  Points too close to a pole are rejected.
     """
     names = model.ports if ports is None else ports
+    unknown = [p for p in names if p not in model.ports]
+    if unknown:
+        raise ConfigurationError(f"unknown port(s) {unknown}; the model has {list(model.ports)}")
     e = model.stacked("e", names)
     f = model.stacked("f", names)
     m = s * np.eye(model.state_dim) - model.shifted_state_matrix()
@@ -436,7 +439,6 @@ def sweep_parameter(
     parameter_path: str,
     values,
     refine_on_crossing: bool = True,
-    jobs: int = 1,
 ) -> EigenTrace:
     """Trace eigenvalue loci over a parameter sweep with assignment matching.
 
@@ -445,8 +447,6 @@ def sweep_parameter(
     bisected intermediate point, and pairs that stay ambiguous are marked
     unresolved rather than silently guessed.  Every rebuild after the first
     reuses the first point's unchanged pieces (``assemble_system(like=...)``).
-    The points are solved one after another; ``jobs`` is accepted and
-    ignored.
     """
     values = [float(v) for v in values]
     if len(values) < 2:
@@ -560,7 +560,6 @@ def classify_eigenvalues(
     hardware_parameters,
     epsilon: float | None = None,
     perturbations=DEFAULT_PERTURBATIONS,
-    jobs: int = 1,
 ) -> EigenClassification:
     """Classify eigenvalues by their displacement under parameter sweeps.
 
@@ -570,8 +569,7 @@ def classify_eigenvalues(
     control-design invariant when no control perturbation moves it beyond
     epsilon, and design invariant when the hardware sweeps stay below
     epsilon as well.  Every perturbed rebuild reuses the nominal system's
-    unchanged pieces (``assemble_system(like=...)``).  The rebuilds run one
-    after another; ``jobs`` is accepted and ignored.
+    unchanged pieces (``assemble_system(like=...)``).
     """
     control_parameters = tuple(control_parameters)
     hardware_parameters = tuple(hardware_parameters)

@@ -2,8 +2,8 @@
 
 Stacks resource models, combines them with the grid into the open-loop
 system, and closes the feedback w_gamma = J * y.  Every model here, the
-closed loop included, and the interconnection J are held in CSR
-(``HssModel``'s representation rule); ``assemble_system`` densifies the
+closed loop included, is held in CSR (``HssModel``'s representation
+rule), and J is a plain CSR array; ``assemble_system`` densifies the
 system closed loop alone.  The loop closure is generic in J and is reused
 for the converter-internal control loop.
 """
@@ -20,19 +20,13 @@ from .errors import ShapeError, WellPosednessError, WiringError
 from .model import HssModel, check_same_grid, stack_models
 
 
-@dataclass(frozen=True)
-class InterconnectionMatrix:
-    """Anti-diagonal identity pairing two equally sized port groups, in CSR."""
-
-    matrix: sp.csr_array
-
-
-def build_interconnection(dims: tuple[int, int]) -> InterconnectionMatrix:
+def build_interconnection(dims: tuple[int, int]) -> sp.csr_array:
+    """J, the anti-diagonal identity pairing two equally sized port groups, in CSR."""
     n1, n2 = dims
     if n1 != n2:
         raise WiringError(f"interconnected port groups differ in size: {n1} vs {n2}")
     eye = sp.eye_array(n1, format="csr")
-    return InterconnectionMatrix(sp.block_array([[None, eye], [eye, None]], format="csr"))
+    return sp.block_array([[None, eye], [eye, None]], format="csr")
 
 
 @dataclass(frozen=True)
@@ -151,11 +145,11 @@ def close_loop(
     """Close the feedback w[loop_port] = J*y and eliminate the loop port.
 
     All closed-loop matrices are computed through linear solves against
-    (I - J*F) rather than explicit inverses.  The open model and J may be
-    held dense or in CSR; the products run in CSR and the closed-loop
-    matrices are returned in CSR.  ``state_only`` skips the output and
-    remaining-port matrices (enough for eigenvalue work), so it reads only
-    A, C and the loop port of the open model.
+    (I - J*F) rather than explicit inverses.  J (a plain CSR array from
+    ``build_interconnection``) and the open model may be dense or CSR; the
+    products run in CSR and the closed-loop matrices are returned in CSR.
+    ``state_only`` skips the output and remaining-port matrices (enough for
+    eigenvalue work), so it reads only A, C and the loop port of the open model.
     """
 
     def csr(mat) -> sp.csr_array:

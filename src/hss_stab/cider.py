@@ -21,14 +21,13 @@ from .assembly import close_loop
 from .errors import ConfigurationError, ShapeError, WellPosednessError
 from .harmonic import (
     HarmonicIndexSet,
-    ToeplitzOperator,
     default_sample_count,
     normalize_series,
     sample_series,
     series_from_samples,
     toeplitz_from_fourier,
 )
-from .model import HssModel, check_phase_triples, stack_models, stacked_phase_triples
+from .model import HssModel, check_phase_triples, lift_ltp, stack_models, stacked_phase_triples
 from .references import (
     OperatingPoint,
     ReferencePlugin,
@@ -262,10 +261,9 @@ def assemble_internal_response(
             f"{len(routing.ctl_measured_outputs)} hardware outputs selected"
         )
 
-    def lift(series, right):
-        """T(series) @ kron(I, right), lifted as T(series * right): a
-        constant factor on the right passes through the Toeplitz lift."""
-        return toeplitz_from_fourier({h: m @ right for h, m in series.items()}, index_set).matrix
+    def times(series, right):
+        """series * right: T(series) @ kron(I, right) = T(series * right) for constant right."""
+        return {h: m @ right for h, m in series.items()}
 
     p_grid = _selector(routing.hw_grid_inputs, hw.n_inputs)
     p_act = _selector(routing.hw_actuation_inputs, hw.n_inputs)
@@ -281,29 +279,30 @@ def assemble_internal_response(
             s_ref[ch, src.ref_index] = 1.0
     s_out = _selector(routing.ctl_measured_outputs, hw.n_outputs).T
 
-    hw_model = HssModel(
-        index_set=index_set,
-        a=toeplitz_from_fourier(hw.a, index_set).matrix,
-        e={"loop": lift(hw.b, p_act), "pi": lift(hw.b, p_grid)},
-        c=toeplitz_from_fourier(hw.c, index_set).matrix,
-        f={"loop": lift(hw.d, p_act), "pi": lift(hw.d, p_grid)},
-        state_names=hw.resolved_state_names(),
-        phase_triples=hw.phase_triples,
+    hw_model = lift_ltp(
+        hw.a,
+        {"loop": times(hw.b, p_act), "pi": times(hw.b, p_grid)},
+        hw.c,
+        {"loop": times(hw.d, p_act), "pi": times(hw.d, p_grid)},
+        index_set,
+        hw.resolved_state_names(),
+        hw.phase_triples,
     )
-    ctl_model = HssModel(
-        index_set=index_set,
-        a=toeplitz_from_fourier(ctl.a, index_set).matrix,
-        e={"loop": lift(ctl.b, s_meas), "kappa": lift(ctl.b, s_ref)},
-        c=toeplitz_from_fourier(ctl.c, index_set).matrix,
-        f={"loop": lift(ctl.d, s_meas), "kappa": lift(ctl.d, s_ref)},
-        state_names=ctl.resolved_state_names(),
-        phase_triples=ctl.phase_triples,
+    ctl_model = lift_ltp(
+        ctl.a,
+        {"loop": times(ctl.b, s_meas), "kappa": times(ctl.b, s_ref)},
+        ctl.c,
+        {"loop": times(ctl.d, s_meas), "kappa": times(ctl.d, s_ref)},
+        index_set,
+        ctl.resolved_state_names(),
+        ctl.phase_triples,
     )
     # open loop over col(x_hw, x_ctl), re-interleaved into the h-major layout
     open_model = stack_models([hw_model, ctl_model])
 
-    t_act = toeplitz_from_fourier(act, index_set).matrix
-    j_int = sp.block_array([[None, t_act], [lift(meas, s_out), None]], format="csr")
+    t_act = toeplitz_from_fourier(act, index_set)
+    t_meas = toeplitz_from_fourier(times(meas, s_out), index_set)
+    j_int = sp.block_array([[None, t_act], [t_meas, None]], format="csr")
 
     try:
         closed = close_loop(open_model, j_int, loop_port="loop")
@@ -350,8 +349,8 @@ class CiderTransforms:
     grid_out_to_hw_out: Mapping[int, np.ndarray]
     hw_out_to_grid_out: Mapping[int, np.ndarray] | None = None
 
-    def output_map(self, index_set: HarmonicIndexSet) -> ToeplitzOperator:
-        """Lifted operator sending hardware outputs to the grid port."""
+    def output_map(self, index_set: HarmonicIndexSet) -> sp.csr_array:
+        """Lift of the transform sending hardware outputs to the grid port."""
         if self.hw_out_to_grid_out is not None:
             return toeplitz_from_fourier(self.hw_out_to_grid_out, index_set)
         return toeplitz_from_fourier(
@@ -385,43 +384,43 @@ def assemble_cider_hss(
     t_kp = toeplitz_from_fourier(transforms.hw_to_ctl, index_set)
     out_map = transforms.output_map(index_set)
 
-    d_pi = internal.model.port_dim("pi") // index_set.count
-    if t_pg.block_shape[0] != d_pi:
+    count = index_set.count
+    d_pi = internal.model.port_dim("pi") // count
+    if t_pg.shape[0] // count != d_pi:
         raise ShapeError(
-            f"{node_id}: grid-side transform yields {t_pg.block_shape[0]} channels, "
+            f"{node_id}: grid-side transform yields {t_pg.shape[0] // count} channels, "
             f"hardware exposes {d_pi} grid inputs"
         )
-    if t_kp.block_shape[1] != d_pi:
+    if t_kp.shape[1] // count != d_pi:
         raise ShapeError(
-            f"{node_id}: control-frame transform expects {t_kp.block_shape[1]} "
+            f"{node_id}: control-frame transform expects {t_kp.shape[1] // count} "
             f"channels, grid-side disturbance has {d_pi}"
         )
-    if out_map.block_shape[1] != internal.ny_hw:
+    if out_map.shape[1] // count != internal.ny_hw:
         raise ShapeError(
-            f"{node_id}: output transform expects {out_map.block_shape[1]} hardware "
+            f"{node_id}: output transform expects {out_map.shape[1] // count} hardware "
             f"outputs, internal response provides {internal.ny_hw}"
         )
 
     r_rho, r_sigma = linearize_reference(plugin, operating_point, index_set)
     r_o, w_o = build_reference_block(r_rho, r_sigma, t_kp, operating_point)
 
-    count = index_set.count
     e_pi = internal.model.e["pi"]
     e_kappa = internal.model.e["kappa"]
     f_pi = internal.model.f["pi"]
     f_kappa = internal.model.f["kappa"]
 
-    ref_path = r_rho.matrix @ t_kp.matrix @ t_pg.matrix
-    e_gamma = e_pi @ t_pg.matrix + e_kappa @ ref_path
-    e_sigma = e_kappa @ r_sigma.matrix
+    ref_path = r_rho @ t_kp @ t_pg
+    e_gamma = e_pi @ t_pg + e_kappa @ ref_path
+    e_sigma = e_kappa @ r_sigma
     e_o = e_kappa @ r_o
 
     # the grid port sees the hardware outputs, the leading rows, in its own frame
     ny_hw_full = count * internal.ny_hw
-    pick = lambda mat: out_map.matrix @ mat[:ny_hw_full]  # noqa: E731
+    pick = lambda mat: out_map @ mat[:ny_hw_full]  # noqa: E731
 
-    f_gamma = pick(f_pi @ t_pg.matrix + f_kappa @ ref_path)
-    f_sigma = pick(f_kappa @ r_sigma.matrix)
+    f_gamma = pick(f_pi @ t_pg + f_kappa @ ref_path)
+    f_sigma = pick(f_kappa @ r_sigma)
     f_o = pick(f_kappa @ r_o)
     c_gamma = pick(internal.model.c)
 

@@ -10,6 +10,7 @@ instability detected while --fail-on-unstable is set.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -56,9 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--hmax", type=int, default=None, help="override scenario hmax")
-        p.add_argument(
-            "--jobs", type=int, default=1, help="accepted and ignored; rebuilds run in sequence"
-        )
         p.add_argument(
             "--no-timestamp",
             action="store_true",
@@ -111,6 +109,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         options = {k: v for k, v in vars(args).items() if k not in MAIN_FLAGS}
+        for dest, value in options.items():  # the numeric flags: --s, --values, --epsilon, --delta
+            values = value if isinstance(value, list) else [value]
+            if any(isinstance(v, (float, complex)) and not cmath.isfinite(v) for v in values):
+                raise ConfigurationError(f"argument --{dest}: numbers must be finite, got {value}")
         scenario = load_scenario(args.scenario)
         if args.hmax is not None:
             scenario = scenario.with_hmax(args.hmax)

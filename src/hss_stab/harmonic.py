@@ -3,9 +3,9 @@
 Time-periodic signals are stored as column stacks of complex Fourier
 coefficients over the harmonic orders -hmax..+hmax (ascending, "h-major":
 all channels of the most negative order come first).  A matrix-valued
-Fourier series lifts to a block-Toeplitz operator, held in CSR, whose
-(i, k) block is the coefficient at order i - k; multiplication by that
-operator realises the time-domain product as a spectral convolution.
+Fourier series lifts to a plain ``scipy.sparse.csr_array`` whose (i, k)
+block is the coefficient at order i - k; multiplication by that lift
+realises the time-domain product as a spectral convolution.
 """
 
 from __future__ import annotations
@@ -179,30 +179,6 @@ def sample_series(
     return out
 
 
-@dataclass(frozen=True)
-class ToeplitzOperator:
-    """Block-Toeplitz lift of a matrix-valued Fourier series, in CSR."""
-
-    index_set: HarmonicIndexSet
-    block_shape: tuple[int, int]
-    matrix: sp.csr_array
-
-    def __post_init__(self):
-        m, n = self.block_shape
-        expected = (self.index_set.count * m, self.index_set.count * n)
-        if self.matrix.shape != expected:
-            raise ShapeError(f"matrix shape {self.matrix.shape}, expected {expected}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    def block(self, i: int, k: int) -> np.ndarray:
-        """Block (i, k) as a dense array."""
-        m, n = self.block_shape
-        return self.matrix[i * m : (i + 1) * m, k * n : (k + 1) * n].toarray()
-
-
 def normalize_series(series: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
     """{int order: complex 2-D coefficient}, all of one shape; empty series are rejected."""
     out = {}
@@ -225,8 +201,8 @@ def normalize_series(series: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
 
 def toeplitz_from_fourier(
     series: Mapping[int, np.ndarray], index_set: HarmonicIndexSet
-) -> ToeplitzOperator:
-    """Build the block-Toeplitz operator of a Fourier series.
+) -> sp.csr_array:
+    """The block-Toeplitz lift of a Fourier series, as a CSR array.
 
     Block (i, k) of the result equals the series coefficient at order
     i - k; orders absent from the series give zero blocks.  Series orders
@@ -256,11 +232,10 @@ def toeplitz_from_fourier(
     rows = (i * m + r)[keep]
     data = np.broadcast_to(band[r, c], keep.shape)[keep]
     indptr = np.searchsorted(rows, np.arange(count * m + 1))
-    out = sp.csr_array((data, cols[keep], indptr), shape=(count * m, count * n))
-    return ToeplitzOperator(index_set, (m, n), out)
+    return sp.csr_array((data, cols[keep], indptr), shape=(count * m, count * n))
 
 
-def toeplitz_identity(index_set: HarmonicIndexSet, dim: int) -> ToeplitzOperator:
+def toeplitz_identity(index_set: HarmonicIndexSet, dim: int) -> sp.csr_array:
     return toeplitz_from_fourier({0: np.eye(dim)}, index_set)
 
 

@@ -146,25 +146,27 @@ def lift_ltp(
     f_series: Mapping[str, Mapping[int, np.ndarray]],
     index_set: HarmonicIndexSet,
     state_names: tuple[str, ...],
+    phase_triples: tuple[int, ...] = (),
 ) -> HssModel:
     """Toeplitz-lift a time-domain LTP quadruple onto the harmonic grid."""
     a = toeplitz_from_fourier(a_series, index_set)
-    e = {p: toeplitz_from_fourier(s, index_set).matrix for p, s in e_series.items()}
-    c_op = toeplitz_from_fourier(c_series, index_set)
-    f = {p: toeplitz_from_fourier(s, index_set).matrix for p, s in f_series.items()}
-    if a.block_shape[0] != a.block_shape[1]:
+    e = {p: toeplitz_from_fourier(s, index_set) for p, s in e_series.items()}
+    c = toeplitz_from_fourier(c_series, index_set)
+    f = {p: toeplitz_from_fourier(s, index_set) for p, s in f_series.items()}
+    if a.shape[0] != a.shape[1]:
         raise ShapeError("state matrix series must be square")
-    if len(state_names) != a.block_shape[0]:
+    if len(state_names) != a.shape[0] // index_set.count:
         raise ShapeError(
-            f"{len(state_names)} state names for {a.block_shape[0]} state channels"
+            f"{len(state_names)} state names for {a.shape[0] // index_set.count} state channels"
         )
     return HssModel(
         index_set=index_set,
-        a=a.matrix,
+        a=a,
         e=e,
-        c=c_op.matrix,
+        c=c,
         f=f,
         state_names=state_names,
+        phase_triples=phase_triples,
     )
 
 

@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import (
     ClosedLoopSystem,
-    InterconnectionMatrix,
     OpenLoopSystem,
     ResourceBlock,
     build_interconnection,
@@ -91,7 +91,7 @@ class SystemModel:
     ciders: tuple[CiderHss, ...]
     resources: ResourceBlock | None
     open_loop: OpenLoopSystem | None
-    interconnection: InterconnectionMatrix | None
+    interconnection: sp.csr_array | None
     closed: ClosedLoopSystem | None
 
     @property
@@ -164,7 +164,7 @@ def assemble_system(
     interconnection = build_interconnection((n_res_out, n_grid_out))
     closed = close_loop(
         open_loop.model,
-        interconnection.matrix,
+        interconnection,
         loop_port="gamma",
         state_only=state_only,
     )

@@ -3,8 +3,8 @@
 The reference law maps the grid disturbance (expressed in the control
 frame) and the setpoint to the control-software disturbance.  It may be
 nonlinear; around a periodic operating trajectory it is linearised in
-time domain and the Jacobian trajectories are lifted to block-Toeplitz
-operators.
+time domain and the Jacobian trajectories are Toeplitz-lifted to CSR
+arrays (``toeplitz_from_fourier``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .errors import (
 from .harmonic import (
     HarmonicIndexSet,
     HarmonicSignal,
-    ToeplitzOperator,
     default_sample_count,
     fourier_from_samples,
     sample_series,
@@ -176,18 +175,18 @@ class OperatingPoint:
 
 def make_operating_point(
     plugin: ReferencePlugin,
-    ctl_frame_op: ToeplitzOperator,
+    ctl_frame_op: sp.csr_array,
     w_pi: HarmonicSignal,
     w_sigma: HarmonicSignal,
     index_set: HarmonicIndexSet,
 ) -> OperatingPoint:
     """Complete an operating point from the grid-side and setpoint trajectories.
 
-    ``ctl_frame_op`` is the lifted hardware-to-control transform; it maps
-    the hardware-frame trajectory into the frame the reference law acts in.
+    ``ctl_frame_op`` is the CSR lift of the hardware-to-control transform; it
+    maps the hardware-frame trajectory into the frame the reference law acts in.
     """
-    w_rho_coeffs = ctl_frame_op.matrix @ w_pi.coeffs
-    d_rho = ctl_frame_op.block_shape[0]
+    w_rho_coeffs = ctl_frame_op @ w_pi.coeffs
+    d_rho = ctl_frame_op.shape[0] // index_set.count
     w_rho = HarmonicSignal(index_set, d_rho, w_rho_coeffs)
     if d_rho != plugin.d_rho or w_sigma.channels != plugin.d_sigma:
         raise ConfigurationError(
@@ -214,8 +213,8 @@ def make_operating_point(
 
 def linearize_reference(
     plugin: ReferencePlugin, op: OperatingPoint, index_set: HarmonicIndexSet
-) -> tuple[ToeplitzOperator, ToeplitzOperator]:
-    """Sample the Jacobian trajectories over one period and Toeplitz-lift them."""
+) -> tuple[sp.csr_array, sp.csr_array]:
+    """Sample the Jacobian trajectories over one period; their lifts R_rho, R_sigma in CSR."""
     n = default_sample_count(index_set)
     rho_t = op.w_rho.sample(n).real
     sigma_t = op.w_sigma.sample(n).real
@@ -228,18 +227,14 @@ def linearize_reference(
 
 
 def build_reference_block(
-    r_rho: ToeplitzOperator,
-    r_sigma: ToeplitzOperator,
-    ctl_frame_op: ToeplitzOperator,
+    r_rho: sp.csr_array,
+    r_sigma: sp.csr_array,
+    ctl_frame_op: sp.csr_array,
     op: OperatingPoint,
 ) -> tuple[sp.csr_array, np.ndarray]:
-    """Offset block [I | -R_rho*T | -R_sigma], in CSR, and the packed operating vector."""
-    count = r_rho.index_set.count
-    n_ref = r_rho.block_shape[0]
-    eye = sp.eye_array(count * n_ref, dtype=complex, format="csr")
-    r_o = sp.hstack(
-        [eye, -(r_rho.matrix @ ctl_frame_op.matrix), -r_sigma.matrix], format="csr"
-    )
+    """Offset block [I | -R_rho*T | -R_sigma] of the CSR lifts, and the packed operating vector."""
+    eye = sp.eye_array(r_rho.shape[0], dtype=complex, format="csr")
+    r_o = sp.hstack([eye, -(r_rho @ ctl_frame_op), -r_sigma], format="csr")
     w_o = op.packed
     if r_o.shape[1] != w_o.shape[0]:
         raise ShapeError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -267,6 +268,8 @@ def scenario_from_dict(raw: dict, source: str | None = None) -> Scenario:
     if error is not None:
         field = ".".join(str(s) for s in error.absolute_path) or "<document>"
         raise ScenarioError(error.message, field=field, path=source)
+    for field in _non_finite_fields(raw):  # the first, if any: json.loads and jsonschema take NaN
+        raise ScenarioError("number is not finite", field=field, path=source)
 
     system = raw.get("system", {})
     f1 = float(system.get("f1", DEFAULT_F1))
@@ -294,6 +297,15 @@ def scenario_from_dict(raw: dict, source: str | None = None) -> Scenario:
     for name, sw in sweeps.items():
         scenario.resolve_parameter(sw.path)
     return scenario
+
+
+def _non_finite_fields(node, path=()):
+    """Dotted paths of the NaN and infinite numbers in ``node``, in document order."""
+    if isinstance(node, float) and not math.isfinite(node):
+        yield ".".join(path)
+    elif isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _non_finite_fields(value, path + (str(key),))
 
 
 def _build_topology(grid_raw, source) -> GridTopology:

@@ -55,7 +55,7 @@ def test_01_convolution_oracle():
         coeffs = np.zeros(iset.count, dtype=complex)
         for h in range(-hx, hx + 1):
             coeffs[iset.order_index(h)] = complex(*rng.standard_normal(2))
-        product = toeplitz_from_fourier(series, iset).matrix @ coeffs
+        product = toeplitz_from_fourier(series, iset) @ coeffs
         oracle = sample_product_dft(series, coeffs, iset)
         worst = max(worst, float(np.max(np.abs(product - oracle))))
     elapsed = time.monotonic() - started
@@ -141,7 +141,7 @@ def test_04_closed_loop_algebra():
             scenario = scenario.with_hmax(hmax)
         system = assemble_system(scenario)
         f_gamma = system.open_loop.model.f["gamma"].toarray()
-        j = system.interconnection.matrix
+        j = system.interconnection
         sign, logdet = np.linalg.slogdet(
             np.eye(j.shape[0], dtype=complex) - j @ f_gamma
         )
@@ -150,7 +150,7 @@ def test_04_closed_loop_algebra():
     scenario = load_scenario(scenario_path("two_node"))
     system = assemble_system(scenario)
     ol = system.open_loop.model.dense()
-    j = system.interconnection.matrix
+    j = system.interconnection
     lam = eigenvalues_only(system.model)
     rng = np.random.default_rng(5)
     worst_fp = 0.0
@@ -251,7 +251,6 @@ def test_07_classification_soundness():
         scenario,
         scenario.analysis.control_parameters,
         scenario.analysis.hardware_parameters,
-        jobs=2,
     )
     radius = float(np.max(np.abs(res_dq.eigenvalues)))
     counts = []
@@ -323,7 +322,6 @@ def test_10_scale_sanity():
         scenario,
         scenario.analysis.control_parameters,
         scenario.analysis.hardware_parameters,
-        jobs=2,
     )
     elapsed = time.monotonic() - started
     labelled = sum(1 for l in res.labels if l != "unresolved")

@@ -28,19 +28,19 @@ from tests.conftest import load_raw, scenario_path
 
 class TestInterconnection:
     def test_small_example(self):
-        j = build_interconnection((2, 2)).matrix
+        j = build_interconnection((2, 2))
         expected = np.zeros((4, 4))
         expected[:2, 2:] = np.eye(2)
         expected[2:, :2] = np.eye(2)
         assert np.array_equal(j.toarray(), expected)
 
     def test_swaps_halves(self):
-        j = build_interconnection((3, 3)).matrix
+        j = build_interconnection((3, 3))
         v = np.arange(6.0)
         assert np.array_equal(j @ v, np.concatenate([v[3:], v[:3]]))
 
     def test_involution_exact(self):
-        j = build_interconnection((4, 4)).matrix
+        j = build_interconnection((4, 4))
         assert np.array_equal((j @ j).toarray(), np.eye(8))
 
     def test_unequal_dims_rejected(self):
@@ -189,7 +189,7 @@ class TestSystemAssembly:
         assert system.closed.certificate.nilpotent_loop
         # oracle: explicit determinant of (I - J F)
         f_gamma = system.open_loop.model.f["gamma"].toarray()
-        j = system.interconnection.matrix
+        j = system.interconnection
         sign, logdet = np.linalg.slogdet(np.eye(j.shape[0]) - j @ f_gamma)
         assert abs(sign - 1.0) <= 1e-9 and abs(logdet) <= 1e-9
 
@@ -210,7 +210,7 @@ class TestClosedLoopInvariants:
         # the open-loop relations under w_gamma = J y, solved directly
         system = assemble_system(two_node)
         ol = system.open_loop.model.dense()
-        j = system.interconnection.matrix
+        j = system.interconnection
         iset = ol.index_set
         rng = np.random.default_rng(3)
         lam = eigenvalues_only(system.model)
@@ -288,7 +288,7 @@ class TestRepresentation:
         models.append(make_zero_injection(iset, "junction").model)
         for m in models:
             assert all(isinstance(x, sp.csr_array) for x in matrices(m))
-        assert isinstance(system.interconnection.matrix, sp.csr_array)
+        assert isinstance(system.interconnection, sp.csr_array)
         assert system.closed.model is system.model
         assert all(isinstance(x, np.ndarray) for x in matrices(system.model))
 

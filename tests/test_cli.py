@@ -146,17 +146,29 @@ class TestValidationErrors:
             ("spurious", "--scenario", RLC, "--delta", "x"),
             ("spurious", "--scenario", RLC, "--hmax-probe", "x"),
             ("eig",),
+            ("sweep", "--scenario", RLC, "--param", "grid.branches.0.r", "--values", "nan,0.1"),
+            ("classify", "--scenario", TWO_NODE, "--epsilon", "nan"),
+            ("spurious", "--scenario", RLC, "--delta", "inf"),
+            ("htf", "--scenario", RLC, "--s", "nan"),
+            ("htf", "--scenario", RLC, "--s", "1+infj"),
+            ("htf", "--scenario", RLC, "--s", "1+6j", "--port", "nope"),
         ],
         ids=[
             "htf-s",
             "sweep-values",
             "hmax",
-            "jobs",
+            "unknown-flag",
             "format",
             "classify-epsilon",
             "spurious-delta",
             "spurious-hmax-probe",
             "missing-scenario",
+            "sweep-values-nan",
+            "classify-epsilon-nan",
+            "spurious-delta-inf",
+            "htf-s-nan",
+            "htf-s-inf-imag",
+            "htf-unknown-port",
         ],
     )
     def test_malformed_number_exit_2(self, argv, capsys):

@@ -11,7 +11,7 @@ from hss_stab import (
     hss_from_lti,
     match_eigenvalues,
 )
-from hss_stab.model import block_diag_csr, stack_models
+from hss_stab.model import block_diag_csr, lift_ltp, stack_models
 from tests.conftest import random_stable_lti
 
 
@@ -84,6 +84,19 @@ def bare_model(channels, triples=()):
     )
 
 
+def lifted_model(channels, triples=()):
+    n = channels
+    return lift_ltp(
+        {0: np.zeros((n, n))},
+        {},
+        {0: np.zeros((0, n))},
+        {},
+        HarmonicIndexSet(0, 50.0),
+        tuple(f"x{i}" for i in range(n)),
+        triples,
+    )
+
+
 @pytest.mark.parametrize(
     "triples", [(-1,), (3,), (0, 2)], ids=["negative", "past-last-channel", "overlap"]
 )
@@ -92,10 +105,11 @@ def test_phase_triples_validated(triples):
         bare_model(5, triples)
 
 
-def test_stack_models_offsets_phase_triples():
-    stacked = stack_models([bare_model(4, (1,)), bare_model(2), bare_model(3, (0,))])
+@pytest.mark.parametrize("build", [bare_model, lifted_model], ids=["HssModel", "lift_ltp"])
+def test_stack_models_offsets_phase_triples(build):
+    stacked = stack_models([build(4, (1,)), build(2), build(3, (0,))])
     assert stacked.phase_triples == (1, 6)
-    assert bare_model(6, (3, 0)).phase_triples == (0, 3)
+    assert build(6, (3, 0)).phase_triples == (0, 3)
 
 
 def block_diag_blocks(rng):

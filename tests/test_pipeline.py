@@ -124,15 +124,3 @@ def test_classify_leaves_nominal_pieces_unchanged(nominal_snapshots):
     assert before.keys() == after.keys()
     for path, array in before.items():
         assert np.array_equal(after[path], array), path
-
-
-def test_classify_threads_match_serial():
-    scenario = nominal("two_node").with_hmax(5)
-    opts = scenario.analysis
-    serial = classify_eigenvalues(scenario, opts.control_parameters, opts.hardware_parameters)
-    threaded = classify_eigenvalues(
-        scenario, opts.control_parameters, opts.hardware_parameters, jobs=2
-    )
-    assert threaded.labels == serial.labels
-    assert np.array_equal(threaded.control_displacements, serial.control_displacements)
-    assert np.array_equal(threaded.hardware_displacements, serial.hardware_displacements)

@@ -53,8 +53,8 @@ class TestVf:
         w_sigma = signal_from_harmonics({0: np.array([325.0, 0.0])}, 2, iset)
         op = make_operating_point(plugin, toeplitz_identity(iset, 2), w_pi, w_sigma, iset)
         r_rho, r_sigma = linearize_reference(plugin, op, iset)
-        assert not r_rho.matrix.toarray().any()
-        assert np.max(np.abs(r_sigma.matrix.toarray() - np.eye(iset.count * 2))) < 1e-12
+        assert not r_rho.toarray().any()
+        assert np.max(np.abs(r_sigma.toarray() - np.eye(iset.count * 2))) < 1e-12
 
     def test_offset_block_structure(self):
         iset = HarmonicIndexSet(1, 50.0)
@@ -81,7 +81,7 @@ class TestAffine:
         w_sigma = signal_from_harmonics({}, 2, iset)
         op = make_operating_point(plugin, toeplitz_identity(iset, 2), w_pi, w_sigma, iset)
         r_rho, _ = linearize_reference(plugin, op, iset)
-        assert np.max(np.abs(r_rho.matrix.toarray() - np.kron(np.eye(iset.count), m))) < 1e-12
+        assert np.max(np.abs(r_rho.toarray() - np.kron(np.eye(iset.count), m))) < 1e-12
 
 
 class TestPq:
@@ -109,8 +109,8 @@ class TestPq:
         iset = HarmonicIndexSet(4, 50.0)
         plugin, op = make_pq_op(iset)
         r_rho, r_sigma = linearize_reference(plugin, op, iset)
-        assert block_offsets(r_rho.matrix, iset, (2, 2), tol=1e-10) == {-2, 2}
-        assert block_offsets(r_sigma.matrix, iset, (2, 2), tol=1e-10) == {-1, 1}
+        assert block_offsets(r_rho, iset, (2, 2), tol=1e-10) == {-2, 2}
+        assert block_offsets(r_sigma, iset, (2, 2), tol=1e-10) == {-1, 1}
 
     def test_elliptic_op_gives_even_harmonics_no_dc(self):
         # centred orbits average the current-reference Jacobian to zero:
@@ -129,7 +129,7 @@ class TestPq:
         w_sigma = signal_from_harmonics({0: np.array([5000.0, 1000.0])}, 2, iset)
         op = make_operating_point(plugin, toeplitz_identity(iset, 2), w_pi, w_sigma, iset)
         r_rho, _ = linearize_reference(plugin, op, iset)
-        offsets = block_offsets(r_rho.matrix, iset, (2, 2), tol=1e-8)
+        offsets = block_offsets(r_rho, iset, (2, 2), tol=1e-8)
         assert {-2, 2} <= offsets
         assert all(off % 2 == 0 for off in offsets)
 
@@ -151,7 +151,7 @@ class TestPq:
         w_sigma = signal_from_harmonics({0: np.array([5000.0, 1000.0])}, 2, iset)
         op = make_operating_point(plugin, toeplitz_identity(iset, 2), w_pi, w_sigma, iset)
         r_rho, _ = linearize_reference(plugin, op, iset)
-        offsets = block_offsets(r_rho.matrix, iset, (2, 2), tol=1e-8)
+        offsets = block_offsets(r_rho, iset, (2, 2), tol=1e-8)
         assert {0, -1, 1, -2, 2} <= offsets
 
     def test_zero_voltage_rejected(self):
@@ -171,8 +171,8 @@ class TestPq:
         r_o, w_o = build_reference_block(r_rho, r_sigma, t, op)
         recovered = (
             r_o @ w_o
-            + r_rho.matrix @ (t.matrix @ op.w_pi.coeffs)
-            + r_sigma.matrix @ op.w_sigma.coeffs
+            + r_rho @ (t @ op.w_pi.coeffs)
+            + r_sigma @ op.w_sigma.coeffs
         )
         scale = max(1.0, np.max(np.abs(op.w_kappa.coeffs)))
         assert np.max(np.abs(recovered - op.w_kappa.coeffs)) <= 1e-8 * scale
@@ -214,7 +214,7 @@ def _small_signal_error(plugin, op, r_rho, iset, eps):
     rho_t = op.w_rho.sample(n).real + delta.sample(n).real
     sigma_t = op.w_sigma.sample(n).real
     nonlinear = fourier_from_samples(plugin.evaluate(rho_t, sigma_t), iset).coeffs
-    linear = op.w_kappa.coeffs + r_rho.matrix @ delta.coeffs
+    linear = op.w_kappa.coeffs + r_rho @ delta.coeffs
     return float(np.max(np.abs(nonlinear - linear)))
 
 

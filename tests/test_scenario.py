@@ -55,6 +55,17 @@ class TestLoading:
         with pytest.raises(ScenarioError, match="grid.nodes.0.kind"):
             scenario_from_dict(raw)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_literal_names_field(self, tmp_path, literal):
+        # json.loads reads these as floats, and the schema's "number" accepts them
+        text = scenario_path("two_node").read_text()
+        assert text.count('"kp": 0.05') == 1
+        p = tmp_path / "s.json"
+        p.write_text(text.replace('"kp": 0.05', f'"kp": {literal}'))
+        with pytest.raises(ScenarioError, match="not finite") as exc:
+            load_scenario(p)
+        assert exc.value.field == "ciders.0.control.gains.kp"
+
     def test_schema_passes_metaschema(self):
         jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
 
@@ -193,6 +204,12 @@ class TestParameterPaths:
         assert changed.resolve_parameter("grid.branches.0.r") == 0.3
         assert two_node.resolve_parameter("grid.branches.0.r") == 0.1  # original intact
         assert changed.topology.branches[0].resistance[0, 0] == 0.3
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_with_parameter_non_finite_rejected(self, two_node, value):
+        with pytest.raises(ScenarioError, match="not finite") as exc:
+            two_node.with_parameter("grid.branches.0.r", value)
+        assert exc.value.field == "grid.branches.0.r"
 
     def test_with_hmax(self, two_node):
         assert two_node.with_hmax(3).hmax == 3
