@@ -83,7 +83,6 @@ from .references import (
     PqReference,
     ReferencePlugin,
     VfReference,
-    build_reference_block,
     linearize_reference,
     make_operating_point,
 )

@@ -588,21 +588,20 @@ def classify_eigenvalues(
 
     def sweep_group(params):
         disp = np.zeros(n)
-        tasks = []
-        for path in params:
-            base = scenario.resolve_parameter(path)
+        # paths and values are checked outside the try: a bad one is an
+        # error of the request, not an unresolved label
+        bases = [scenario.resolve_parameter(path) for path in params]
+        for path, base in zip(params, bases):
             for rel in perturbations:
-                tasks.append(scenario.with_parameter(path, base * (1.0 + rel)))
-
-        for sc in tasks:
-            try:
-                lam = _rebuild_eigenvalues(sc, pieces)
-            except HssError:
-                return np.full(n, np.nan)
-            if lam.size != n:
-                return np.full(n, np.nan)
-            perm, _ = match_eigenvalues(nominal, lam)
-            disp = np.maximum(disp, np.abs(nominal - lam[perm]))
+                sc = scenario.with_parameter(path, base * (1.0 + rel))
+                try:
+                    lam = _rebuild_eigenvalues(sc, pieces)
+                except HssError:
+                    return np.full(n, np.nan)
+                if lam.size != n:
+                    return np.full(n, np.nan)
+                perm, _ = match_eigenvalues(nominal, lam)
+                disp = np.maximum(disp, np.abs(nominal - lam[perm]))
         return disp
 
     ctl_disp = sweep_group(control_parameters)

@@ -10,7 +10,7 @@ ports gamma (grid), sigma (setpoint) and o (operating-point offset).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,13 +28,7 @@ from .harmonic import (
     toeplitz_from_fourier,
 )
 from .model import HssModel, check_phase_triples, lift_ltp, stack_models, stacked_phase_triples
-from .references import (
-    OperatingPoint,
-    ReferencePlugin,
-    build_reference_block,
-    linearize_reference,
-    make_operating_point,
-)
+from .references import OperatingPoint, ReferencePlugin, linearize_reference
 
 GRID_FORMING = "grid-forming"
 GRID_FOLLOWING = "grid-following"
@@ -214,15 +208,6 @@ def _selector(indices, width) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class InternalResponse:
-    """Closed loop of hardware and control: ports 'pi' (grid side) and 'kappa'."""
-
-    model: HssModel
-    ny_hw: int  # hardware output channels per harmonic
-    n_ref: int
-
-
 def assemble_internal_response(
     hardware: Sequence[LtpBlock],
     control: Sequence[LtpBlock],
@@ -231,12 +216,13 @@ def assemble_internal_response(
     hw_to_ctl: Mapping[int, np.ndarray],
     index_set: HarmonicIndexSet,
     name: str = "cider",
-) -> InternalResponse:
+) -> HssModel:
     """Close the hardware/control loop through the declared routing.
 
     The result is the internal quadruple over the stacked state
     col(x_hw, x_ctl) with disturbance columns partitioned into the
-    grid-side ('pi') and reference ('kappa') groups.
+    grid-side ('pi') and reference ('kappa') groups.  Its outputs are the
+    hardware outputs alone: the control outputs only feed the loop.
     """
     hw = stack_blocks(tuple(hardware), "hw")
     ctl = stack_blocks(tuple(control), "ctl")
@@ -311,7 +297,9 @@ def assemble_internal_response(
             f"{name}: internal actuation/measurement loop is ill-posed "
             f"(feedthrough chain hardware D -> measurement -> control D -> actuation): {exc}"
         ) from exc
-    return InternalResponse(closed.model, hw.n_outputs, routing.n_ref)
+    hw_rows = slice(0, index_set.count * hw.n_outputs)  # the outputs stack hardware first
+    model = closed.model
+    return replace(model, c=model.c[hw_rows], f={p: f[hw_rows] for p, f in model.f.items()})
 
 
 def pinv_series(
@@ -360,7 +348,12 @@ class CiderTransforms:
 
 @dataclass(frozen=True)
 class CiderHss:
-    """Grid response of one resource: ports gamma, sigma, o."""
+    """Grid response of one resource: ports gamma, sigma, o.
+
+    The o port acts on col(w_kappa, w_pi, w_sigma), the operating-point
+    trajectories of the reference, the grid-side disturbance and the
+    setpoint (``OperatingPoint``), in that column order.
+    """
 
     node_id: str
     kind: str
@@ -369,69 +362,75 @@ class CiderHss:
 
 
 def assemble_cider_hss(
-    internal: InternalResponse,
+    internal: HssModel,
     plugin: ReferencePlugin,
     transforms: CiderTransforms,
+    ctl_frame_op: sp.csr_array,
     operating_point: OperatingPoint,
     index_set: HarmonicIndexSet,
     node_id: str,
     kind: str,
 ) -> CiderHss:
-    """Combine internal response, reference small-signal model and transforms."""
+    """Combine internal response, reference small-signal model and transforms.
+
+    ``internal`` comes from ``assemble_internal_response`` and
+    ``ctl_frame_op`` is the lift T_kp of ``transforms.hw_to_ctl``, the one
+    the operating point was made with.  With K = R_rho T_kp, one port map
+    takes a disturbance pair (X_pi, X_kappa) of E, or of F through the
+    output map, to the ports
+
+        gamma = (X_pi + X_kappa K) T_pg
+        sigma = X_kappa R_sigma
+        o     = [X_kappa | -X_kappa K | -X_kappa R_sigma]
+    """
     if kind not in (GRID_FORMING, GRID_FOLLOWING):
         raise ConfigurationError(f"unknown resource kind '{kind}'")
     t_pg = toeplitz_from_fourier(transforms.grid_to_hw, index_set)
-    t_kp = toeplitz_from_fourier(transforms.hw_to_ctl, index_set)
     out_map = transforms.output_map(index_set)
+    r_rho, r_sigma = linearize_reference(plugin, operating_point, index_set)
 
     count = index_set.count
-    d_pi = internal.model.port_dim("pi") // count
+    d_pi = internal.port_dim("pi") // count
     if t_pg.shape[0] // count != d_pi:
         raise ShapeError(
             f"{node_id}: grid-side transform yields {t_pg.shape[0] // count} channels, "
             f"hardware exposes {d_pi} grid inputs"
         )
-    if t_kp.shape[1] // count != d_pi:
+    if ctl_frame_op.shape[1] // count != d_pi:
         raise ShapeError(
-            f"{node_id}: control-frame transform expects {t_kp.shape[1] // count} "
+            f"{node_id}: control-frame transform expects {ctl_frame_op.shape[1] // count} "
             f"channels, grid-side disturbance has {d_pi}"
         )
-    if out_map.shape[1] // count != internal.ny_hw:
+    if out_map.shape[1] != internal.output_dim:
         raise ShapeError(
             f"{node_id}: output transform expects {out_map.shape[1] // count} hardware "
-            f"outputs, internal response provides {internal.ny_hw}"
+            f"outputs, internal response provides {internal.output_dim // count}"
+        )
+    if r_rho.shape[0] != internal.port_dim("kappa"):
+        raise ShapeError(
+            f"{node_id}: reference law gives {r_rho.shape[0] // count} channels, "
+            f"control takes {internal.port_dim('kappa') // count} reference inputs"
         )
 
-    r_rho, r_sigma = linearize_reference(plugin, operating_point, index_set)
-    r_o, w_o = build_reference_block(r_rho, r_sigma, t_kp, operating_point)
+    k = r_rho @ ctl_frame_op
 
-    e_pi = internal.model.e["pi"]
-    e_kappa = internal.model.e["kappa"]
-    f_pi = internal.model.f["pi"]
-    f_kappa = internal.model.f["kappa"]
-
-    ref_path = r_rho @ t_kp @ t_pg
-    e_gamma = e_pi @ t_pg + e_kappa @ ref_path
-    e_sigma = e_kappa @ r_sigma
-    e_o = e_kappa @ r_o
-
-    # the grid port sees the hardware outputs, the leading rows, in its own frame
-    ny_hw_full = count * internal.ny_hw
-    pick = lambda mat: out_map @ mat[:ny_hw_full]  # noqa: E731
-
-    f_gamma = pick(f_pi @ t_pg + f_kappa @ ref_path)
-    f_sigma = pick(f_kappa @ r_sigma)
-    f_o = pick(f_kappa @ r_o)
-    c_gamma = pick(internal.model.c)
+    def ports(x_pi, x_kappa):
+        ref = x_kappa @ k
+        sigma = x_kappa @ r_sigma
+        return {
+            "gamma": (x_pi + ref) @ t_pg,
+            "sigma": sigma,
+            "o": sp.hstack([x_kappa, -ref, -sigma], format="csr"),
+        }
 
     model = HssModel(
         index_set=index_set,
-        a=internal.model.a,
-        e={"gamma": e_gamma, "sigma": e_sigma, "o": e_o},
-        c=c_gamma,
-        f={"gamma": f_gamma, "sigma": f_sigma, "o": f_o},
-        state_names=tuple(f"{node_id}.{n}" for n in internal.model.state_names),
-        phase_triples=internal.model.phase_triples,
+        a=internal.a,
+        e=ports(internal.e["pi"], internal.e["kappa"]),
+        c=out_map @ internal.c,
+        f=ports(out_map @ internal.f["pi"], out_map @ internal.f["kappa"]),
+        state_names=tuple(f"{node_id}.{n}" for n in internal.state_names),
+        phase_triples=internal.phase_triples,
     )
     return CiderHss(node_id, kind, model, operating_point)
 

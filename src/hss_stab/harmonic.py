@@ -152,7 +152,10 @@ def series_from_samples(
 ) -> dict[int, np.ndarray]:
     """Entry-wise DFT of a matrix trajectory, shape (N, m, n) -> {h: (m, n)}.
 
-    Coefficients are retained for |h| <= order (default hmax).
+    Coefficients are retained for |h| <= order (default hmax).  Those at or
+    below ``CONSTRUCTION_TOL`` times the largest retained coefficient are
+    FFT rounding, about 1e-16 of it, and are set to zero, so that a lift
+    does not store them.
     """
     samples = np.asarray(samples)
     if samples.ndim != 3:
@@ -161,8 +164,10 @@ def series_from_samples(
     if n < 2 * index_set.count:
         raise ShapeError(f"{n} samples insufficient for hmax={index_set.hmax}")
     hc = index_set.hmax if order is None else order
-    spec = np.fft.fft(samples, axis=0) / n
-    return {int(h): spec[h % n] for h in range(-hc, hc + 1)}
+    orders = range(-hc, hc + 1)
+    coeffs = (np.fft.fft(samples, axis=0) / n)[np.asarray(orders) % n]
+    coeffs[np.abs(coeffs) <= CONSTRUCTION_TOL * np.max(np.abs(coeffs), initial=0.0)] = 0.0
+    return dict(zip(orders, coeffs))
 
 
 def sample_series(

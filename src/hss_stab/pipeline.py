@@ -39,7 +39,8 @@ def signal_from_harmonics(
 
 
 def assemble_cider(config: CiderConfig, index_set: HarmonicIndexSet) -> CiderHss:
-    """Build the grid response of one configured resource."""
+    """Build the grid response of one configured resource; the one lift of
+    ``hw_to_ctl`` serves both the operating point and the grid response."""
     internal = assemble_internal_response(
         config.hardware,
         config.control,
@@ -57,6 +58,7 @@ def assemble_cider(config: CiderConfig, index_set: HarmonicIndexSet) -> CiderHss
         internal,
         config.plugin,
         config.transforms,
+        ctl_frame_op,
         op,
         index_set,
         config.node_id,

@@ -165,13 +165,6 @@ class OperatingPoint:
     w_kappa: HarmonicSignal
     residual: float
 
-    @property
-    def packed(self) -> np.ndarray:
-        """col(w_kappa, w_pi, w_sigma), the constant offset-port value."""
-        return np.concatenate(
-            [self.w_kappa.coeffs, self.w_pi.coeffs, self.w_sigma.coeffs]
-        )
-
 
 def make_operating_point(
     plugin: ReferencePlugin,
@@ -225,20 +218,3 @@ def linearize_reference(
         toeplitz_from_fourier(r_sigma, index_set),
     )
 
-
-def build_reference_block(
-    r_rho: sp.csr_array,
-    r_sigma: sp.csr_array,
-    ctl_frame_op: sp.csr_array,
-    op: OperatingPoint,
-) -> tuple[sp.csr_array, np.ndarray]:
-    """Offset block [I | -R_rho*T | -R_sigma] of the CSR lifts, and the packed operating vector."""
-    eye = sp.eye_array(r_rho.shape[0], dtype=complex, format="csr")
-    r_o = sp.hstack([eye, -(r_rho @ ctl_frame_op), -r_sigma], format="csr")
-    w_o = op.packed
-    if r_o.shape[1] != w_o.shape[0]:
-        raise ShapeError(
-            f"offset block width {r_o.shape[1]} does not match packed operating "
-            f"vector length {w_o.shape[0]}"
-        )
-    return r_o, w_o

@@ -637,6 +637,17 @@ class TestClassify:
         # branch resistance moves the grid eigenvalues: none is design invariant
         assert "DI" not in result.labels
 
+    def test_unknown_path_raises(self, rlc_grid):
+        # a bad path is an error of the request, not an unresolved label
+        from hss_stab import ScenarioError
+
+        with pytest.raises(ScenarioError):
+            classify_eigenvalues(
+                rlc_grid,
+                control_parameters=["analysis.stability_margin"],
+                hardware_parameters=["grid.branches.0.r", "grid.branches.9.r"],
+            )
+
     def test_toy_gain_is_cdv(self, toy_gain):
         result = classify_eigenvalues(
             toy_gain,

@@ -283,7 +283,7 @@ class TestRepresentation:
             models.append(
                 assemble_internal_response(
                     cfg.hardware, cfg.control, cfg.routing, t.ctl_to_hw, t.hw_to_ctl, iset
-                ).model
+                )
             )
         models.append(make_zero_injection(iset, "junction").model)
         for m in models:

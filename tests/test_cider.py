@@ -53,7 +53,7 @@ class TestInternalResponse:
         internal = assemble_internal_response(
             [hw], [ctl], routing, identity_series(1), identity_series(1), iset
         )
-        assert np.allclose(internal.model.a.toarray(), [[-2.5]])
+        assert np.allclose(internal.a.toarray(), [[-2.5]])
 
     def test_ladder_at_hmax_one(self):
         iset = HarmonicIndexSet(1, 50.0)
@@ -61,7 +61,7 @@ class TestInternalResponse:
         internal = assemble_internal_response(
             [hw], [ctl], routing, identity_series(1), identity_series(1), iset
         )
-        sol = eigen_decompose(internal.model)
+        sol = eigen_decompose(internal)
         w1 = 2 * np.pi * 50.0
         expected = np.array([-2.5 - 1j * w1, -2.5, -2.5 + 1j * w1])
         perm, _ = match_eigenvalues(sol.eigenvalues, expected)
@@ -86,7 +86,7 @@ class TestInternalResponse:
         internal = assemble_internal_response(
             [hw_p], [ctl], routing, identity_series(1), identity_series(1), iset
         )
-        offsets = block_offsets(internal.model.a, iset, (1, 1))
+        offsets = block_offsets(internal.a, iset, (1, 1))
         assert offsets == {0, -1, 1}
 
     def test_port_partition_matches_merged_close(self):
@@ -123,11 +123,12 @@ class TestInternalResponse:
             j,
             loop_port="loop",
         ).model
-        assert np.allclose(internal.model.a.toarray(), merged.a.toarray())
-        split = np.hstack([internal.model.e["pi"].toarray(), internal.model.e["kappa"].toarray()])
+        assert np.allclose(internal.a.toarray(), merged.a.toarray())
+        split = np.hstack([internal.e["pi"].toarray(), internal.e["kappa"].toarray()])
         assert np.array_equal(split, merged.e["w"].toarray())
-        split_f = np.hstack([internal.model.f["pi"].toarray(), internal.model.f["kappa"].toarray()])
-        assert np.array_equal(split_f, merged.f["w"].toarray())
+        # the internal response keeps the hardware output rows alone
+        split_f = np.hstack([internal.f["pi"].toarray(), internal.f["kappa"].toarray()])
+        assert np.array_equal(split_f, merged.f["w"].toarray()[:n])
 
     def test_singular_loop_reported(self):
         iset = HarmonicIndexSet(0, 50.0)
@@ -207,34 +208,76 @@ def vf_identity_cider(iset, k=2.0, kp_only=True):
     plugin = VfReference(channels=1, d_rho=1)
     w_pi = signal_from_harmonics({}, 1, iset)
     w_sigma = signal_from_harmonics({0: np.array([1.0])}, 1, iset)
-    op = make_operating_point(plugin, toeplitz_identity(iset, 1), w_pi, w_sigma, iset)
-    return internal, plugin, transforms, op
+    ctl_frame_op = toeplitz_identity(iset, 1)
+    op = make_operating_point(plugin, ctl_frame_op, w_pi, w_sigma, iset)
+    return internal, plugin, transforms, ctl_frame_op, op
 
 
 class TestGridResponse:
     def test_identity_collapse(self):
         iset = HarmonicIndexSet(1, 50.0)
-        internal, plugin, transforms, op = vf_identity_cider(iset)
+        internal, plugin, transforms, ctl_frame_op, op = vf_identity_cider(iset)
         cider = assemble_cider_hss(
-            internal, plugin, transforms, op, iset, "n1", "grid-forming"
+            internal, plugin, transforms, ctl_frame_op, op, iset, "n1", "grid-forming"
         )
         n = iset.count
-        assert np.array_equal(cider.model.e["gamma"].toarray(), internal.model.e["pi"].toarray())
+        assert np.array_equal(cider.model.e["gamma"].toarray(), internal.e["pi"].toarray())
         assert np.array_equal(
-            cider.model.e["sigma"].toarray(), internal.model.e["kappa"].toarray()
+            cider.model.e["sigma"].toarray(), internal.e["kappa"].toarray()
         )
-        # output selector [I_pi 0_kappa] picks the hardware rows
-        assert np.array_equal(cider.model.c.toarray(), internal.model.c[:n, :].toarray())
+        # the internal response holds the hardware rows alone; the identity output map keeps them
+        assert np.array_equal(cider.model.c.toarray(), internal.c.toarray())
 
     def test_zero_feedthrough_propagates(self):
         iset = HarmonicIndexSet(1, 50.0)
-        internal, plugin, transforms, op = vf_identity_cider(iset)
+        internal, plugin, transforms, ctl_frame_op, op = vf_identity_cider(iset)
         # hardware D = 0 and pure-gain control: only the kappa/sigma
         # feedthrough survives; gamma feedthrough keeps the loop term
         cider = assemble_cider_hss(
-            internal, plugin, transforms, op, iset, "n1", "grid-forming"
+            internal, plugin, transforms, ctl_frame_op, op, iset, "n1", "grid-forming"
         )
-        assert not internal.model.f["pi"][: iset.count].toarray().any()
+        assert not internal.f["pi"].toarray().any()
+
+    def test_offset_port_structure(self):
+        # pass-through reference: R_rho = 0 and R_sigma = I, so E_o = [E_kappa | 0 | -E_kappa]
+        iset = HarmonicIndexSet(1, 50.0)
+        internal, plugin, transforms, ctl_frame_op, op = vf_identity_cider(iset)
+        cider = assemble_cider_hss(
+            internal, plugin, transforms, ctl_frame_op, op, iset, "n1", "grid-forming"
+        )
+        n = iset.count
+        e_o = cider.model.e["o"].toarray()
+        e_kappa = internal.e["kappa"].toarray()
+        assert e_o.shape == (internal.state_dim, 3 * n)
+        assert np.array_equal(e_o[:, :n], e_kappa)
+        assert not e_o[:, n : 2 * n].any()
+        assert np.max(np.abs(e_o[:, 2 * n :] + e_kappa)) < 1e-12
+
+    def test_offset_port_consistency(self, two_node):
+        # the o port acts on col(w_kappa, w_pi, w_sigma): E_o W_o + E_kappa R_rho T W_pi
+        # + E_sigma W_sigma returns E_kappa W_kappa
+        from hss_stab.pipeline import assemble_cider
+        from hss_stab.references import linearize_reference
+
+        iset = HarmonicIndexSet(4, 50.0)
+        cfg = two_node.ciders[1]  # power-controlled resource
+        cider = assemble_cider(cfg, iset)
+        t = cfg.transforms
+        internal = assemble_internal_response(
+            cfg.hardware, cfg.control, cfg.routing, t.ctl_to_hw, t.hw_to_ctl, iset
+        )
+        op = cider.operating_point
+        r_rho, _ = linearize_reference(cfg.plugin, op, iset)
+        e_kappa = internal.e["kappa"]
+        w_o = np.concatenate([op.w_kappa.coeffs, op.w_pi.coeffs, op.w_sigma.coeffs])
+        recovered = (
+            cider.model.e["o"] @ w_o
+            + e_kappa @ (r_rho @ op.w_rho.coeffs)
+            + cider.model.e["sigma"] @ op.w_sigma.coeffs
+        )
+        expected = e_kappa @ op.w_kappa.coeffs
+        scale = max(1.0, np.max(np.abs(expected)))
+        assert np.max(np.abs(recovered - expected)) <= 1e-8 * scale
 
     def test_deterministic_reassembly(self, two_node):
         from hss_stab.pipeline import assemble_cider
@@ -266,9 +309,9 @@ class TestGridResponse:
             iset,
             name="n2",
         )
-        n_states = len(internal.model.state_names)
-        e_pi_off = block_offsets(internal.model.e["pi"], iset, (n_states, 3))
-        e_kp_off = block_offsets(internal.model.e["kappa"], iset, (n_states, 2))
+        n_states = len(internal.state_names)
+        e_pi_off = block_offsets(internal.e["pi"], iset, (n_states, 3))
+        e_kp_off = block_offsets(internal.e["kappa"], iset, (n_states, 2))
         ctl_frame = toeplitz_from_fourier(cfg.transforms.hw_to_ctl, iset)
         op = cider.operating_point
         from hss_stab.references import linearize_reference
@@ -318,3 +361,187 @@ def test_stack_blocks_offsets_phase_triples():
 def test_block_phase_triples_validated():
     with pytest.raises(ShapeError, match="block 'dq'"):
         lti_block("dq", -np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)), phase_triples=(0,))
+
+
+def real_series(rng, shape, scale=0.2):
+    """Random real-valued matrix trajectory with a DC part and a fundamental."""
+    m1 = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return {0: rng.standard_normal(shape), 1: m1, -1: np.conj(m1)}
+
+
+def oracle_config(seed=3):
+    """Resource whose every transform is time-varying and not an identity.
+
+    The hardware has three outputs, two of them grid-facing and measured;
+    its output map is a time-varying 2x3 series.  Control D acts on the
+    reference channels alone, so the internal loop has no algebraic part.
+    """
+    from hss_stab.references import PqReference
+    from hss_stab.templates import CiderConfig
+
+    rng = np.random.default_rng(seed)
+    hw = lti_block(
+        "hw",
+        [[-1.0, 0.5], [-0.5, -2.0]],
+        [[1.0, 0.0, 0.3, 0.0], [0.0, 1.0, 0.0, 0.4]],
+        [[1.0, 0.0], [0.0, 1.0], [0.5, 0.2]],
+        [[0.1, 0.0, 0.05, 0.0], [0.0, 0.2, 0.0, 0.07], [0.3, 0.1, 0.4, 0.1]],
+    )
+    ctl = lti_block(
+        "ctl",
+        -0.5 * np.eye(2),
+        [[1.0, 0.0, 0.7, 0.0], [0.0, 1.0, 0.0, 0.9]],
+        np.eye(2),
+        [[0.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 3.0]],
+    )
+    routing = InternalRouting(
+        hw_grid_inputs=(2, 3),
+        hw_actuation_inputs=(0, 1),
+        ctl_measured_outputs=(0, 1),
+        ctl_inputs=(
+            CtlInput("measurement", meas_index=0),
+            CtlInput("measurement", meas_index=1),
+            CtlInput("reference", ref_index=0),
+            CtlInput("reference", ref_index=1),
+        ),
+    )
+    hw_to_ctl = real_series(rng, (2, 2))
+    hw_to_ctl[0] += 2.0 * np.eye(2)
+    transforms = CiderTransforms(
+        grid_to_hw=real_series(rng, (2, 2)),
+        hw_to_ctl=hw_to_ctl,
+        ctl_to_hw=real_series(rng, (2, 2)),
+        grid_out_to_hw_out={0: np.eye(3, 2)},
+        hw_out_to_grid_out=real_series(rng, (2, 3)),
+    )
+    return CiderConfig(
+        node_id="n1",
+        kind="grid-following",
+        hardware=(hw,),
+        control=(ctl,),
+        routing=routing,
+        transforms=transforms,
+        plugin=PqReference(),
+        setpoint={0: np.array([5.0, 1.0])},
+        setpoint_channels=2,
+        w_pi={0: np.array([3.0, 0.5]), 1: np.array([0.4 - 0.2j, 0.1j]), -1: np.array([0.4 + 0.2j, -0.1j])},
+        w_pi_channels=2,
+    )
+
+
+def dense_lift(series, iset):
+    """Dense block-Toeplitz lift built block by block: block (i, k) is the order i - k."""
+    series = {h: np.atleast_2d(np.asarray(m, dtype=complex)) for h, m in series.items()}
+    m, n = next(iter(series.values())).shape
+    out = np.zeros((iset.count * m, iset.count * n), dtype=complex)
+    for i in range(iset.count):
+        for k in range(iset.count):
+            if i - k in series:
+                out[i * m : (i + 1) * m, k * n : (k + 1) * n] = series[i - k]
+    return out
+
+
+def dense_internal(cfg, iset):
+    """Internal closed loop written out densely, hardware output rows only:
+    (A, E_pi, E_kappa, C, F_pi, F_kappa) over the h-major state."""
+    from hss_stab.harmonic import node_major_order
+
+    def lift(m):
+        return np.kron(np.eye(iset.count), np.asarray(m, dtype=complex))
+
+    hw, ctl = cfg.hardware[0], cfg.control[0]
+    a_h, b_h, c_h, d_h = (getattr(hw, x)[0] for x in "abcd")
+    a_c, b_c, c_c, d_c = (getattr(ctl, x)[0] for x in "abcd")
+    t_act = dense_lift(cfg.transforms.ctl_to_hw, iset)
+    meas = dense_lift(cfg.transforms.hw_to_ctl, iset) @ lift(np.eye(3)[:2])
+    nh, nc = iset.count * 2, iset.count * 2
+    # control output, actuation and hardware output as maps of (x, w_pi, w_kappa)
+    yc_x = np.hstack([np.zeros((nc, nh)), lift(c_c)])
+    u_x, u_k = t_act @ yc_x, t_act @ lift(d_c[:, 2:])
+    yh_x = np.hstack([lift(c_h), np.zeros((3 * iset.count, nc))]) + lift(d_h[:, :2]) @ u_x
+    yh_p, yh_k = lift(d_h[:, 2:]), lift(d_h[:, :2]) @ u_k
+    a = np.vstack(
+        [
+            np.hstack([lift(a_h), np.zeros((nh, nc))]) + lift(b_h[:, :2]) @ u_x,
+            np.hstack([np.zeros((nc, nh)), lift(a_c)]) + lift(b_c[:, :2]) @ meas @ yh_x,
+        ]
+    )
+    e_p = np.vstack([lift(b_h[:, 2:]), lift(b_c[:, :2]) @ meas @ yh_p])
+    e_k = np.vstack([lift(b_h[:, :2]) @ u_k, lift(b_c[:, :2]) @ meas @ yh_k + lift(b_c[:, 2:])])
+    inv = np.argsort(node_major_order(iset.count, [2, 2]))
+    return a[inv][:, inv], e_p[inv], e_k[inv], yh_x[:, inv], yh_p, yh_k
+
+
+class TestGridResponseOracle:
+    """assemble_cider against the dense products written out by hand."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        from hss_stab.pipeline import assemble_cider
+        from hss_stab.references import linearize_reference
+
+        iset = HarmonicIndexSet(2, 50.0)
+        cfg = oracle_config()
+        cider = assemble_cider(cfg, iset)
+        r_rho, r_sigma = linearize_reference(cfg.plugin, cider.operating_point, iset)
+        return iset, cfg, cider, r_rho.toarray(), r_sigma.toarray()
+
+    @staticmethod
+    def close(actual, expected):
+        actual = actual.toarray()
+        assert actual.shape == expected.shape
+        assert np.max(np.abs(actual - expected)) <= 1e-12 * max(1.0, np.max(np.abs(expected)))
+
+    def test_internal_response(self, built):
+        iset, cfg, _, _, _ = built
+        t = cfg.transforms
+        internal = assemble_internal_response(
+            cfg.hardware, cfg.control, cfg.routing, t.ctl_to_hw, t.hw_to_ctl, iset
+        )
+        a, e_p, e_k, c, f_p, f_k = dense_internal(cfg, iset)
+        for actual, expected in [
+            (internal.a, a),
+            (internal.e["pi"], e_p),
+            (internal.e["kappa"], e_k),
+            (internal.c, c),
+            (internal.f["pi"], f_p),
+            (internal.f["kappa"], f_k),
+        ]:
+            self.close(actual, expected)
+
+    def test_ports_and_output_map(self, built):
+        iset, cfg, cider, r_rho, r_sigma = built
+        _, e_p, e_k, c, f_p, f_k = dense_internal(cfg, iset)
+        t_pg = dense_lift(cfg.transforms.grid_to_hw, iset)
+        k = r_rho @ dense_lift(cfg.transforms.hw_to_ctl, iset)
+        out = dense_lift(cfg.transforms.hw_out_to_grid_out, iset)
+        assert np.abs(t_pg - np.eye(t_pg.shape[0])).max() > 0.1
+        for x_p, x_k, mats in [(e_p, e_k, cider.model.e), (out @ f_p, out @ f_k, cider.model.f)]:
+            self.close(mats["gamma"], x_p @ t_pg + x_k @ k @ t_pg)
+            self.close(mats["sigma"], x_k @ r_sigma)
+            self.close(mats["o"], np.hstack([x_k, -x_k @ k, -x_k @ r_sigma]))
+        self.close(cider.model.c, out @ c)
+
+
+def test_hw_to_ctl_lifted_once(monkeypatch):
+    import sys
+
+    from hss_stab.pipeline import assemble_cider
+
+    cfg = oracle_config()
+    lifts = []
+
+    def spy(original):
+        def toeplitz(series, index_set):
+            lifts.append(series is cfg.transforms.hw_to_ctl)
+            return original(series, index_set)
+
+        return toeplitz
+
+    original = toeplitz_from_fourier
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("hss_stab") and getattr(mod, "toeplitz_from_fourier", None) is original:
+            monkeypatch.setattr(mod, "toeplitz_from_fourier", spy(original))
+    assemble_cider(cfg, HarmonicIndexSet(2, 50.0))
+    assert len(lifts) > 1
+    assert sum(lifts) == 1

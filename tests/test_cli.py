@@ -134,6 +134,19 @@ class TestValidationErrors:
         assert record["error"] == "ShapeError"
         assert record["exit_code"] == 2
 
+    def test_reference_width_mismatch_exit_2(self, tmp_path, capsys):
+        # the vf reference still gives 3 channels; the control now takes 2 reference inputs
+        raw = json.loads(open(TOY).read())
+        raw["ciders"][0]["routing"]["ctl_inputs"][2] = {"kind": "measurement", "meas": 2}
+        p = tmp_path / "narrow_ref.json"
+        p.write_text(json.dumps(raw))
+        assert run_cli("eig", "--scenario", str(p)) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ShapeError"
+        assert record["exit_code"] == 2
+        node = raw["ciders"][0]["node"]
+        assert record["message"].startswith(f"{node}: reference law gives 3 channels")
+
     @pytest.mark.parametrize(
         "argv",
         [
