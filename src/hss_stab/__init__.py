@@ -5,6 +5,7 @@ from .analysis import (
     EigenSolution,
     EigenTrace,
     FoldResult,
+    Spectrum,
     SpuriousReport,
     StabilityVerdict,
     classify_eigenvalues,

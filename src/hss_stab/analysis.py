@@ -9,7 +9,7 @@ and folding of the ladder spectrum to the fundamental strip.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -37,22 +37,53 @@ VERDICT_RTOL = 1e-10
 _RESIDUAL_CHUNK = 64
 
 
+@dataclass(frozen=True, eq=False)
+class Partition:
+    """The unitary similarity a spectrum was solved in (``form``: "sequence",
+    "parity" or "complex") and the row index sets of the diagonal blocks its
+    matrix decouples into."""
+
+    form: str
+    rows: tuple[np.ndarray, ...]
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Partition)
+            and self.form == other.form
+            and len(self.rows) == len(other.rows)
+            and all(np.array_equal(a, b) for a, b in zip(self.rows, other.rows))
+        )
+
+
 @dataclass(frozen=True)
-class EigenSolution:
+class Spectrum:
+    """Spectrum of A - j*Omega and the decoupled block each eigenvalue was
+    solved in: ``block[i]`` indexes ``partition.rows``."""
+
+    eigenvalues: np.ndarray
+    block: np.ndarray
+    partition: Partition
+
+    def reordered(self, order) -> "Spectrum":
+        """The same eigenvalues, with their blocks, in the order given by ``order``."""
+        return replace(self, eigenvalues=self.eigenvalues[order], block=self.block[order])
+
+
+@dataclass(frozen=True)
+class EigenSolution(Spectrum):
     """Full spectrum of A - j*Omega with unit-norm right eigenvectors.
 
     ``vectors`` holds the eigenvectors as the columns of a CSC array that
     stores only each eigenvector's support: the rows its diagonal block of
-    the eigen solve maps back to.
+    the eigen solve maps back to.  ``reordered`` keeps eigenvalues, blocks
+    and vectors together.
     """
 
-    eigenvalues: np.ndarray
     vectors: sp.csc_array
     labels: tuple[tuple[str, int], ...]
 
     def reordered(self, order) -> "EigenSolution":
-        """The same eigenpairs in the order given by the index array ``order``."""
-        return EigenSolution(self.eigenvalues[order], self.vectors[:, order], self.labels)
+        return replace(super().reordered(order), vectors=self.vectors[:, order])
 
     def energy_by(self, group: np.ndarray, groups: int) -> np.ndarray:
         """Eigenvector energy |v|^2 summed per row group, shape (groups, n).
@@ -135,7 +166,8 @@ def _dense_blocks(a: sp.csr_array, blocks: list[np.ndarray]):
 
 
 def _parity_form(model: HssModel, m: sp.csr_array):
-    """``(T^H M T, T)`` in real form, or ``(M, I)`` when M has no real form.
+    """``(T^H M T, T, "parity")`` in real form, or ``(M, I, "complex")`` when
+    M has no real form.
 
     A real trajectory A(t) makes M conjugate-symmetric under the harmonic
     flip P (order h -> -h, channel kept): P conj(M) P = M.  The unitary
@@ -150,10 +182,10 @@ def _parity_form(model: HssModel, m: sp.csr_array):
     mpp = m[p][:, p]
     defect = (mpp.conj() - m).data
     if np.max(np.abs(defect), initial=0.0) > REAL_FORM_TOL * np.max(np.abs(m.data), initial=0.0):
-        return m, eye
+        return m, eye, "complex"
     a = 0.5 * (m.real + mpp.real - m.imag[:, p] + m.imag[p, :])
     a.eliminate_zeros()
-    return a, np.exp(-0.25j * np.pi) / np.sqrt(2.0) * (eye + 1j * eye[p])
+    return a, np.exp(-0.25j * np.pi) / np.sqrt(2.0) * (eye + 1j * eye[p]), "parity"
 
 
 #: columns: the zero, positive and negative sequence of an abc triple
@@ -161,7 +193,7 @@ FORTESCUE = np.exp(-2j * np.pi / 3 * np.outer([0, 1, 2], [0, 1, -1])) / np.sqrt(
 
 
 def _sequence_form(model: HssModel, m: sp.csr_array):
-    """``(U^H M U, U)`` with U the symmetrical-component unitary.
+    """``(U^H M U, U, "sequence")`` with U the symmetrical-component unitary.
 
     U is block diagonal: ``FORTESCUE`` on each declared phase triple at
     each harmonic, identity on the other channels.  Entries of U^H M U at
@@ -176,7 +208,7 @@ def _sequence_form(model: HssModel, m: sp.csr_array):
     s = (u.conj().T @ m @ u).tocsr()
     s.data[np.abs(s.data) <= REAL_FORM_TOL * np.max(np.abs(m.data), initial=0.0)] = 0.0
     s.eliminate_zeros()
-    return s, u
+    return s, u, "sequence"
 
 
 def _back_map(t: sp.csc_array, rows: np.ndarray, y: np.ndarray):
@@ -196,7 +228,8 @@ def _back_map(t: sp.csc_array, rows: np.ndarray, y: np.ndarray):
 
 
 def _solve_spectrum(model: HssModel, vectors: bool):
-    """``(M, eigenvalues, unit-norm right eigenvectors or None)`` of M = A - j*Omega.
+    """``(M, eigenvalues, unit-norm right eigenvectors or None, partition)``
+    of M = A - j*Omega.
 
     M is returned in CSR.  The spectrum is solved as that of a unitary
     similarity T^H M T, whose eigenvectors map back as v = T y:
@@ -220,14 +253,15 @@ def _solve_spectrum(model: HssModel, vectors: bool):
     even harmonics and at odd ones in real form); only the blocks are
     densified and solved, one LAPACK call each.  The spectrum of a
     block-diagonal matrix is the union of its blocks' spectra, so the
-    split is exact.  Eigenvalues come block by block, and the eigenvectors
-    are returned in CSC, each column storing only the rows ``_back_map``
-    gives its block.
+    split is exact.  Eigenvalues come block by block, in the order of the
+    returned ``Partition``'s index sets, and the eigenvectors are returned
+    in CSC, each column storing only the rows ``_back_map`` gives its block.
     """
     m = _shifted_csr(model)
     n = m.shape[0]
     if n == 0:
-        return m, np.zeros(0, complex), sp.csc_array((0, 0), dtype=complex) if vectors else None
+        v = sp.csc_array((0, 0), dtype=complex) if vectors else None
+        return m, np.zeros(0, complex), v, Partition("complex", ())
     form = _sequence_form(model, m) if model.phase_triples else None
     blocks = _decoupled_blocks(form[0]) if form else None
     if form is None or _largest(blocks) >= _largest(_decoupled_blocks(m)):
@@ -235,7 +269,7 @@ def _solve_spectrum(model: HssModel, vectors: bool):
         parity_blocks = _decoupled_blocks(parity[0])
         if form is None or _largest(blocks) >= _largest(parity_blocks):
             form, blocks = parity, parity_blocks
-    a, t = form
+    a, t, name = form
     t = t.tocsc()
     w = np.empty(n, complex)
     data, indices, counts = [], [], []
@@ -251,11 +285,12 @@ def _solve_spectrum(model: HssModel, vectors: bool):
         else:
             w[cols] = scipy.linalg.eigvals(block, overwrite_a=True)
         start += rows.size
+    partition = Partition(name, tuple(blocks))
     if not vectors:
-        return m, w, None
+        return m, w, None, partition
     indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
     v = sp.csc_array((np.concatenate(data), np.concatenate(indices), indptr), shape=(n, n))
-    return m, w, v
+    return m, w, v, partition
 
 
 def _worst_residual(m: sp.csr_array, w: np.ndarray, v: sp.csc_array) -> float:
@@ -277,20 +312,29 @@ def eigen_decompose(model: HssModel) -> EigenSolution:
     eigenpair is checked against the full complex matrix A - j*Omega, so
     a fault in the block split or the back-mapping cannot pass.
     """
-    m, w, v = _solve_spectrum(model, vectors=True)
+    m, w, v, partition = _solve_spectrum(model, vectors=True)
+    block = _block_ids(partition)
     if w.size == 0:
-        return EigenSolution(w, v, ())
+        return EigenSolution(w, block, partition, v, ())
     worst = _worst_residual(m, w, v)
     if worst > RESIDUAL_TOL:
         raise NumericalError(
             f"eigen decomposition residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} "
             f"(matrix 1-norm condition ~{np.linalg.cond(m.toarray(), 1):.3e})"
         )
-    return EigenSolution(w, v, model.state_labels())
+    return EigenSolution(w, block, partition, v, model.state_labels())
 
 
-def eigenvalues_only(model: HssModel) -> np.ndarray:
-    return _solve_spectrum(model, vectors=False)[1]
+def eigenvalues_only(model: HssModel) -> Spectrum:
+    """Spectrum of the shifted state matrix, without eigenvectors, in solver order."""
+    _, w, _, partition = _solve_spectrum(model, vectors=False)
+    return Spectrum(w, _block_ids(partition), partition)
+
+
+def _block_ids(partition: Partition) -> np.ndarray:
+    """Block of each eigenvalue of a spectrum solved block by block in ``partition``."""
+    sizes = [rows.size for rows in partition.rows]
+    return np.repeat(np.arange(len(sizes)), sizes)
 
 
 def evaluate_htf(
@@ -316,7 +360,7 @@ def evaluate_htf(
         lu, piv = scipy.linalg.lu_factor(m)
     rcond, info = lapack.zgecon(lu, anorm)
     if info != 0 or rcond < 1e-12:
-        eigs = eigenvalues_only(model)
+        eigs = eigenvalues_only(model).eigenvalues
         nearest = eigs[np.argmin(np.abs(eigs - s))] if eigs.size else None
         raise PoleProximityError(
             f"resolvent nearly singular at s={s} (rcond={rcond:.2e}); "
@@ -326,33 +370,112 @@ def evaluate_htf(
     return model.c @ scipy.linalg.lu_solve((lu, piv), e) + f
 
 
-def match_eigenvalues(lam: np.ndarray, lam_other: np.ndarray):
+def _assign(cost: np.ndarray) -> np.ndarray:
+    """Column of each row in a minimum-total-cost assignment of the square,
+    finite ``cost``.
+
+    Each row first takes its nearest column, the first row to claim a
+    column keeping it.  When every row gets its own column this is optimal,
+    since the sum of the row minima bounds every assignment from below.
+    Otherwise those pairs, with row potentials at the row minima, are a
+    dual-feasible partial assignment, and each free row is added along a
+    shortest augmenting path in the reduced costs (Jonker and Volgenant,
+    Computing 38, 1987, in the form of Crouse, IEEE Trans. AES 52, 2016).
+    Every step of a path scans a new column, so a search ends within n
+    steps.
+    """
+    n = cost.shape[0]
+    col4row = cost.argmin(axis=1) if n else np.zeros(0, int)
+    if np.bincount(col4row, minlength=1).max() <= 1:
+        return col4row
+    taken, first = np.unique(col4row, return_index=True)
+    row4col = np.full(n, -1)
+    row4col[taken] = first
+    col4row = np.full(n, -1)
+    col4row[first] = taken
+    u = np.zeros(n)
+    u[first] = cost[first, taken]
+    v = np.zeros(n)
+    for free in np.flatnonzero(col4row < 0):
+        shortest = np.full(n, np.inf)
+        path = np.full(n, -1)
+        scanned = np.zeros(n, bool)
+        visited = []
+        i, low = free, 0.0
+        while True:
+            visited.append(i)
+            r = low + cost[i] - u[i] - v
+            better = (r < shortest) & ~scanned
+            path[better] = i
+            shortest[better] = r[better]
+            reach = np.where(scanned, np.inf, shortest)
+            low = reach.min()
+            if not np.isfinite(low):
+                raise NumericalError("assignment cost matrix is not finite")
+            ties = np.flatnonzero(reach == low)
+            open_ties = ties[row4col[ties] < 0]
+            j = open_ties[0] if open_ties.size else ties[0]
+            scanned[j] = True
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        u[free] += low
+        visited = np.array(visited[1:], int)
+        u[visited] += low - shortest[col4row[visited]]
+        v[scanned] -= low - shortest[scanned]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == free:
+                break
+    return col4row
+
+
+def match_eigenvalues(lam, lam_other):
     """Minimum-total-distance bijection between two equally sized spectra.
 
     Returns ``(perm, total_cost)`` with ``lam[i]`` paired to
-    ``lam_other[perm[i]]``.  Ties are broken deterministically by first
-    sorting both sets lexicographically by (Re, Im).
+    ``lam_other[perm[i]]``.  Either argument is an eigenvalue array or a
+    ``Spectrum``.  When both are ``Spectrum``s solved in equal partitions,
+    block k of one is matched to block k of the other only: an eigenvalue
+    cannot move between decoupled blocks, and one assignment per block
+    never pairs a mode with a ladder copy of another block.  Otherwise one
+    assignment covers the whole spectra.  Ties are broken deterministically
+    by first sorting each matched set lexicographically by (Re, Im).
+    Non-finite eigenvalues raise ``NumericalError``.
     """
-    lam = np.asarray(lam, complex)
-    lam_other = np.asarray(lam_other, complex)
+    blocks = None
+    if isinstance(lam, Spectrum) and isinstance(lam_other, Spectrum):
+        if lam.partition == lam_other.partition:
+            blocks = lam.block, lam_other.block
+    lam, lam_other = (
+        np.asarray(x.eigenvalues if isinstance(x, Spectrum) else x, complex)
+        for x in (lam, lam_other)
+    )
     if lam.shape != lam_other.shape or lam.ndim != 1:
         raise ShapeError(
             f"eigenvalue sets must be 1-D and equally sized, got "
             f"{lam.shape} and {lam_other.shape}"
         )
+    if not (np.isfinite(lam).all() and np.isfinite(lam_other).all()):
+        raise NumericalError("cannot match eigenvalues that are not finite")
     n = lam.size
-    if n == 0:
-        return np.zeros(0, int), 0.0
-    from scipy.optimize import linear_sum_assignment  # its import is slow; only matching needs it
-
-    order_a = np.lexsort((lam.imag, lam.real))
-    order_b = np.lexsort((lam_other.imag, lam_other.real))
-    cost = np.abs(lam[order_a][:, None] - lam_other[order_b][None, :])
-    rows, cols = linear_sum_assignment(cost)
+    if blocks is None:
+        blocks = np.zeros(n, int), np.zeros(n, int)
+    # block by block, each block sorted by (Re, Im); equal partitions give
+    # equal block sizes on both sides
+    order_a = np.lexsort((lam.imag, lam.real, blocks[0]))
+    order_b = np.lexsort((lam_other.imag, lam_other.real, blocks[1]))
+    a, b = lam[order_a], lam_other[order_b]
+    sizes = np.bincount(blocks[0])
+    ends = np.cumsum(sizes)
+    cols = np.empty(n, dtype=int)
+    for start, end in zip(ends - sizes, ends):
+        cols[start:end] = start + _assign(np.abs(a[start:end, None] - b[None, start:end]))
     perm = np.empty(n, dtype=int)
-    perm[order_a[rows]] = order_b[cols]
-    total = float(cost[rows, cols].sum())
-    return perm, total
+    perm[order_a] = order_b[cols]
+    return perm, float(np.abs(a - b[cols]).sum())
 
 
 @dataclass(frozen=True)
@@ -414,7 +537,7 @@ def stability_verdict(
 
 
 def _rebuild_eigenvalues(scenario, like):
-    """Eigenvalues of the analysis model of a scenario (no eigenvectors),
+    """``Spectrum`` of the analysis model of a scenario (no eigenvectors),
     assembled with the pieces of ``like`` it leaves unchanged."""
     return eigenvalues_only(assemble_system(scenario, state_only=True, like=like).model)
 
@@ -454,11 +577,11 @@ def sweep_parameter(
     scenario.resolve_parameter(parameter_path)  # raises if not a numeric scalar
 
     first = assemble_system(scenario.with_parameter(parameter_path, values[0]), state_only=True)
-    spectra = [eigenvalues_only(first.model)]
+    spectra = [eigenvalues_only(first.model).eigenvalues]
     pieces = first.pieces
     del first  # the rebuilds hold the first point's pieces, not its closed loop
     spectra += [
-        _rebuild_eigenvalues(scenario.with_parameter(parameter_path, v), pieces)
+        _rebuild_eigenvalues(scenario.with_parameter(parameter_path, v), pieces).eigenvalues
         for v in values[1:]
     ]
     n = spectra[0].size
@@ -479,7 +602,9 @@ def sweep_parameter(
         threshold = _step_threshold(pair, scale)
         if np.any(pair > threshold) and refine_on_crossing:
             mid_value = 0.5 * (values[k - 1] + values[k])
-            mid = _rebuild_eigenvalues(scenario.with_parameter(parameter_path, mid_value), pieces)
+            mid = _rebuild_eigenvalues(
+                scenario.with_parameter(parameter_path, mid_value), pieces
+            ).eigenvalues
             perm_a, _ = match_eigenvalues(current, mid)
             perm_b, _ = match_eigenvalues(mid[perm_a], nxt)
             perm = perm_b
@@ -518,7 +643,9 @@ class EigenClassification:
     ``solution`` is the nominal decomposition in (Re, Im) order.
     ``control_displacements`` and ``hardware_displacements`` hold the
     maximum matched displacement of each eigenvalue over all sweeps of
-    the respective parameter group (NaN where a sweep failed).
+    the respective parameter group (NaN where a sweep failed); each
+    perturbed eigenvalue is matched within its decoupled block when the
+    rebuild keeps the nominal partition (``match_eigenvalues``).
     """
 
     solution: EigenSolution
@@ -564,8 +691,10 @@ def classify_eigenvalues(
     """Classify eigenvalues by their displacement under parameter sweeps.
 
     Every parameter is perturbed on a relative grid around its nominal
-    value; each perturbed spectrum is matched back to the nominal one and
-    the per-eigenvalue displacement recorded.  An eigenvalue is
+    value; each perturbed spectrum is matched back to the nominal one,
+    block by block while the rebuild keeps the nominal block partition and
+    in one global assignment otherwise (``match_eigenvalues``), and the
+    per-eigenvalue displacement recorded.  An eigenvalue is
     control-design invariant when no control perturbation moves it beyond
     epsilon, and design invariant when the hardware sweeps stay below
     epsilon as well.  Every perturbed rebuild reuses the nominal system's
@@ -598,10 +727,10 @@ def classify_eigenvalues(
                     lam = _rebuild_eigenvalues(sc, pieces)
                 except HssError:
                     return np.full(n, np.nan)
-                if lam.size != n:
+                if lam.eigenvalues.size != n:
                     return np.full(n, np.nan)
-                perm, _ = match_eigenvalues(nominal, lam)
-                disp = np.maximum(disp, np.abs(nominal - lam[perm]))
+                perm, _ = match_eigenvalues(solution, lam)
+                disp = np.maximum(disp, np.abs(nominal - lam.eigenvalues[perm]))
         return disp
 
     ctl_disp = sweep_group(control_parameters)
@@ -648,9 +777,10 @@ def detect_spurious(
 
     The scenario is rebuilt at ``hmax_probe``; both spectra are folded to
     the fundamental strip, and eigenvalues whose nearest folded probe
-    counterpart is farther than delta are flagged spurious.  Eigenvalues
-    whose eigenvector energy sits mostly in the outermost two harmonic
-    blocks are additionally flagged boundary-suspect.
+    counterpart is farther than delta, measured across the strip edges
+    too, are flagged spurious.  Eigenvalues whose eigenvector energy sits
+    mostly in the outermost two harmonic blocks are additionally flagged
+    boundary-suspect.
     """
     hmax = scenario.hmax
     probe = hmax + 3 if hmax_probe is None else int(hmax_probe)
@@ -665,7 +795,7 @@ def detect_spurious(
 
     probe_lam = eigenvalues_only(
         assemble_system(scenario.with_hmax(probe), state_only=True).model
-    )
+    ).eigenvalues
     f1 = index_set.f1
     folded = fold_to_strip(lam, f1).folded
     folded_probe = fold_to_strip(probe_lam, f1).folded
@@ -674,7 +804,15 @@ def detect_spurious(
     tol = 1e-4 * radius if delta is None else float(delta)
 
     if folded_probe.size:
-        dist = np.array([float(np.min(np.abs(folded_probe - x))) for x in folded])
+        # a mode just under +j*pi*f1 lies next to a probe mode folded to just
+        # over -j*pi*f1.  A probe mode's copy one strip up (down) can be
+        # nearer than the probe mode itself only when that probe mode lies
+        # in the lower (upper) half of the strip, so those copies are all
+        # the wrap needs.
+        w1 = 2.0 * np.pi * f1
+        lower, upper = folded_probe[folded_probe.imag < 0], folded_probe[folded_probe.imag > 0]
+        near = np.concatenate((folded_probe, lower + 1j * w1, upper - 1j * w1))
+        dist = np.array([float(np.min(np.abs(near - x))) for x in folded])
     else:
         dist = np.full(lam.shape, np.inf)
     spurious = dist > tol

@@ -80,7 +80,7 @@ def test_02_lti_embedding_ladder():
         model = hss_from_lti(
             a, {"w": np.eye(dim)}, np.eye(dim), {"w": np.zeros((dim, dim))}, iset
         )
-        lam = eigenvalues_only(model)
+        lam = eigenvalues_only(model).eigenvalues
         base = np.linalg.eigvals(a)
         expected = np.concatenate(
             [base - 1j * 2 * np.pi * 50.0 * h for h in iset.orders]
@@ -151,7 +151,7 @@ def test_04_closed_loop_algebra():
     system = assemble_system(scenario)
     ol = system.open_loop.model.dense()
     j = system.interconnection
-    lam = eigenvalues_only(system.model)
+    lam = eigenvalues_only(system.model).eigenvalues
     rng = np.random.default_rng(5)
     worst_fp = 0.0
     checked = 0

@@ -57,7 +57,7 @@ class TestEigenDecompose:
         assert np.max(np.abs(sol.eigenvalues - expected[perm])) < 1e-12 * w1
 
     def test_rlc_closed_form(self, rlc_grid):
-        lam = eigenvalues_only(assemble_system(rlc_grid).model)
+        lam = eigenvalues_only(assemble_system(rlc_grid).model).eigenvalues
         r, l, c = 0.1, 1e-3, 1e-5
         root = -r / (2 * l) + 1j * np.sqrt(1 / (l * c) - (r / (2 * l)) ** 2)
         expected = np.array([root, np.conj(root)] * 3)
@@ -176,7 +176,7 @@ class TestRealFormSolve:
         reference = scipy.linalg.eigvals(m)
 
         calls = spy_solvers(monkeypatch)
-        lam = eigenvalues_only(model)
+        lam = eigenvalues_only(model).eigenvalues
         sol = eigen_decompose(model)
         # one LAPACK call per decoupled block
         for seen in calls.values():
@@ -199,7 +199,7 @@ class TestRealFormSolve:
         expected_v = scipy.linalg.block_diag(*(v / np.linalg.norm(v, axis=0) for _, v in pairs))
 
         calls = spy_solvers(monkeypatch)
-        lam = eigenvalues_only(model)
+        lam = eigenvalues_only(model).eigenvalues
         sol = eigen_decompose(model)
         for seen in calls.values():
             assert seen == [(np.dtype(np.complex128), 3)] * 5
@@ -228,7 +228,7 @@ class TestBlockSolve:
         real = 0.5 * (m.real + mpp.real - m.imag[:, p] + m.imag[p, :])
 
         calls = spy_solvers(monkeypatch)
-        lam = eigenvalues_only(model)
+        lam = eigenvalues_only(model).eigenvalues
         sol = eigen_decompose(model)
         for seen in calls.values():
             assert seen == [(np.dtype(np.float64), 21)]
@@ -292,7 +292,7 @@ class TestBlockSolve:
         assert calls["eig"][0][0] == (COMPLEX if form == "sequence" else REAL)
 
     def test_residual_reads_every_nonzero_row(self):
-        m, w, v = analysis._solve_spectrum(nominal_model("two_node"), vectors=True)
+        m, w, v, _ = analysis._solve_spectrum(nominal_model("two_node"), vectors=True)
         rng = np.random.default_rng(7)
         v = v.copy()
         v.data *= 1.0 + 1e-3 * rng.standard_normal(v.data.shape)  # the same stored entries
@@ -378,7 +378,7 @@ class TestSequenceSolve:
         reference = scipy.linalg.eigvals(m)
 
         calls = spy_solvers(monkeypatch)
-        lam = eigenvalues_only(model)
+        lam = eigenvalues_only(model).eigenvalues
         sol = eigen_decompose(model)
         for seen in calls.values():
             assert len(seen) == count
@@ -438,8 +438,8 @@ class TestSequenceSolve:
 
     def test_matches_parity_solve(self):
         model = nominal_model("four_cider_six_node", 8)
-        lam = eigenvalues_only(model)
-        assert_spectrum_matches(lam, eigenvalues_only(replace(model, phase_triples=())))
+        lam = eigenvalues_only(model).eigenvalues
+        assert_spectrum_matches(lam, eigenvalues_only(replace(model, phase_triples=())).eigenvalues)
 
 
 class TestSpectralOrder:
@@ -452,7 +452,7 @@ class TestSpectralOrder:
 
     @pytest.mark.parametrize("descending", [False, True])
     def test_rounding_perturbation_keeps_order(self, descending):
-        lam = eigenvalues_only(nominal_model("two_node", 8))
+        lam = eigenvalues_only(nominal_model("two_node", 8)).eigenvalues
         rng = np.random.default_rng(6)
         noise = 1e-15 * np.max(np.abs(lam.real)) * rng.standard_normal(lam.size)
         order = analysis.spectral_order(lam, descending)
@@ -521,6 +521,121 @@ class TestMatch:
         with pytest.raises(ShapeError):
             match_eigenvalues(np.zeros(2, complex), np.zeros(3, complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_rejected(self, bad, side):
+        sets = [np.array([1.0, 2.0 + 1j, 3.0]), np.array([1.1, 2.0, 3.0 - 1j])]
+        sets[side][1] = bad
+        with pytest.raises(NumericalError, match="not finite"):
+            match_eigenvalues(*sets)
+
+
+def cost_matrices():
+    """Square cost matrices: random, from a few values (exact ties), with
+    some all-zero rows, of order 0 to 8."""
+    def build(args):
+        n, values, zero_rows = args
+        cost = np.array(values[: n * n], float).reshape(n, n)
+        cost[[r for r in zero_rows if r < n]] = 0.0
+        return cost
+
+    values = st.one_of(
+        st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False),
+        st.sampled_from([0.0, 1.0, 2.0]),
+    )
+    return st.tuples(
+        st.integers(0, 8),
+        st.lists(values, min_size=64, max_size=64),
+        st.lists(st.integers(0, 7), max_size=3),
+    ).map(build)
+
+
+class TestAssign:
+    @given(cost_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_optimal_vs_scipy(self, cost):
+        from scipy.optimize import linear_sum_assignment
+
+        n = cost.shape[0]
+        cols = analysis._assign(cost)
+        assert sorted(cols.tolist()) == list(range(n))
+        rows, ref = linear_sum_assignment(cost)
+        best = cost[rows, ref].sum()
+        assert abs(cost[np.arange(n), cols].sum() - best) <= 1e-12 * max(1.0, best)
+
+    @pytest.mark.parametrize(
+        "cost, cols",
+        [
+            (np.zeros((0, 0)), []),
+            (np.array([[4.0]]), [0]),
+            (np.zeros((3, 3)), [0, 1, 2]),
+            (np.array([[1.0, 2.0], [1.0, 3.0]]), [1, 0]),
+        ],
+    )
+    def test_small_cases(self, cost, cols):
+        assert analysis._assign(cost).tolist() == cols
+
+
+class TestBlockMatch:
+    @pytest.fixture(scope="class")
+    def spectra(self):
+        scenario = scenario_from_dict(load_raw("two_node")).with_hmax(8)
+        nominal = analysis.by_real_part(
+            eigen_decompose(assemble_system(scenario, state_only=True).model)
+        )
+        path = "ciders.0.control.gains.kp"
+        perturbed = scenario.with_parameter(path, 1.1 * scenario.resolve_parameter(path))
+        return nominal, eigenvalues_only(assemble_system(perturbed, state_only=True).model)
+
+    def test_pairs_stay_in_their_block(self, spectra):
+        nominal, other = spectra
+        assert nominal.partition == other.partition
+        assert len(nominal.partition.rows) > 1
+        perm, _ = match_eigenvalues(nominal, other)
+        assert sorted(perm.tolist()) == list(range(nominal.eigenvalues.size))
+        assert np.array_equal(nominal.block, other.block[perm])
+
+    def test_block_match_is_optimal_per_block(self, spectra):
+        nominal, other = spectra
+        perm, total = match_eigenvalues(nominal, other)
+        for k in range(len(nominal.partition.rows)):
+            rows = np.flatnonzero(nominal.block == k)
+            _, cost = match_eigenvalues(
+                nominal.eigenvalues[rows], other.eigenvalues[other.block == k]
+            )
+            assert np.abs(nominal.eigenvalues[rows] - other.eigenvalues[perm[rows]]).sum() == (
+                pytest.approx(cost, rel=1e-12)
+            )
+        assert total == pytest.approx(
+            np.abs(nominal.eigenvalues - other.eigenvalues[perm]).sum(), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("change", ["form", "rows"])
+    def test_unequal_partitions_match_globally(self, spectra, change, monkeypatch):
+        nominal, other = spectra
+        partition = other.partition
+        if change == "form":
+            partition = replace(partition, form="parity")
+        else:
+            partition = replace(partition, rows=partition.rows[::-1])
+        other = replace(other, partition=partition)
+        assert nominal.partition != other.partition
+        sizes = []
+        assign = analysis._assign
+        monkeypatch.setattr(analysis, "_assign", lambda c: sizes.append(c.shape[0]) or assign(c))
+        perm, total = match_eigenvalues(nominal, other)
+        assert sizes == [nominal.eigenvalues.size]
+        expected = match_eigenvalues(nominal.eigenvalues, other.eigenvalues)
+        assert np.array_equal(perm, expected[0]) and total == expected[1]
+
+    def test_partition_equality(self, spectra):
+        partition = spectra[0].partition
+        rows = tuple(r.copy() for r in partition.rows)
+        assert partition == analysis.Partition(partition.form, rows)
+        shifted = (rows[0][:-1], np.append(rows[1], rows[0][-1]), *rows[2:])
+        assert partition != analysis.Partition(partition.form, shifted)
+        assert partition != analysis.Partition(partition.form, rows[:-1])
+
 
 class TestFold:
     def test_exact_multiple(self):
@@ -534,7 +649,7 @@ class TestFold:
 
     def test_ladder_multiplicity(self):
         iset = HarmonicIndexSet(3, 50.0)
-        lam = eigenvalues_only(scalar_lift(-2.0, iset))
+        lam = eigenvalues_only(scalar_lift(-2.0, iset)).eigenvalues
         out = fold_to_strip(lam, 50.0)
         assert len(out.representatives) == 1
         rep, count = out.representatives[0]
@@ -545,7 +660,7 @@ class TestFold:
         # every interior eigenvalue of the exact embedding has a partner one
         # fundamental shift away
         iset = HarmonicIndexSet(4, 50.0)
-        lam = eigenvalues_only(scalar_lift(-3.0, iset))
+        lam = eigenvalues_only(scalar_lift(-3.0, iset)).eigenvalues
         w1 = 2 * np.pi * 50.0
         interior = lam[np.abs(lam.imag) < w1 * (4 - 2)]
         for x in interior:
@@ -574,7 +689,8 @@ class TestVerdict:
     def test_rim_rounding_noise_reads_stable(self, two_node, hmax):
         # the rightmost eigenvalues are rim modes at Re ~ +1e-13, rounding
         # noise on a spectrum whose physical modes sit near -18
-        lam = eigenvalues_only(assemble_system(two_node.with_hmax(hmax), state_only=True).model)
+        model = assemble_system(two_node.with_hmax(hmax), state_only=True).model
+        lam = eigenvalues_only(model).eigenvalues
         verdict = stability_verdict(lam, margin=0.0)
         assert verdict.stable and verdict.n_unstable == 0
 
@@ -717,6 +833,35 @@ class TestSpurious:
         # boundary-suspect set is nonempty: the rotating-frame integrator
         # modes sit at the rim by construction
         assert report.boundary_suspect.any()
+
+    # (edge, offset): Im = edge * pi * f1 + offset
+    @pytest.mark.parametrize(
+        "nominal_at, probe_at", [((1, -1e-3), (1, 1e-3)), ((-1, 1e-3), (1, -1e-3))]
+    )
+    def test_strip_edge_neighbours_are_close(self, nominal_at, probe_at, monkeypatch):
+        # a mode just under the top strip edge +pi*f1 and a probe mode just
+        # over it (folded to just over -pi*f1), or one just over the bottom
+        # edge and a probe mode just under the top one, are 2e-3 apart, not w1
+        scenario = coupled_fixture(3)
+        half = np.pi * scenario.f1
+        decompose, only = analysis.eigen_decompose, analysis.eigenvalues_only
+
+        def at(place, size):
+            return np.full(size, -1.0 + 1j * (place[0] * half + place[1]))
+
+        def nominal(model):
+            sol = decompose(model)
+            return replace(sol, eigenvalues=at(nominal_at, sol.eigenvalues.size))
+
+        def probe(model):
+            spec = only(model)
+            return replace(spec, eigenvalues=at(probe_at, spec.eigenvalues.size))
+
+        monkeypatch.setattr(analysis, "eigen_decompose", nominal)
+        monkeypatch.setattr(analysis, "eigenvalues_only", probe)
+        report = detect_spurious(scenario, hmax_probe=5, delta=0.01)
+        assert np.allclose(report.probe_distance, 2e-3, rtol=1e-6)
+        assert not report.spurious.any()
 
     def test_nominal_system_released_before_probe(self, monkeypatch):
         # the probe assembly at hmax_probe must not share memory with the

@@ -161,8 +161,8 @@ class TestSystemAssembly:
         iset = HarmonicIndexSet(1, 50.0)
         ciders = [assemble_cider(cfg, iset) for cfg in two_node.ciders]
         block = stack_resources(ciders)
-        stacked = eigenvalues_only(block.model.dense())
-        union = np.concatenate([eigenvalues_only(c.model) for c in ciders])
+        stacked = eigenvalues_only(block.model.dense()).eigenvalues
+        union = np.concatenate([eigenvalues_only(c.model).eigenvalues for c in ciders])
         perm, _ = match_eigenvalues(stacked, union)
         scale = np.max(np.abs(union))
         assert np.max(np.abs(stacked - union[perm])) <= 1e-12 * scale
@@ -213,7 +213,7 @@ class TestClosedLoopInvariants:
         j = system.interconnection
         iset = ol.index_set
         rng = np.random.default_rng(3)
-        lam = eigenvalues_only(system.model)
+        lam = eigenvalues_only(system.model).eigenvalues
         for s in (0.5 + 377j, -30.0 + 100j, 2.0 - 950j):
             assert np.min(np.abs(lam - s)) > 1e-3
             g_closed = evaluate_htf(system.model, s, ports=("sigma",))
@@ -256,8 +256,8 @@ class TestClosedLoopInvariants:
             swapped["ciders"][2],
             swapped["ciders"][1],
         ]
-        lam_a = eigenvalues_only(assemble_system(scenario_from_dict(raw)).model)
-        lam_b = eigenvalues_only(assemble_system(scenario_from_dict(swapped)).model)
+        lam_a = eigenvalues_only(assemble_system(scenario_from_dict(raw)).model).eigenvalues
+        lam_b = eigenvalues_only(assemble_system(scenario_from_dict(swapped)).model).eigenvalues
         perm, _ = match_eigenvalues(lam_a, lam_b)
         scale = np.max(np.abs(lam_a))
         assert np.max(np.abs(lam_a - lam_b[perm])) <= 1e-9 * scale

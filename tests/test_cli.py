@@ -209,6 +209,22 @@ class TestValidationErrors:
         assert exc.value.code == 0
         assert "--scenario" in capsys.readouterr().out
 
+    def test_non_finite_rebuild_exit_3(self, monkeypatch, capsys):
+        # a NaN eigenvalue reaching the matcher is a numerical error: exit 3
+        # with the JSON record, never a traceback or a hang
+        only = analysis.eigenvalues_only
+
+        def with_nan(model):
+            spectrum = only(model)
+            lam = spectrum.eigenvalues.copy()
+            lam[0] = np.nan
+            return replace(spectrum, eigenvalues=lam)
+
+        monkeypatch.setattr(analysis, "eigenvalues_only", with_nan)
+        assert run_cli("classify", "--scenario", TWO_NODE, "--hmax", "2") == 3
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "NumericalError" and record["exit_code"] == 3
+
     def test_htf_at_pole_exit_3(self, capsys):
         # s exactly on an RLC eigenvalue
         code = run_cli("htf", "--scenario", RLC, "--s=-50+9999.8749992187j")
@@ -281,6 +297,20 @@ class TestCommands:
         assert code == 0
         header = [l for l in out.read_text().splitlines() if not l.startswith("#")][0]
         assert "spurious_flag" in header
+
+    def test_classify_and_sweep_leave_scipy_optimize_unloaded(self, tmp_path):
+        # eigenvalue matching uses the package's own assignment solver
+        code = (
+            "import sys\n"
+            "from hss_stab.cli import main\n"
+            f"assert main(['classify', '--scenario', {TWO_NODE!r}, '--hmax', '3',"
+            f" '--out', {str(tmp_path / 'c.csv')!r}]) == 0\n"
+            f"assert main(['sweep', '--scenario', {TWO_NODE!r}, '--sweep', 'voltage_kp',"
+            f" '--out', {str(tmp_path / 's.csv')!r}]) == 0\n"
+            "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
 
 
 @pytest.fixture
