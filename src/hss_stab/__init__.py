@@ -4,7 +4,6 @@ from .analysis import (
     EigenClassification,
     EigenSolution,
     EigenTrace,
-    FoldResult,
     Spectrum,
     SpuriousReport,
     StabilityVerdict,
@@ -74,9 +73,8 @@ from .harmonic import (
     sample_series,
     series_from_samples,
     toeplitz_from_fourier,
-    toeplitz_identity,
 )
-from .model import HssModel, hss_from_lti, lift_ltp
+from .model import HssModel, lift_ltp
 from .pipeline import SystemModel, assemble_cider, assemble_system, signal_from_harmonics
 from .references import (
     AffineReference,

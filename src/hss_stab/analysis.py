@@ -343,17 +343,20 @@ def evaluate_htf(
     """Transfer matrix C*(s*I + j*Omega - A)^-1*E + F at the Laplace point s.
 
     ``ports`` selects and orders the disturbance columns (all ports by
-    default).  Points too close to a pole are rejected.
+    default).  s*I - M is formed from the CSR M = A - j*Omega that the
+    eigen solve reads (``_shifted_csr``), and E and F are stacked over the
+    ports in CSR; each is densified once, for the dense LU and its
+    condition estimate.  Points too close to a pole are rejected.
     """
     names = model.ports if ports is None else ports
     unknown = [p for p in names if p not in model.ports]
     if unknown:
         raise ConfigurationError(f"unknown port(s) {unknown}; the model has {list(model.ports)}")
-    e = model.stacked("e", names)
-    f = model.stacked("f", names)
-    m = s * np.eye(model.state_dim) - model.shifted_state_matrix()
-    if m.size == 0:
-        return f.copy()
+    e = _port_stack(model.e, names, model.state_dim)
+    f = _port_stack(model.f, names, model.output_dim)
+    if model.state_dim == 0:
+        return f
+    m = (s * sp.eye_array(model.state_dim, format="csr") - _shifted_csr(model)).toarray()
     anorm = np.linalg.norm(m, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -368,6 +371,13 @@ def evaluate_htf(
             nearest_pole=nearest,
         )
     return model.c @ scipy.linalg.lu_solve((lu, piv), e) + f
+
+
+def _port_stack(mats, names, rows: int) -> np.ndarray:
+    """The ``names`` ports of E or F (``mats``, with ``rows`` rows) side by
+    side, stacked in CSR and densified once."""
+    blocks = [sp.csr_array(mats[p]) for p in names] or [sp.csr_array((rows, 0), dtype=complex)]
+    return sp.hstack(blocks, format="csr").toarray()
 
 
 def _assign(cost: np.ndarray) -> np.ndarray:
@@ -478,31 +488,17 @@ def match_eigenvalues(lam, lam_other):
     return perm, float(np.abs(a - b[cols]).sum())
 
 
-@dataclass(frozen=True)
-class FoldResult:
-    """Spectrum folded to Im in (-pi*f1, +pi*f1], plus merged representatives."""
-
-    folded: np.ndarray
-    representatives: tuple[tuple[complex, int], ...]
-
-
-def fold_to_strip(eigenvalues: np.ndarray, f1: float, merge_tol: float = 1e-9) -> FoldResult:
-    """Translate each eigenvalue by an integer multiple of j*2*pi*f1 into the
-    fundamental strip; the upper boundary is inclusive."""
+def fold_to_strip(eigenvalues: np.ndarray, f1: float) -> np.ndarray:
+    """Each eigenvalue translated by an integer multiple of j*2*pi*f1 into
+    the fundamental strip Im in (-pi*f1, +pi*f1]; the upper boundary is
+    inclusive."""
     if not f1 > 0:
         raise ConfigurationError("f1 must be positive")
     lam = np.asarray(eigenvalues, complex)
     w1 = 2.0 * np.pi * f1
     half = np.pi * f1
     shifts = np.floor((half - lam.imag) / w1)
-    folded = lam + 1j * w1 * shifts
-    reps: list[list] = []
-    for val in folded[np.lexsort((folded.imag, folded.real))]:
-        if reps and abs(val - reps[-1][0]) <= merge_tol:
-            reps[-1][1] += 1
-        else:
-            reps.append([val, 1])
-    return FoldResult(folded, tuple((complex(v), int(c)) for v, c in reps))
+    return lam + 1j * w1 * shifts
 
 
 @dataclass(frozen=True)
@@ -546,7 +542,6 @@ def _rebuild_eigenvalues(scenario, like):
 class EigenTrace:
     """Assignment-matched eigenvalue loci along one parameter sweep."""
 
-    parameter_path: str
     values: tuple[float, ...]
     traces: np.ndarray  # (n_eigenvalues, n_values)
     step_costs: tuple[float, ...]
@@ -559,7 +554,7 @@ def _step_threshold(costs: np.ndarray, scale: float) -> float:
 
 def sweep_parameter(
     scenario,
-    parameter_path: str,
+    path: str,
     values,
     refine_on_crossing: bool = True,
 ) -> EigenTrace:
@@ -574,14 +569,14 @@ def sweep_parameter(
     values = [float(v) for v in values]
     if len(values) < 2:
         raise ConfigurationError("a sweep needs at least 2 parameter values")
-    scenario.resolve_parameter(parameter_path)  # raises if not a numeric scalar
+    scenario.resolve_parameter(path)  # raises if not a numeric scalar
 
-    first = assemble_system(scenario.with_parameter(parameter_path, values[0]), state_only=True)
+    first = assemble_system(scenario.with_parameter(path, values[0]), state_only=True)
     spectra = [eigenvalues_only(first.model).eigenvalues]
     pieces = first.pieces
     del first  # the rebuilds hold the first point's pieces, not its closed loop
     spectra += [
-        _rebuild_eigenvalues(scenario.with_parameter(parameter_path, v), pieces).eigenvalues
+        _rebuild_eigenvalues(scenario.with_parameter(path, v), pieces).eigenvalues
         for v in values[1:]
     ]
     n = spectra[0].size
@@ -603,7 +598,7 @@ def sweep_parameter(
         if np.any(pair > threshold) and refine_on_crossing:
             mid_value = 0.5 * (values[k - 1] + values[k])
             mid = _rebuild_eigenvalues(
-                scenario.with_parameter(parameter_path, mid_value), pieces
+                scenario.with_parameter(path, mid_value), pieces
             ).eigenvalues
             perm_a, _ = match_eigenvalues(current, mid)
             perm_b, _ = match_eigenvalues(mid[perm_a], nxt)
@@ -622,9 +617,7 @@ def sweep_parameter(
         current = nxt[perm]
         traces[:, k] = current
 
-    return EigenTrace(
-        parameter_path, tuple(values), traces, tuple(step_costs), unresolved
-    )
+    return EigenTrace(tuple(values), traces, tuple(step_costs), unresolved)
 
 
 CDV = "CDV"
@@ -653,18 +646,10 @@ class EigenClassification:
     control_displacements: np.ndarray
     hardware_displacements: np.ndarray
     epsilon: float
-    control_parameters: tuple[str, ...]
-    hardware_parameters: tuple[str, ...]
 
     @property
     def eigenvalues(self) -> np.ndarray:
         return self.solution.eigenvalues
-
-    def relabel(self, epsilon: float) -> tuple[str, ...]:
-        """Labels at a different displacement tolerance, same evidence."""
-        return _labels_from_evidence(
-            self.control_displacements, self.hardware_displacements, epsilon
-        )
 
 
 def _labels_from_evidence(ctl_disp, hw_disp, epsilon) -> tuple[str, ...]:
@@ -697,8 +682,9 @@ def classify_eigenvalues(
     per-eigenvalue displacement recorded.  An eigenvalue is
     control-design invariant when no control perturbation moves it beyond
     epsilon, and design invariant when the hardware sweeps stay below
-    epsilon as well.  Every perturbed rebuild reuses the nominal system's
-    unchanged pieces (``assemble_system(like=...)``).
+    epsilon as well.  ``epsilon`` defaults to 1e-6 times the spectral
+    radius; a negative one is rejected.  Every perturbed rebuild reuses the
+    nominal system's unchanged pieces (``assemble_system(like=...)``).
     """
     control_parameters = tuple(control_parameters)
     hardware_parameters = tuple(hardware_parameters)
@@ -706,6 +692,8 @@ def classify_eigenvalues(
         raise ConfigurationError(
             "classification needs non-empty control and hardware parameter sets"
         )
+    if epsilon is not None and not epsilon >= 0:
+        raise ConfigurationError(f"epsilon must be >= 0, got {epsilon}")
     system = assemble_system(scenario, state_only=True)
     solution = by_real_part(eigen_decompose(system.model))
     pieces = system.pieces
@@ -736,15 +724,7 @@ def classify_eigenvalues(
     ctl_disp = sweep_group(control_parameters)
     hw_disp = sweep_group(hardware_parameters)
     labels = _labels_from_evidence(ctl_disp, hw_disp, eps)
-    return EigenClassification(
-        solution,
-        labels,
-        ctl_disp,
-        hw_disp,
-        eps,
-        control_parameters,
-        hardware_parameters,
-    )
+    return EigenClassification(solution, labels, ctl_disp, hw_disp, eps)
 
 
 @dataclass(frozen=True)
@@ -780,12 +760,15 @@ def detect_spurious(
     counterpart is farther than delta, measured across the strip edges
     too, are flagged spurious.  Eigenvalues whose eigenvector energy sits
     mostly in the outermost two harmonic blocks are additionally flagged
-    boundary-suspect.
+    boundary-suspect.  ``delta`` defaults to 1e-4 times the spectral
+    radius; one that is not positive is rejected.
     """
     hmax = scenario.hmax
     probe = hmax + 3 if hmax_probe is None else int(hmax_probe)
     if probe < hmax + 2:
         raise ConfigurationError(f"hmax_probe must be >= hmax + 2 = {hmax + 2}")
+    if delta is not None and not delta > 0:
+        raise ConfigurationError(f"delta must be > 0, got {delta}")
 
     system = assemble_system(scenario, state_only=True)
     sol = by_real_part(eigen_decompose(system.model))
@@ -797,8 +780,8 @@ def detect_spurious(
         assemble_system(scenario.with_hmax(probe), state_only=True).model
     ).eigenvalues
     f1 = index_set.f1
-    folded = fold_to_strip(lam, f1).folded
-    folded_probe = fold_to_strip(probe_lam, f1).folded
+    folded = fold_to_strip(lam, f1)
+    folded_probe = fold_to_strip(probe_lam, f1)
 
     radius = float(np.max(np.abs(lam))) if lam.size else 1.0
     tol = 1e-4 * radius if delta is None else float(delta)

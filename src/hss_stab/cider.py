@@ -27,7 +27,7 @@ from .harmonic import (
     series_from_samples,
     toeplitz_from_fourier,
 )
-from .model import HssModel, check_phase_triples, lift_ltp, stack_models, stacked_phase_triples
+from .model import HssModel, check_phase_triples, lift_ltp, stack_models, stack_phase_triples
 from .references import OperatingPoint, ReferencePlugin, linearize_reference
 
 GRID_FORMING = "grid-forming"
@@ -114,7 +114,7 @@ def stack_blocks(blocks: Sequence[LtpBlock], group: str) -> LtpBlock:
     if len(blocks) == 1:
         return blocks[0]
 
-    def stacked(which: str) -> dict[int, np.ndarray]:
+    def block_series(which: str) -> dict[int, np.ndarray]:
         orders = sorted({h for blk in blocks for h in getattr(blk, which)})
         rows = {"a": "n_states", "b": "n_states", "c": "n_outputs", "d": "n_outputs"}[which]
         cols = {"a": "n_states", "b": "n_inputs", "c": "n_states", "d": "n_inputs"}[which]
@@ -128,10 +128,8 @@ def stack_blocks(blocks: Sequence[LtpBlock], group: str) -> LtpBlock:
         return out
 
     names = tuple(n for blk in blocks for n in blk.resolved_state_names())
-    triples = stacked_phase_triples((blk.n_states, blk.phase_triples) for blk in blocks)
-    return LtpBlock(
-        group, stacked("a"), stacked("b"), stacked("c"), stacked("d"), names, triples
-    )
+    triples = stack_phase_triples((blk.n_states, blk.phase_triples) for blk in blocks)
+    return LtpBlock(group, *(block_series(k) for k in "abcd"), names, triples)
 
 
 @dataclass(frozen=True)

@@ -57,10 +57,6 @@ class HarmonicIndexSet:
             raise ShapeError(f"order {h} outside +-{self.hmax}")
         return h + self.hmax
 
-    def block_slice(self, h: int, dim: int) -> slice:
-        i = self.order_index(h)
-        return slice(i * dim, (i + 1) * dim)
-
 
 def default_sample_count(index_set: HarmonicIndexSet) -> int:
     # 8x oversampling over the Nyquist requirement keeps aliasing of smooth
@@ -98,10 +94,6 @@ class HarmonicSignal:
     def _conjugate_symmetry_error(self) -> float:
         stack = self.coeffs.reshape(self.index_set.count, self.channels)
         return float(np.max(np.abs(stack[::-1] - np.conj(stack))))
-
-    def coeff(self, h: int) -> np.ndarray:
-        """Coefficient vector (one entry per channel) at order h."""
-        return self.coeffs[self.index_set.block_slice(h, self.channels)]
 
     def sample(self, n_samples: int | None = None) -> np.ndarray:
         """Reconstruct one fundamental period on a uniform grid, shape (N, channels)."""
@@ -238,10 +230,6 @@ def toeplitz_from_fourier(
     data = np.broadcast_to(band[r, c], keep.shape)[keep]
     indptr = np.searchsorted(rows, np.arange(count * m + 1))
     return sp.csr_array((data, cols[keep], indptr), shape=(count * m, count * n))
-
-
-def toeplitz_identity(index_set: HarmonicIndexSet, dim: int) -> sp.csr_array:
-    return toeplitz_from_fourier({0: np.eye(dim)}, index_set)
 
 
 def omega_diagonal(index_set: HarmonicIndexSet, block_dim: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigurationError, ShapeError
-from .harmonic import HarmonicIndexSet, node_major_order, omega_diagonal, toeplitz_from_fourier
+from .harmonic import HarmonicIndexSet, node_major_order, toeplitz_from_fourier
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,9 @@ class HssModel:
     exception is the system closed loop that ``assemble_system`` returns,
     which it densifies once (``dense``): its A is mostly zeros too, but
     ``perfbench/checks.py`` reads it as an ndarray, so it stays dense
-    until the benchmark changes with it.  The methods below accept
-    either form.
+    until the benchmark changes with it.  Either form is valid input to
+    the analysis functions: ``evaluate_htf`` and the eigen solve both read
+    A - j*Omega in CSR (``analysis._shifted_csr``).
 
     The state is stacked h-major.  The order of disturbance columns and
     output rows is the builder's to document (the grid lift and the
@@ -109,12 +110,6 @@ class HssModel:
             self, e={p: self.e[p] for p in ports}, f={p: self.f[p] for p in ports}
         )
 
-    def shifted_state_matrix(self) -> np.ndarray:
-        """A - j*Omega, dense: the matrix whose spectrum carries harmonic stability."""
-        m = _dense(self.a).astype(complex)
-        m[np.diag_indices_from(m)] -= 1j * omega_diagonal(self.index_set, self.state_channels)
-        return m
-
     def state_labels(self) -> tuple[tuple[str, int], ...]:
         """(channel name, harmonic order) for every row of the stacked state."""
         return tuple(
@@ -122,21 +117,6 @@ class HssModel:
             for h in self.index_set.orders
             for name in self.state_names
         )
-
-    def stacked(self, which: str, ports: tuple[str, ...] | None = None) -> np.ndarray:
-        """Dense horizontal stack of E or F over the given ports (all ports by default)."""
-        mats = self.e if which == "e" else self.f
-        names = self.ports if ports is None else ports
-        n_rows = self.state_dim if which == "e" else self.output_dim
-        return (
-            np.hstack([_dense(mats[p]) for p in names])
-            if names
-            else np.zeros((n_rows, 0), dtype=complex)
-        )
-
-
-def _dense(mat) -> np.ndarray:
-    return mat.toarray() if sp.issparse(mat) else mat
 
 
 def lift_ltp(
@@ -170,27 +150,6 @@ def lift_ltp(
     )
 
 
-def hss_from_lti(
-    a: np.ndarray,
-    e: Mapping[str, np.ndarray],
-    c: np.ndarray,
-    f: Mapping[str, np.ndarray],
-    index_set: HarmonicIndexSet,
-    state_names: tuple[str, ...] | None = None,
-) -> HssModel:
-    """Lift a constant (LTI) quadruple: every matrix becomes block-diagonal."""
-    a = np.atleast_2d(np.asarray(a))
-    names = state_names or tuple(f"x{i}" for i in range(a.shape[0]))
-    return lift_ltp(
-        {0: a},
-        {p: {0: np.atleast_2d(np.asarray(m))} for p, m in e.items()},
-        {0: np.atleast_2d(np.asarray(c))},
-        {p: {0: np.atleast_2d(np.asarray(m))} for p, m in f.items()},
-        index_set,
-        names,
-    )
-
-
 def check_phase_triples(triples, channels: int, what: str = "model") -> tuple[int, ...]:
     """``triples`` as a sorted tuple, each triple inside ``channels`` and
     disjoint from the others."""
@@ -202,7 +161,7 @@ def check_phase_triples(triples, channels: int, what: str = "model") -> tuple[in
     return triples
 
 
-def stacked_phase_triples(parts) -> tuple[int, ...]:
+def stack_phase_triples(parts) -> tuple[int, ...]:
     """Phase triples of a stack of parts given as (channels, triples) pairs:
     each part's triples move by the channels of the parts before it."""
     out, offset = [], 0
@@ -275,5 +234,5 @@ def stack_models(models) -> HssModel:
             for p in ports
         },
         state_names=tuple(name for m in models for name in m.state_names),
-        phase_triples=stacked_phase_triples((m.state_channels, m.phase_triples) for m in models),
+        phase_triples=stack_phase_triples((m.state_channels, m.phase_triples) for m in models),
     )

@@ -22,14 +22,14 @@ from hss_stab import (
     eigen_decompose,
     eigenvalues_only,
     evaluate_htf,
-    hss_from_lti,
     load_scenario,
     match_eigenvalues,
     sweep_parameter,
     toeplitz_from_fourier,
 )
+from hss_stab.analysis import _labels_from_evidence
 from hss_stab.pipeline import assemble_system
-from tests.conftest import random_stable_lti, scenario_path
+from tests.conftest import lti_model, random_stable_lti, scenario_path, shifted_dense
 from tests.test_grid import random_topology
 from tests.test_harmonic import sample_product_dft
 
@@ -77,9 +77,7 @@ def test_02_lti_embedding_ladder():
         dim = int(rng.integers(1, 9))
         a = random_stable_lti(rng, dim)
         iset = HarmonicIndexSet(hmax, 50.0)
-        model = hss_from_lti(
-            a, {"w": np.eye(dim)}, np.eye(dim), {"w": np.zeros((dim, dim))}, iset
-        )
+        model = lti_model(a, iset)
         lam = eigenvalues_only(model).eigenvalues
         base = np.linalg.eigvals(a)
         expected = np.concatenate(
@@ -162,7 +160,7 @@ def test_04_closed_loop_algebra():
         checked += 1
         g_closed = evaluate_htf(system.model, s, ports=("sigma", "o"))
         n, ny = ol.state_dim, ol.output_dim
-        resolvent = s * np.eye(n) - ol.shifted_state_matrix()
+        resolvent = s * np.eye(n) - shifted_dense(ol)
         w = rng.standard_normal(ol.port_dim("sigma") + ol.port_dim("o"))
         e_w = np.hstack([ol.e["sigma"], ol.e["o"]])
         f_w = np.hstack([ol.f["sigma"], ol.f["o"]])
@@ -255,7 +253,9 @@ def test_07_classification_soundness():
     radius = float(np.max(np.abs(res_dq.eigenvalues)))
     counts = []
     for eps_rel in (1e-5, 1e-7):
-        labels = res_dq.relabel(eps_rel * radius)
+        labels = _labels_from_evidence(
+            res_dq.control_displacements, res_dq.hardware_displacements, eps_rel * radius
+        )
         counts.append(sum(1 for l in labels if l == "DI"))
     di_ok = counts[0] == counts[1] and counts[0] > 0
     verdict(

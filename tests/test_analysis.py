@@ -18,25 +18,23 @@ from hss_stab import (
     eigenvalues_only,
     evaluate_htf,
     fold_to_strip,
-    hss_from_lti,
     match_eigenvalues,
     stability_verdict,
     sweep_parameter,
 )
 from hss_stab import analysis
 from hss_stab.analysis import RESIDUAL_TOL, _labels_from_evidence
+from hss_stab.assembly import close_loop
 from hss_stab.errors import NumericalError
 from hss_stab.harmonic import omega_diagonal
 from hss_stab.model import HssModel, lift_ltp
 from hss_stab.pipeline import assemble_system
-from tests.conftest import load_raw
+from tests.conftest import load_raw, lti_model, shifted_dense
 from hss_stab import scenario_from_dict
 
 
 def scalar_lift(a_val, iset, e=1.0, c=1.0, f=0.0):
-    return hss_from_lti(
-        [[a_val]], {"w": [[e]]}, [[c]], {"w": [[f]]}, iset
-    )
+    return lti_model([[a_val]], iset, e, c, f)
 
 
 class TestEigenDecompose:
@@ -68,11 +66,11 @@ class TestEigenDecompose:
         iset = HarmonicIndexSet(2, 50.0)
         rng = np.random.default_rng(0)
         a = rng.standard_normal((3, 3))
-        model = hss_from_lti(a, {"w": np.eye(3)}, np.eye(3), {"w": np.zeros((3, 3))}, iset)
+        model = lti_model(a, iset)
         sol = eigen_decompose(model)
         v = sol.vectors.toarray()
         assert np.allclose(np.linalg.norm(v, axis=0), 1.0)
-        m = model.shifted_state_matrix()
+        m = shifted_dense(model)
         residual = np.linalg.norm(m @ v - v * sol.eigenvalues, axis=0)
         assert residual.max() <= 1e-8
         assert len(sol.labels) == model.state_dim
@@ -172,7 +170,7 @@ class TestRealFormSolve:
     )
     def test_matches_complex_solver(self, name, hmax, dtype, sizes, monkeypatch):
         model = nominal_model(name, hmax)
-        m = model.shifted_state_matrix()
+        m = shifted_dense(model)
         reference = scipy.linalg.eigvals(m)
 
         calls = spy_solvers(monkeypatch)
@@ -190,8 +188,8 @@ class TestRealFormSolve:
         iset = HarmonicIndexSet(2, 50.0)
         rng = np.random.default_rng(1)
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        model = hss_from_lti(a, {"w": np.eye(3)}, np.eye(3), {"w": np.zeros((3, 3))}, iset)
-        m = model.shifted_state_matrix()
+        model = lti_model(a, iset)
+        m = shifted_dense(model)
         # an LTI lift decouples per harmonic: the complex solver on each block
         blocks = [m[k : k + 3, k : k + 3] for k in range(0, 15, 3)]
         pairs = [scipy.linalg.eig(b) for b in blocks]
@@ -221,7 +219,7 @@ class TestBlockSolve:
         a1 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         series = {0: rng.standard_normal((3, 3)), 1: a1, -1: np.conj(a1)}
         model = lift_ltp(series, {}, {0: np.zeros((0, 3))}, {}, iset, ("x", "y", "z"))
-        m = model.shifted_state_matrix()
+        m = shifted_dense(model)
         # the real form T^H M T as it was built densely before the block split
         p = np.arange(21).reshape(7, 3)[::-1].ravel()
         mpp = m[np.ix_(p, p)]
@@ -242,8 +240,8 @@ class TestBlockSolve:
         # splitting it further would leave block-triangular coupling behind
         iset = HarmonicIndexSet(1, 50.0)
         a = np.array([[-1.0, 0.0], [3.0, -2.0]])
-        model = hss_from_lti(a, {"w": np.eye(2)}, np.eye(2), {"w": np.zeros((2, 2))}, iset)
-        m = model.shifted_state_matrix()
+        model = lti_model(a, iset)
+        m = shifted_dense(model)
 
         calls = spy_solvers(monkeypatch)
         sol = eigen_decompose(model)
@@ -272,7 +270,7 @@ class TestBlockSolve:
         assert_spectrum_matches(
             sol.eigenvalues, np.concatenate([np.linalg.eigvals(b) for b in blocks])
         )
-        assert_valid_vectors(sol, model.shifted_state_matrix())
+        assert_valid_vectors(sol, shifted_dense(model))
 
     @pytest.mark.parametrize("form", ["sequence", "parity"])
     def test_corrupted_back_map_fails_residual(self, form, monkeypatch):
@@ -374,7 +372,7 @@ class TestSequenceSolve:
     )
     def test_coupled_model_matches_dense(self, build, dtype, count, largest, monkeypatch):
         model = assemble_system(build(), state_only=True).model
-        m = model.shifted_state_matrix()
+        m = shifted_dense(model)
         reference = scipy.linalg.eigvals(m)
 
         calls = spy_solvers(monkeypatch)
@@ -393,11 +391,9 @@ class TestSequenceSolve:
         # unitary similarity keeps the spectrum exact
         iset = HarmonicIndexSet(3, 50.0)
         rng = np.random.default_rng(4)
-        model = hss_from_lti(
-            rng.standard_normal((4, 4)), {"w": np.eye(4)}, np.eye(4), {"w": np.zeros((4, 4))}, iset
-        )
+        model = lti_model(rng.standard_normal((4, 4)), iset)
         model = replace(model, phase_triples=(1,))
-        m = model.shifted_state_matrix()
+        m = shifted_dense(model)
 
         calls = spy_solvers(monkeypatch)
         sol = eigen_decompose(model)
@@ -480,6 +476,15 @@ class TestHtf:
         model = scalar_lift(-1.0, iset, e=0.0, f=5.0)
         for s in (0.0, 1.0 + 2j, -3.0):
             assert np.allclose(evaluate_htf(model, s), 5.0 * np.eye(3))
+
+    @pytest.mark.parametrize("name", ["two_node", "four_cider_six_node"])
+    def test_csr_and_dense_models_agree_bitwise(self, name):
+        # the closed loop as close_loop returns it, in CSR, and its dense copy
+        system = assemble_system(scenario_from_dict(load_raw(name)).with_hmax(4))
+        csr = close_loop(system.open_loop.model, system.interconnection).model
+        assert set(csr.ports) == {"sigma", "o"}
+        for s in (1 + 6j, 10 + 100j, -30 + 100j):
+            assert np.array_equal(evaluate_htf(csr, s), evaluate_htf(csr.dense(), s))
 
     def test_pole_proximity_error(self):
         iset = HarmonicIndexSet(1, 50.0)
@@ -639,22 +644,19 @@ class TestBlockMatch:
 
 class TestFold:
     def test_exact_multiple(self):
-        out = fold_to_strip(np.array([-1.0 + 1j * 2 * np.pi * 50 * 3]), 50.0)
-        assert abs(out.folded[0] - (-1.0)) < 1e-12
+        folded = fold_to_strip(np.array([-1.0 + 1j * 2 * np.pi * 50 * 3]), 50.0)
+        assert abs(folded[0] - (-1.0)) < 1e-12
 
     def test_boundary_inclusive(self):
         lam = -1.0 + 1j * np.pi * 50.0
-        out = fold_to_strip(np.array([lam]), 50.0)
-        assert out.folded[0] == lam
+        assert fold_to_strip(np.array([lam]), 50.0)[0] == lam
 
     def test_ladder_multiplicity(self):
         iset = HarmonicIndexSet(3, 50.0)
         lam = eigenvalues_only(scalar_lift(-2.0, iset)).eigenvalues
-        out = fold_to_strip(lam, 50.0)
-        assert len(out.representatives) == 1
-        rep, count = out.representatives[0]
-        assert count == 7
-        assert abs(rep - (-2.0)) < 1e-9
+        folded = fold_to_strip(lam, 50.0)
+        assert folded.shape == (7,)
+        assert np.max(np.abs(folded - (-2.0))) < 1e-9
 
     def test_interior_ladder_consistency(self):
         # every interior eigenvalue of the exact embedding has a partner one
@@ -682,7 +684,7 @@ class TestVerdict:
     def test_invariant_under_folding(self):
         rng = np.random.default_rng(6)
         lam = rng.standard_normal(20) * 1e-3 + 1j * rng.uniform(-2000, 2000, 20)
-        folded = fold_to_strip(lam, 50.0).folded
+        folded = fold_to_strip(lam, 50.0)
         assert stability_verdict(lam).stable == stability_verdict(folded).stable
 
     @pytest.mark.parametrize("hmax", [5, 8])

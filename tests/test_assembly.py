@@ -23,7 +23,7 @@ from hss_stab import (
     scenario_from_dict,
 )
 from hss_stab.pipeline import assemble_system
-from tests.conftest import load_raw, scenario_path
+from tests.conftest import load_raw, scenario_path, shifted_dense
 
 
 class TestInterconnection:
@@ -219,7 +219,7 @@ class TestClosedLoopInvariants:
             g_closed = evaluate_htf(system.model, s, ports=("sigma",))
             # direct solve of the open-loop fixed point
             n, ny = ol.state_dim, ol.output_dim
-            resolvent = s * np.eye(n) - ol.shifted_state_matrix()
+            resolvent = s * np.eye(n) - shifted_dense(ol)
             w_sigma = rng.standard_normal(ol.port_dim("sigma"))
             x_of_y = np.linalg.solve(
                 resolvent, ol.e["gamma"] @ j

@@ -24,7 +24,6 @@ from hss_stab import (
     signal_from_harmonics,
     stack_blocks,
     toeplitz_from_fourier,
-    toeplitz_identity,
 )
 from hss_stab.model import HssModel
 from hss_stab.references import VfReference
@@ -208,7 +207,7 @@ def vf_identity_cider(iset, k=2.0, kp_only=True):
     plugin = VfReference(channels=1, d_rho=1)
     w_pi = signal_from_harmonics({}, 1, iset)
     w_sigma = signal_from_harmonics({0: np.array([1.0])}, 1, iset)
-    ctl_frame_op = toeplitz_identity(iset, 1)
+    ctl_frame_op = toeplitz_from_fourier({0: np.eye(1)}, iset)
     op = make_operating_point(plugin, ctl_frame_op, w_pi, w_sigma, iset)
     return internal, plugin, transforms, ctl_frame_op, op
 

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ class TestEig:
 
     def test_fail_on_unstable(self, tmp_path):
         # negative gain makes the toy plant unstable: eigenvalue at +|k|
-        raw = json.loads(open(TOY).read())
+        raw = json.loads(Path(TOY).read_text())
         raw["ciders"][0]["control"][0]["d"]["0"] = [
             [-2.0, 0.0, 0.0],
             [0.0, -2.0, 0.0],
@@ -106,7 +107,7 @@ class TestValidationErrors:
         assert code == 2
 
     def test_classify_missing_hardware_exit_2(self, tmp_path, capsys):
-        raw = json.loads(open(RLC).read())
+        raw = json.loads(Path(RLC).read_text())
         raw["analysis"] = {"stability_margin": raw["analysis"]["stability_margin"]}
         p = tmp_path / "no_params.json"
         p.write_text(json.dumps(raw))
@@ -123,7 +124,7 @@ class TestValidationErrors:
 
     def test_shape_error_exit_2(self, tmp_path, capsys):
         # hardware block 'plant' gets a C with one column more than it has states
-        raw = json.loads(open(TOY).read())
+        raw = json.loads(Path(TOY).read_text())
         plant = next(b for b in raw["ciders"][0]["hardware"] if b["name"] == "plant")
         for row in plant["c"]["0"]:
             row.append(0.0)
@@ -136,7 +137,7 @@ class TestValidationErrors:
 
     def test_reference_width_mismatch_exit_2(self, tmp_path, capsys):
         # the vf reference still gives 3 channels; the control now takes 2 reference inputs
-        raw = json.loads(open(TOY).read())
+        raw = json.loads(Path(TOY).read_text())
         raw["ciders"][0]["routing"]["ctl_inputs"][2] = {"kind": "measurement", "meas": 2}
         p = tmp_path / "narrow_ref.json"
         p.write_text(json.dumps(raw))
@@ -165,6 +166,9 @@ class TestValidationErrors:
             ("htf", "--scenario", RLC, "--s", "nan"),
             ("htf", "--scenario", RLC, "--s", "1+infj"),
             ("htf", "--scenario", RLC, "--s", "1+6j", "--port", "nope"),
+            ("classify", "--scenario", RLC, "--epsilon", "-1"),
+            ("spurious", "--scenario", RLC, "--delta", "0"),
+            ("spurious", "--scenario", RLC, "--delta", "-1"),
         ],
         ids=[
             "htf-s",
@@ -182,10 +186,27 @@ class TestValidationErrors:
             "htf-s-nan",
             "htf-s-inf-imag",
             "htf-unknown-port",
+            "classify-epsilon-negative",
+            "spurious-delta-zero",
+            "spurious-delta-negative",
         ],
     )
     def test_malformed_number_exit_2(self, argv, capsys):
         assert run_cli(*argv) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigurationError"
+        assert record["exit_code"] == 2
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("classify", "classification_tolerance", -1.0), ("spurious", "spurious_tolerance", 0.0)],
+    )
+    def test_scenario_tolerance_out_of_range_exit_2(self, command, key, value, tmp_path, capsys):
+        raw = json.loads(Path(RLC).read_text())
+        raw["analysis"][key] = value
+        p = tmp_path / "tolerance.json"
+        p.write_text(json.dumps(raw))
+        assert run_cli(command, "--scenario", str(p)) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "ConfigurationError"
         assert record["exit_code"] == 2

@@ -8,18 +8,17 @@ from hss_stab import (
     ShapeError,
     eigen_decompose,
     evaluate_htf,
-    hss_from_lti,
     match_eigenvalues,
 )
 from hss_stab.model import block_diag_csr, lift_ltp, stack_models
-from tests.conftest import random_stable_lti
+from tests.conftest import lti_model, random_stable_lti
 
 
 def test_lti_lift_ladder():
     rng = np.random.default_rng(0)
     a = random_stable_lti(rng, 4)
     iset = HarmonicIndexSet(2, 50.0)
-    model = hss_from_lti(a, {"w": np.eye(4)}, np.eye(4), {"w": np.zeros((4, 4))}, iset)
+    model = lti_model(a, iset)
     sol = eigen_decompose(model)
     base = np.linalg.eigvals(a)
     expected = np.concatenate([base - 1j * 2 * np.pi * 50.0 * h for h in iset.orders])
@@ -30,10 +29,7 @@ def test_lti_lift_ladder():
 
 def test_state_labels_h_major():
     iset = HarmonicIndexSet(1, 50.0)
-    model = hss_from_lti(
-        -np.eye(2), {"w": np.eye(2)}, np.eye(2), {"w": np.zeros((2, 2))}, iset,
-        state_names=("x", "y"),
-    )
+    model = lti_model(-np.eye(2), iset, state_names=("x", "y"))
     labels = model.state_labels()
     assert labels[0] == ("x", -1)
     assert labels[1] == ("y", -1)

@@ -10,10 +10,15 @@ from hss_stab import (
     linearize_reference,
     make_operating_point,
     signal_from_harmonics,
-    toeplitz_identity,
     toeplitz_from_fourier,
 )
 from hss_stab.harmonic import default_sample_count
+from tests.conftest import coeff
+
+
+def grid_frame(iset):
+    """Lift of the identity map from the grid frame to the control frame."""
+    return toeplitz_from_fourier({0: np.eye(2)}, iset)
 
 
 def alpha_beta_voltage(iset, v_peak=325.0):
@@ -28,7 +33,7 @@ def make_pq_op(iset, p=5000.0, q=1000.0, v_peak=325.0):
     plugin = PqReference()
     w_pi = alpha_beta_voltage(iset, v_peak)
     w_sigma = signal_from_harmonics({0: np.array([p, q])}, 2, iset)
-    op = make_operating_point(plugin, toeplitz_identity(iset, 2), w_pi, w_sigma, iset)
+    op = make_operating_point(plugin, grid_frame(iset), w_pi, w_sigma, iset)
     return plugin, op
 
 
@@ -50,7 +55,7 @@ class TestVf:
         plugin = VfReference(channels=2, d_rho=2)
         w_pi = alpha_beta_voltage(iset)
         w_sigma = signal_from_harmonics({0: np.array([325.0, 0.0])}, 2, iset)
-        op = make_operating_point(plugin, toeplitz_identity(iset, 2), w_pi, w_sigma, iset)
+        op = make_operating_point(plugin, grid_frame(iset), w_pi, w_sigma, iset)
         r_rho, r_sigma = linearize_reference(plugin, op, iset)
         assert not r_rho.toarray().any()
         assert np.max(np.abs(r_sigma.toarray() - np.eye(iset.count * 2))) < 1e-12
@@ -63,7 +68,7 @@ class TestAffine:
         plugin = AffineReference(m, np.zeros((2, 2)))
         w_pi = alpha_beta_voltage(iset)
         w_sigma = signal_from_harmonics({}, 2, iset)
-        op = make_operating_point(plugin, toeplitz_identity(iset, 2), w_pi, w_sigma, iset)
+        op = make_operating_point(plugin, grid_frame(iset), w_pi, w_sigma, iset)
         r_rho, _ = linearize_reference(plugin, op, iset)
         assert np.max(np.abs(r_rho.toarray() - np.kron(np.eye(iset.count), m))) < 1e-12
 
@@ -111,7 +116,7 @@ class TestPq:
             iset,
         )
         w_sigma = signal_from_harmonics({0: np.array([5000.0, 1000.0])}, 2, iset)
-        op = make_operating_point(plugin, toeplitz_identity(iset, 2), w_pi, w_sigma, iset)
+        op = make_operating_point(plugin, grid_frame(iset), w_pi, w_sigma, iset)
         r_rho, _ = linearize_reference(plugin, op, iset)
         offsets = block_offsets(r_rho, iset, (2, 2), tol=1e-8)
         assert {-2, 2} <= offsets
@@ -133,7 +138,7 @@ class TestPq:
             iset,
         )
         w_sigma = signal_from_harmonics({0: np.array([5000.0, 1000.0])}, 2, iset)
-        op = make_operating_point(plugin, toeplitz_identity(iset, 2), w_pi, w_sigma, iset)
+        op = make_operating_point(plugin, grid_frame(iset), w_pi, w_sigma, iset)
         r_rho, _ = linearize_reference(plugin, op, iset)
         offsets = block_offsets(r_rho, iset, (2, 2), tol=1e-8)
         assert {0, -1, 1, -2, 2} <= offsets
@@ -145,8 +150,8 @@ class TestPq:
         plugin = PqReference()
         w_pi = signal_from_harmonics({0: np.array([325.0, 20.0])}, 2, iset)
         w_sigma = signal_from_harmonics({0: np.array([5000.0, 1000.0])}, 2, iset)
-        op = make_operating_point(plugin, toeplitz_identity(iset, 2), w_pi, w_sigma, iset)
-        v, pq = op.w_rho.coeff(0).real[None], op.w_sigma.coeff(0).real[None]
+        op = make_operating_point(plugin, grid_frame(iset), w_pi, w_sigma, iset)
+        v, pq = coeff(op.w_rho, 0).real[None], coeff(op.w_sigma, 0).real[None]
         for lift, jac in zip(
             linearize_reference(plugin, op, iset), (plugin.jac_rho(v, pq), plugin.jac_sigma(v, pq))
         ):
@@ -160,7 +165,7 @@ class TestPq:
         w_pi = signal_from_harmonics({}, 2, iset)  # zero trajectory
         w_sigma = signal_from_harmonics({0: np.array([100.0, 0.0])}, 2, iset)
         with pytest.raises(SingularOperatingPointError):
-            make_operating_point(plugin, toeplitz_identity(iset, 2), w_pi, w_sigma, iset)
+            make_operating_point(plugin, grid_frame(iset), w_pi, w_sigma, iset)
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-4])
     def test_small_signal_first_order(self, eps):
