@@ -67,7 +67,6 @@ from .harmonic import (
     HarmonicIndexSet,
     HarmonicSignal,
     default_sample_count,
-    fourier_from_samples,
     node_major_order,
     omega_diagonal,
     sample_series,
@@ -78,11 +77,8 @@ from .model import HssModel, lift_ltp
 from .pipeline import SystemModel, assemble_cider, assemble_system, signal_from_harmonics
 from .references import (
     AffineReference,
-    OperatingPoint,
     PqReference,
     ReferencePlugin,
-    VfReference,
-    linearize_reference,
     make_operating_point,
 )
 from .runner import ResultSet, export_results, run_command

@@ -343,15 +343,19 @@ def evaluate_htf(
     """Transfer matrix C*(s*I + j*Omega - A)^-1*E + F at the Laplace point s.
 
     ``ports`` selects and orders the disturbance columns (all ports by
-    default).  s*I - M is formed from the CSR M = A - j*Omega that the
-    eigen solve reads (``_shifted_csr``), and E and F are stacked over the
-    ports in CSR; each is densified once, for the dense LU and its
-    condition estimate.  Points too close to a pole are rejected.
+    default), each port at most once.  s*I - M is formed from the CSR
+    M = A - j*Omega that the eigen solve reads (``_shifted_csr``), and E and
+    F are stacked over the ports in CSR; each is densified once, for the
+    dense LU and its condition estimate.  Points too close to a pole are
+    rejected.
     """
     names = model.ports if ports is None else ports
     unknown = [p for p in names if p not in model.ports]
     if unknown:
         raise ConfigurationError(f"unknown port(s) {unknown}; the model has {list(model.ports)}")
+    repeated = sorted({p for p in names if names.count(p) > 1})
+    if repeated:
+        raise ConfigurationError(f"port(s) {repeated} given more than once")
     e = _port_stack(model.e, names, model.state_dim)
     f = _port_stack(model.f, names, model.output_dim)
     if model.state_dim == 0:
@@ -544,7 +548,6 @@ class EigenTrace:
 
     values: tuple[float, ...]
     traces: np.ndarray  # (n_eigenvalues, n_values)
-    step_costs: tuple[float, ...]
     unresolved: np.ndarray  # bool, (n_eigenvalues, n_values - 1)
 
 
@@ -552,12 +555,7 @@ def _step_threshold(costs: np.ndarray, scale: float) -> float:
     return max(10.0 * float(np.median(costs)), 1e-12 * scale)
 
 
-def sweep_parameter(
-    scenario,
-    path: str,
-    values,
-    refine_on_crossing: bool = True,
-) -> EigenTrace:
+def sweep_parameter(scenario, path: str, values) -> EigenTrace:
     """Trace eigenvalue loci over a parameter sweep with assignment matching.
 
     Consecutive spectra are matched by the assignment solver; a step whose
@@ -587,37 +585,29 @@ def sweep_parameter(
     traces = np.empty((n, len(values)), complex)
     traces[:, 0] = spectra[0][order0]
     unresolved = np.zeros((n, len(values) - 1), bool)
-    step_costs = []
 
     current = traces[:, 0]
     for k in range(1, len(values)):
         nxt = spectra[k]
-        perm, total = match_eigenvalues(current, nxt)
+        perm, _ = match_eigenvalues(current, nxt)
         pair = np.abs(current - nxt[perm])
-        threshold = _step_threshold(pair, scale)
-        if np.any(pair > threshold) and refine_on_crossing:
+        if np.any(pair > _step_threshold(pair, scale)):
             mid_value = 0.5 * (values[k - 1] + values[k])
             mid = _rebuild_eigenvalues(
                 scenario.with_parameter(path, mid_value), pieces
             ).eigenvalues
             perm_a, _ = match_eigenvalues(current, mid)
-            perm_b, _ = match_eigenvalues(mid[perm_a], nxt)
-            perm = perm_b
+            perm, _ = match_eigenvalues(mid[perm_a], nxt)
             pair_a = np.abs(current - mid[perm_a])
-            pair_b = np.abs(mid[perm_a] - nxt[perm_b])
+            pair_b = np.abs(mid[perm_a] - nxt[perm])
             bad = (pair_a > _step_threshold(pair_a, scale)) | (
                 pair_b > _step_threshold(pair_b, scale)
             )
             unresolved[:, k - 1] = bad
-            pair = np.abs(current - nxt[perm])
-            total = float(pair.sum())
-        elif np.any(pair > threshold):
-            unresolved[:, k - 1] = pair > threshold
-        step_costs.append(float(total))
         current = nxt[perm]
         traces[:, k] = current
 
-    return EigenTrace(tuple(values), traces, tuple(step_costs), unresolved)
+    return EigenTrace(tuple(values), traces, unresolved)
 
 
 CDV = "CDV"
@@ -732,13 +722,12 @@ class SpuriousReport:
     """Truncation-artefact detection by probing a finer harmonic grid.
 
     ``solution`` is the nominal decomposition in (Re, Im) order; the flags
-    and distances follow that order.
+    follow that order.
     """
 
     solution: EigenSolution
     spurious: np.ndarray  # probe-convergence failures
     boundary_suspect: np.ndarray  # eigenvector energy concentrated at the rim
-    probe_distance: np.ndarray
     delta: float
     hmax: int
     hmax_probe: int
@@ -808,4 +797,4 @@ def detect_spurious(
     else:
         boundary = np.zeros(lam.shape, bool)
 
-    return SpuriousReport(sol, spurious, boundary, dist, tol, hmax, probe)
+    return SpuriousReport(sol, spurious, boundary, tol, hmax, probe)

@@ -28,10 +28,6 @@ from .harmonic import (
     toeplitz_from_fourier,
 )
 from .model import HssModel, check_phase_triples, lift_ltp, stack_models, stack_phase_triples
-from .references import OperatingPoint, ReferencePlugin, linearize_reference
-
-GRID_FORMING = "grid-forming"
-GRID_FOLLOWING = "grid-following"
 
 
 @dataclass(frozen=True)
@@ -350,42 +346,36 @@ class CiderHss:
 
     The o port acts on col(w_kappa, w_pi, w_sigma), the operating-point
     trajectories of the reference, the grid-side disturbance and the
-    setpoint (``OperatingPoint``), in that column order.
+    setpoint, in that column order.
     """
 
     node_id: str
-    kind: str
     model: HssModel
-    operating_point: OperatingPoint | None
 
 
 def assemble_cider_hss(
     internal: HssModel,
-    plugin: ReferencePlugin,
+    r_rho: sp.csr_array,
+    r_sigma: sp.csr_array,
     transforms: CiderTransforms,
     ctl_frame_op: sp.csr_array,
-    operating_point: OperatingPoint,
     index_set: HarmonicIndexSet,
     node_id: str,
-    kind: str,
 ) -> CiderHss:
     """Combine internal response, reference small-signal model and transforms.
 
-    ``internal`` comes from ``assemble_internal_response`` and
-    ``ctl_frame_op`` is the lift T_kp of ``transforms.hw_to_ctl``, the one
-    the operating point was made with.  With K = R_rho T_kp, one port map
-    takes a disturbance pair (X_pi, X_kappa) of E, or of F through the
-    output map, to the ports
+    ``internal`` comes from ``assemble_internal_response``, ``r_rho`` and
+    ``r_sigma`` from ``make_operating_point``, and ``ctl_frame_op`` is the
+    lift T_kp of ``transforms.hw_to_ctl``, the one the reference lifts were
+    made with.  With K = R_rho T_kp, one port map takes a disturbance pair
+    (X_pi, X_kappa) of E, or of F through the output map, to the ports
 
         gamma = (X_pi + X_kappa K) T_pg
         sigma = X_kappa R_sigma
         o     = [X_kappa | -X_kappa K | -X_kappa R_sigma]
     """
-    if kind not in (GRID_FORMING, GRID_FOLLOWING):
-        raise ConfigurationError(f"unknown resource kind '{kind}'")
     t_pg = toeplitz_from_fourier(transforms.grid_to_hw, index_set)
     out_map = transforms.output_map(index_set)
-    r_rho, r_sigma = linearize_reference(plugin, operating_point, index_set)
 
     count = index_set.count
     d_pi = internal.port_dim("pi") // count
@@ -430,7 +420,7 @@ def assemble_cider_hss(
         state_names=tuple(f"{node_id}.{n}" for n in internal.state_names),
         phase_triples=internal.phase_triples,
     )
-    return CiderHss(node_id, kind, model, operating_point)
+    return CiderHss(node_id, model)
 
 
 def make_zero_injection(
@@ -450,7 +440,7 @@ def make_zero_injection(
         f={"gamma": zeros(n, n), "sigma": zeros(n, 0), "o": zeros(n, 0)},
         state_names=(),
     )
-    return CiderHss(node_id, GRID_FOLLOWING, model, None)
+    return CiderHss(node_id, model)
 
 
 def park_series(theta0: float = 0.0) -> dict[int, np.ndarray]:

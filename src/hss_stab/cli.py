@@ -83,12 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--values", type=_comma_list(float), default=None, help="comma-separated values"
             )
-            p.add_argument(
-                "--no-refine",
-                dest="refine_on_crossing",
-                action="store_false",
-                help="disable step bisection near suspected crossings",
-            )
         if name == "classify":
             for kind in ("control", "hardware"):
                 p.add_argument(

@@ -20,10 +20,6 @@ from .errors import ConfigurationError, ShapeError
 
 #: coefficients produced by exact constructions must match to this
 CONSTRUCTION_TOL = 1e-14
-#: sampled/DFT-based oracles are trusted to this accuracy
-NUMERIC_TOL = 1e-9
-#: absolute tolerance for the conjugate-symmetry (real signal) check
-CONJ_SYM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,6 @@ class HarmonicSignal:
     index_set: HarmonicIndexSet
     channels: int
     coeffs: np.ndarray
-    real_valued: bool = False
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=complex).reshape(-1)
@@ -83,17 +78,6 @@ class HarmonicSignal:
             raise ShapeError(
                 f"coefficient vector has length {coeffs.shape[0]}, expected {expected}"
             )
-        if self.real_valued:
-            err = self._conjugate_symmetry_error()
-            if err > CONJ_SYM_TOL:
-                raise ShapeError(
-                    f"signal flagged real-valued but X(-h) != conj(X(+h)); "
-                    f"max deviation {err:.3e}"
-                )
-
-    def _conjugate_symmetry_error(self) -> float:
-        stack = self.coeffs.reshape(self.index_set.count, self.channels)
-        return float(np.max(np.abs(stack[::-1] - np.conj(stack))))
 
     def sample(self, n_samples: int | None = None) -> np.ndarray:
         """Reconstruct one fundamental period on a uniform grid, shape (N, channels)."""
@@ -103,40 +87,7 @@ class HarmonicSignal:
         phases = np.exp(
             2j * np.pi * self.index_set.f1 * np.outer(t, self.index_set.orders)
         )
-        out = phases @ stack
-        if self.real_valued:
-            return out.real
-        return out
-
-
-def fourier_from_samples(samples: np.ndarray, index_set: HarmonicIndexSet) -> HarmonicSignal:
-    """DFT of uniform samples over exactly one fundamental period.
-
-    ``samples`` has shape (N,) or (N, channels); N must be at least twice
-    the number of retained orders.  Real input yields a signal flagged
-    conjugate-symmetric.
-    """
-    samples = np.asarray(samples)
-    if samples.ndim == 1:
-        samples = samples[:, None]
-    if samples.ndim != 2:
-        raise ShapeError(f"samples must be 1-D or 2-D, got shape {samples.shape}")
-    n, channels = samples.shape
-    if n < 2 * index_set.count:
-        raise ShapeError(
-            f"{n} samples insufficient for hmax={index_set.hmax}; "
-            f"need at least {2 * index_set.count}"
-        )
-    real_input = not np.iscomplexobj(samples)
-    spec = np.fft.fft(samples, axis=0) / n
-    stack = np.empty((index_set.count, channels), dtype=complex)
-    for h in index_set.orders:
-        stack[index_set.order_index(h)] = spec[h % n]
-    if real_input:
-        # the FFT of real samples is conjugate-symmetric only up to rounding;
-        # symmetrise so the real-signal invariant holds exactly
-        stack = 0.5 * (stack + np.conj(stack[::-1]))
-    return HarmonicSignal(index_set, channels, stack.reshape(-1), real_valued=real_input)
+        return phases @ stack
 
 
 def series_from_samples(

@@ -40,7 +40,7 @@ def signal_from_harmonics(
 
 def assemble_cider(config: CiderConfig, index_set: HarmonicIndexSet) -> CiderHss:
     """Build the grid response of one configured resource; the one lift of
-    ``hw_to_ctl`` serves both the operating point and the grid response."""
+    ``hw_to_ctl`` serves both the reference lifts and the grid response."""
     internal = assemble_internal_response(
         config.hardware,
         config.control,
@@ -53,16 +53,9 @@ def assemble_cider(config: CiderConfig, index_set: HarmonicIndexSet) -> CiderHss
     ctl_frame_op = toeplitz_from_fourier(config.transforms.hw_to_ctl, index_set)
     w_pi = signal_from_harmonics(config.w_pi, config.w_pi_channels, index_set)
     w_sigma = signal_from_harmonics(config.setpoint, config.setpoint_channels, index_set)
-    op = make_operating_point(config.plugin, ctl_frame_op, w_pi, w_sigma, index_set)
+    r_rho, r_sigma = make_operating_point(config.plugin, ctl_frame_op, w_pi, w_sigma, index_set)
     return assemble_cider_hss(
-        internal,
-        config.plugin,
-        config.transforms,
-        ctl_frame_op,
-        op,
-        index_set,
-        config.node_id,
-        config.kind,
+        internal, r_rho, r_sigma, config.transforms, ctl_frame_op, index_set, config.node_id
     )
 
 

@@ -9,8 +9,6 @@ arrays (``toeplitz_from_fourier``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -24,8 +22,6 @@ from .harmonic import (
     HarmonicIndexSet,
     HarmonicSignal,
     default_sample_count,
-    fourier_from_samples,
-    sample_series,
     series_from_samples,
     toeplitz_from_fourier,
 )
@@ -38,10 +34,9 @@ class ReferencePlugin:
     time axis and must be pure functions.
     """
 
-    #: (dim of control-frame grid disturbance, dim of setpoint, dim of reference)
+    #: (dim of control-frame grid disturbance, dim of setpoint)
     d_rho: int
     d_sigma: int
-    n_ref: int
 
     def evaluate(self, w_rho: np.ndarray, w_sigma: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -53,26 +48,6 @@ class ReferencePlugin:
         raise NotImplementedError
 
 
-class VfReference(ReferencePlugin):
-    """Grid-forming voltage reference: the setpoint is passed through."""
-
-    def __init__(self, channels: int = 2, d_rho: int = 2):
-        self.d_rho = d_rho
-        self.d_sigma = channels
-        self.n_ref = channels
-
-    def evaluate(self, w_rho, w_sigma):
-        return np.array(w_sigma, copy=True)
-
-    def jac_rho(self, w_rho, w_sigma):
-        n = w_rho.shape[0]
-        return np.zeros((n, self.n_ref, self.d_rho))
-
-    def jac_sigma(self, w_rho, w_sigma):
-        n = w_rho.shape[0]
-        return np.broadcast_to(np.eye(self.n_ref), (n, self.n_ref, self.n_ref)).copy()
-
-
 class AffineReference(ReferencePlugin):
     """w_kappa = M * w_rho + S * w_sigma with constant matrices."""
 
@@ -81,7 +56,6 @@ class AffineReference(ReferencePlugin):
         self.m_sigma = np.atleast_2d(np.asarray(m_sigma, dtype=float))
         if self.m_rho.shape[0] != self.m_sigma.shape[0]:
             raise ShapeError("row counts of the two gain matrices differ")
-        self.n_ref = self.m_rho.shape[0]
         self.d_rho = self.m_rho.shape[1]
         self.d_sigma = self.m_sigma.shape[1]
 
@@ -107,7 +81,6 @@ class PqReference(ReferencePlugin):
 
     d_rho = 2
     d_sigma = 2
-    n_ref = 2
 
     #: squared-voltage floor below which the law is considered singular
     min_norm = 1e-9
@@ -150,71 +123,48 @@ class PqReference(ReferencePlugin):
         return jac
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
-    """Periodic trajectory around which the reference law is linearised.
-
-    The reference-side trajectory is always recomputed from the plugin,
-    so that its harmonic coefficients are consistent with the evaluate
-    function by construction.
-    """
-
-    w_pi: HarmonicSignal
-    w_sigma: HarmonicSignal
-    w_rho: HarmonicSignal
-    w_kappa: HarmonicSignal
-    residual: float
-
-
 def make_operating_point(
     plugin: ReferencePlugin,
     ctl_frame_op: sp.csr_array,
     w_pi: HarmonicSignal,
     w_sigma: HarmonicSignal,
     index_set: HarmonicIndexSet,
-) -> OperatingPoint:
-    """Complete an operating point from the grid-side and setpoint trajectories.
+) -> tuple[sp.csr_array, sp.csr_array]:
+    """The lifts R_rho, R_sigma (CSR) of the reference law's Jacobians along
+    the operating trajectories.
 
     ``ctl_frame_op`` is the CSR lift of the hardware-to-control transform; it
-    maps the hardware-frame trajectory into the frame the reference law acts in.
+    maps the hardware-frame trajectory w_pi into the frame the reference law
+    acts in.  The trajectories are sampled once, at twice the default count;
+    the Jacobians are read at every other sample.  The law's own trajectory
+    w_kappa, from both sample counts, must agree to 1e-8 of its size: else
+    it is not band-limited enough for the harmonic grid.
     """
-    w_rho_coeffs = ctl_frame_op @ w_pi.coeffs
     d_rho = ctl_frame_op.shape[0] // index_set.count
-    w_rho = HarmonicSignal(index_set, d_rho, w_rho_coeffs)
     if d_rho != plugin.d_rho or w_sigma.channels != plugin.d_sigma:
         raise ConfigurationError(
             f"operating trajectories ({d_rho}, {w_sigma.channels}) do not match "
             f"the reference law dims ({plugin.d_rho}, {plugin.d_sigma})"
         )
+    w_rho = HarmonicSignal(index_set, d_rho, ctl_frame_op @ w_pi.coeffs)
     n = default_sample_count(index_set)
-    rho_t = w_rho.sample(n).real
-    sigma_t = w_sigma.sample(n).real
-    kappa_t = plugin.evaluate(rho_t, sigma_t)
-    w_kappa = fourier_from_samples(kappa_t, index_set)
-    # aliasing residual of the round trip through the sampled evaluate
-    check = plugin.evaluate(w_rho.sample(2 * n).real, w_sigma.sample(2 * n).real)
-    residual = float(
-        np.max(np.abs(fourier_from_samples(check, index_set).coeffs - w_kappa.coeffs))
-    )
-    if residual > 1e-8 * max(1.0, float(np.max(np.abs(w_kappa.coeffs)))):
+    rho_2n, sigma_2n = w_rho.sample(2 * n).real, w_sigma.sample(2 * n).real
+    rho_t, sigma_t = rho_2n[::2], sigma_2n[::2]
+
+    def w_kappa(rho, sigma):
+        series = series_from_samples(plugin.evaluate(rho, sigma)[..., None], index_set)
+        return np.stack(list(series.values()))
+
+    coeffs = w_kappa(rho_t, sigma_t)
+    residual = float(np.max(np.abs(w_kappa(rho_2n, sigma_2n) - coeffs)))
+    if residual > 1e-8 * max(1.0, float(np.max(np.abs(coeffs)))):
         raise NumericalError(
             f"reference trajectory is not band-limited enough for this hmax "
             f"(aliasing residual {residual:.3e})"
         )
-    return OperatingPoint(w_pi, w_sigma, w_rho, w_kappa, residual)
-
-
-def linearize_reference(
-    plugin: ReferencePlugin, op: OperatingPoint, index_set: HarmonicIndexSet
-) -> tuple[sp.csr_array, sp.csr_array]:
-    """Sample the Jacobian trajectories over one period; their lifts R_rho, R_sigma in CSR."""
-    n = default_sample_count(index_set)
-    rho_t = op.w_rho.sample(n).real
-    sigma_t = op.w_sigma.sample(n).real
     r_rho = series_from_samples(plugin.jac_rho(rho_t, sigma_t), index_set)
     r_sigma = series_from_samples(plugin.jac_sigma(rho_t, sigma_t), index_set)
     return (
         toeplitz_from_fourier(r_rho, index_set),
         toeplitz_from_fourier(r_sigma, index_set),
     )
-

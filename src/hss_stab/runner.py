@@ -151,9 +151,7 @@ def _htf(scenario: Scenario, s=None, ports=None, **_) -> ResultSet:
     return ResultSet("matrix", MATRIX_COLUMNS, records, meta)
 
 
-def _sweep(
-    scenario: Scenario, sweep_name=None, parameter=None, values=None, refine_on_crossing=True, **_
-) -> ResultSet:
+def _sweep(scenario: Scenario, sweep_name=None, parameter=None, values=None, **_) -> ResultSet:
     if sweep_name:
         if sweep_name not in scenario.sweeps:
             raise ConfigurationError(
@@ -164,7 +162,7 @@ def _sweep(
     elif not parameter or values is None:
         raise ConfigurationError("sweep needs --sweep NAME or --param PATH --values ...")
     values = tuple(float(v) for v in values)
-    trace = sweep_parameter(scenario, parameter, values, refine_on_crossing=refine_on_crossing)
+    trace = sweep_parameter(scenario, parameter, values)
     records = tuple(
         (trace.values[k], t, trace.traces[t, k].real, trace.traces[t, k].imag)
         for k in range(len(trace.values))
@@ -182,8 +180,11 @@ def _sweep(
 def _classify(
     scenario: Scenario, control_parameters=None, hardware_parameters=None, epsilon=None, **_
 ) -> ResultSet:
-    control = tuple(control_parameters or scenario.analysis.control_parameters)
-    hardware = tuple(hardware_parameters or scenario.analysis.hardware_parameters)
+    if control_parameters is None:
+        control_parameters = scenario.analysis.control_parameters
+    if hardware_parameters is None:
+        hardware_parameters = scenario.analysis.hardware_parameters
+    control, hardware = tuple(control_parameters), tuple(hardware_parameters)
     if epsilon is None:
         epsilon = scenario.analysis.classification_tolerance
     result = classify_eigenvalues(scenario, control, hardware, epsilon=epsilon)

@@ -18,8 +18,6 @@ import numpy as np
 from .cider import (
     CiderTransforms,
     CtlInput,
-    GRID_FOLLOWING,
-    GRID_FORMING,
     InternalRouting,
     LtpBlock,
     identity_series,
@@ -28,9 +26,11 @@ from .cider import (
     park_series,
 )
 from .errors import ScenarioError
-from .references import AffineReference, PqReference, ReferencePlugin, VfReference
+from .references import AffineReference, PqReference, ReferencePlugin
 
 PHASES = ("a", "b", "c")
+GRID_FORMING = "grid-forming"
+GRID_FOLLOWING = "grid-following"
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,7 @@ def _vf_config(raw, field) -> CiderConfig:
         control=(_pi_control(kp, ki),),
         routing=_dq_routing(),
         transforms=_dq_transforms(),
-        plugin=VfReference(channels=2, d_rho=2),
+        plugin=_setpoint_reference(2, 2),
         setpoint=parse_harmonic_vectors(
             _require(raw, "setpoint", field, dict).get("harmonics"), 2, f"{field}.setpoint.harmonics"
         ),
@@ -374,10 +374,15 @@ def _custom_config(raw, field) -> CiderConfig:
             f"setpoint has {channels} channels, reference law expects {plugin.d_sigma}",
             field=f"{field}.setpoint",
         )
+    kind = _require(raw, "kind", field)
+    if kind not in (GRID_FORMING, GRID_FOLLOWING):
+        raise ScenarioError(
+            f"kind must be '{GRID_FORMING}' or '{GRID_FOLLOWING}', got {kind!r}", field=f"{field}.kind"
+        )
     d_pi = len(routing.hw_grid_inputs)
     return CiderConfig(
         node_id=_require(raw, "node", field),
-        kind=_require(raw, "kind", field),
+        kind=kind,
         hardware=hardware,
         control=control,
         routing=routing,
@@ -392,13 +397,19 @@ def _custom_config(raw, field) -> CiderConfig:
     )
 
 
+def _setpoint_reference(channels: int, d_rho: int) -> AffineReference:
+    """The grid-forming voltage reference: the setpoint passes through."""
+    return AffineReference(np.zeros((channels, d_rho)), np.eye(channels))
+
+
 def _parse_reference(raw, field) -> ReferencePlugin:
     kind = _require(raw, "type", field)
     if kind == "vf":
-        return VfReference(
-            channels=_number(raw, "channels", field, int, default=2),
-            d_rho=_number(raw, "d_rho", field, int, default=2),
-        )
+        dims = {key: _number(raw, key, field, int, default=2) for key in ("channels", "d_rho")}
+        for key, value in dims.items():
+            if value < 1:
+                raise ScenarioError(f"expected an integer >= 1, got {value}", field=f"{field}.{key}")
+        return _setpoint_reference(dims["channels"], dims["d_rho"])
     if kind == "pq":
         return PqReference()
     if kind == "affine":

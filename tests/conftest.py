@@ -61,9 +61,3 @@ def shifted_dense(model) -> np.ndarray:
     orders = np.arange(-iset.hmax, iset.hmax + 1)
     omega = 2 * np.pi * iset.f1 * np.repeat(orders, model.state_channels)
     return a - np.diag(1j * omega)
-
-
-def coeff(signal, h: int) -> np.ndarray:
-    """Coefficient vector (one entry per channel) of ``signal`` at order h."""
-    stack = signal.coeffs.reshape(signal.index_set.count, signal.channels)
-    return stack[h + signal.index_set.hmax]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hss_stab import (
+    AffineReference,
     CiderTransforms,
     ConfigurationError,
     CtlInput,
@@ -26,8 +27,19 @@ from hss_stab import (
     toeplitz_from_fourier,
 )
 from hss_stab.model import HssModel
-from hss_stab.references import VfReference
-from tests.test_references import block_offsets
+from hss_stab.pipeline import assemble_cider
+from tests.test_references import block_offsets, dft, periodic_samples
+
+
+def resource_lifts(cfg, iset):
+    """R_rho, R_sigma of a configured resource along its operating trajectories."""
+    return make_operating_point(
+        cfg.plugin,
+        toeplitz_from_fourier(cfg.transforms.hw_to_ctl, iset),
+        signal_from_harmonics(cfg.w_pi, cfg.w_pi_channels, iset),
+        signal_from_harmonics(cfg.setpoint, cfg.setpoint_channels, iset),
+        iset,
+    )
 
 
 def integrator_gain_parts(k=2.5, with_grid_input=True):
@@ -189,7 +201,8 @@ class TestParkTransforms:
 
 
 def vf_identity_cider(iset, k=2.0, kp_only=True):
-    """Single-channel resource with identity transforms and pass-through reference."""
+    """Single-channel resource with identity transforms and pass-through
+    reference: its internal response and its grid response."""
     hw = lti_block("int", [[0.0]], [[1.0, 1.0]], [[1.0]], [[0.0, 0.0]])
     ctl = lti_block(
         "gain", np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[k]]
@@ -204,22 +217,20 @@ def vf_identity_cider(iset, k=2.0, kp_only=True):
         ctl_to_hw=identity_series(1),
         grid_out_to_hw_out=identity_series(1),
     )
-    plugin = VfReference(channels=1, d_rho=1)
+    plugin = AffineReference(np.zeros((1, 1)), np.eye(1))  # the setpoint passes through
     w_pi = signal_from_harmonics({}, 1, iset)
     w_sigma = signal_from_harmonics({0: np.array([1.0])}, 1, iset)
     ctl_frame_op = toeplitz_from_fourier({0: np.eye(1)}, iset)
-    op = make_operating_point(plugin, ctl_frame_op, w_pi, w_sigma, iset)
-    return internal, plugin, transforms, ctl_frame_op, op
+    r_rho, r_sigma = make_operating_point(plugin, ctl_frame_op, w_pi, w_sigma, iset)
+    return internal, assemble_cider_hss(
+        internal, r_rho, r_sigma, transforms, ctl_frame_op, iset, "n1"
+    )
 
 
 class TestGridResponse:
     def test_identity_collapse(self):
         iset = HarmonicIndexSet(1, 50.0)
-        internal, plugin, transforms, ctl_frame_op, op = vf_identity_cider(iset)
-        cider = assemble_cider_hss(
-            internal, plugin, transforms, ctl_frame_op, op, iset, "n1", "grid-forming"
-        )
-        n = iset.count
+        internal, cider = vf_identity_cider(iset)
         assert np.array_equal(cider.model.e["gamma"].toarray(), internal.e["pi"].toarray())
         assert np.array_equal(
             cider.model.e["sigma"].toarray(), internal.e["kappa"].toarray()
@@ -229,21 +240,15 @@ class TestGridResponse:
 
     def test_zero_feedthrough_propagates(self):
         iset = HarmonicIndexSet(1, 50.0)
-        internal, plugin, transforms, ctl_frame_op, op = vf_identity_cider(iset)
         # hardware D = 0 and pure-gain control: only the kappa/sigma
         # feedthrough survives; gamma feedthrough keeps the loop term
-        cider = assemble_cider_hss(
-            internal, plugin, transforms, ctl_frame_op, op, iset, "n1", "grid-forming"
-        )
+        internal, _ = vf_identity_cider(iset)
         assert not internal.f["pi"].toarray().any()
 
     def test_offset_port_structure(self):
         # pass-through reference: R_rho = 0 and R_sigma = I, so E_o = [E_kappa | 0 | -E_kappa]
         iset = HarmonicIndexSet(1, 50.0)
-        internal, plugin, transforms, ctl_frame_op, op = vf_identity_cider(iset)
-        cider = assemble_cider_hss(
-            internal, plugin, transforms, ctl_frame_op, op, iset, "n1", "grid-forming"
-        )
+        internal, cider = vf_identity_cider(iset)
         n = iset.count
         e_o = cider.model.e["o"].toarray()
         e_kappa = internal.e["kappa"].toarray()
@@ -253,11 +258,10 @@ class TestGridResponse:
         assert np.max(np.abs(e_o[:, 2 * n :] + e_kappa)) < 1e-12
 
     def test_offset_port_consistency(self, two_node):
-        # the o port acts on col(w_kappa, w_pi, w_sigma): E_o W_o + E_kappa R_rho T W_pi
-        # + E_sigma W_sigma returns E_kappa W_kappa
-        from hss_stab.pipeline import assemble_cider
-        from hss_stab.references import linearize_reference
-
+        # the o port acts on col(w_kappa, w_pi, w_sigma): E_o W_o + E_kappa R_rho W_rho
+        # + E_sigma W_sigma returns E_kappa W_kappa.  W_rho and W_kappa are
+        # computed here from samples: w_rho(t) = park(t) w_pi(t), w_kappa(t)
+        # = evaluate(w_rho(t), w_sigma(t)), each transformed with numpy
         iset = HarmonicIndexSet(4, 50.0)
         cfg = two_node.ciders[1]  # power-controlled resource
         cider = assemble_cider(cfg, iset)
@@ -265,22 +269,29 @@ class TestGridResponse:
         internal = assemble_internal_response(
             cfg.hardware, cfg.control, cfg.routing, t.ctl_to_hw, t.hw_to_ctl, iset
         )
-        op = cider.operating_point
-        r_rho, _ = linearize_reference(cfg.plugin, op, iset)
+        r_rho, _ = resource_lifts(cfg, iset)
+        w_pi = signal_from_harmonics(cfg.w_pi, cfg.w_pi_channels, iset)
+        w_sigma = signal_from_harmonics(cfg.setpoint, cfg.setpoint_channels, iset)
+        n = 8 * iset.count
+        phases = np.exp(2j * np.pi * np.outer(np.arange(n), iset.orders) / n)
+        park = [t.hw_to_ctl.get(h, np.zeros((2, 3))) for h in iset.orders]
+        park_t = np.tensordot(phases, park, axes=1)
+        rho_t = np.einsum("tij,tj->ti", park_t, periodic_samples(w_pi, n)).real
+        sigma_t = periodic_samples(w_sigma, n).real
+        w_rho = dft(rho_t, iset)
+        w_kappa = dft(cfg.plugin.evaluate(rho_t, sigma_t), iset)
         e_kappa = internal.e["kappa"]
-        w_o = np.concatenate([op.w_kappa.coeffs, op.w_pi.coeffs, op.w_sigma.coeffs])
+        w_o = np.concatenate([w_kappa, w_pi.coeffs, w_sigma.coeffs])
         recovered = (
             cider.model.e["o"] @ w_o
-            + e_kappa @ (r_rho @ op.w_rho.coeffs)
-            + cider.model.e["sigma"] @ op.w_sigma.coeffs
+            + e_kappa @ (r_rho @ w_rho)
+            + cider.model.e["sigma"] @ w_sigma.coeffs
         )
-        expected = e_kappa @ op.w_kappa.coeffs
+        expected = e_kappa @ w_kappa
         scale = max(1.0, np.max(np.abs(expected)))
         assert np.max(np.abs(recovered - expected)) <= 1e-8 * scale
 
     def test_deterministic_reassembly(self, two_node):
-        from hss_stab.pipeline import assemble_cider
-
         iset = HarmonicIndexSet(3, 50.0)
         cfg = two_node.ciders[1]
         a = assemble_cider(cfg, iset)
@@ -294,8 +305,6 @@ class TestGridResponse:
     def test_offset_propagation_bound(self, two_node):
         # nonzero blocks of E_gamma stay inside the Minkowski sum of the
         # factor offset sets
-        from hss_stab.pipeline import assemble_cider
-
         iset = HarmonicIndexSet(5, 50.0)
         cfg = two_node.ciders[1]  # power-controlled resource
         cider = assemble_cider(cfg, iset)
@@ -311,11 +320,7 @@ class TestGridResponse:
         n_states = len(internal.state_names)
         e_pi_off = block_offsets(internal.e["pi"], iset, (n_states, 3))
         e_kp_off = block_offsets(internal.e["kappa"], iset, (n_states, 2))
-        ctl_frame = toeplitz_from_fourier(cfg.transforms.hw_to_ctl, iset)
-        op = cider.operating_point
-        from hss_stab.references import linearize_reference
-
-        r_rho, _ = linearize_reference(cfg.plugin, op, iset)
+        r_rho, _ = resource_lifts(cfg, iset)
         r_off = block_offsets(r_rho, iset, (2, 2))
         park_off = {-1, 1}
 
@@ -342,8 +347,6 @@ class TestDqSignature:
         # the rotating-frame transforms couple adjacent harmonics through the
         # integrator paths; the proportional path composes transform and
         # inverse pointwise and stays at offset zero (the rotations cancel)
-        from hss_stab.pipeline import assemble_cider
-
         iset = HarmonicIndexSet(4, 50.0)
         cider = assemble_cider(two_node.ciders[0], iset)
         n = len(cider.model.state_names)
@@ -476,13 +479,10 @@ class TestGridResponseOracle:
 
     @pytest.fixture(scope="class")
     def built(self):
-        from hss_stab.pipeline import assemble_cider
-        from hss_stab.references import linearize_reference
-
         iset = HarmonicIndexSet(2, 50.0)
         cfg = oracle_config()
         cider = assemble_cider(cfg, iset)
-        r_rho, r_sigma = linearize_reference(cfg.plugin, cider.operating_point, iset)
+        r_rho, r_sigma = resource_lifts(cfg, iset)
         return iset, cfg, cider, r_rho.toarray(), r_sigma.toarray()
 
     @staticmethod
@@ -524,8 +524,6 @@ class TestGridResponseOracle:
 
 def test_hw_to_ctl_lifted_once(monkeypatch):
     import sys
-
-    from hss_stab.pipeline import assemble_cider
 
     cfg = oracle_config()
     lifts = []

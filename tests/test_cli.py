@@ -169,6 +169,10 @@ class TestValidationErrors:
             ("classify", "--scenario", RLC, "--epsilon", "-1"),
             ("spurious", "--scenario", RLC, "--delta", "0"),
             ("spurious", "--scenario", RLC, "--delta", "-1"),
+            ("htf", "--scenario", RLC, "--hmax", "1", "--s", "1+6j")
+            + ("--port", "gamma", "--port", "gamma"),
+            ("classify", "--scenario", TWO_NODE, "--control-params", ","),
+            ("classify", "--scenario", TWO_NODE, "--hardware-params", ","),
         ],
         ids=[
             "htf-s",
@@ -189,6 +193,9 @@ class TestValidationErrors:
             "classify-epsilon-negative",
             "spurious-delta-zero",
             "spurious-delta-negative",
+            "htf-repeated-port",
+            "classify-control-params-empty",
+            "classify-hardware-params-empty",
         ],
     )
     def test_malformed_number_exit_2(self, argv, capsys):

@@ -4,21 +4,37 @@ import pytest
 from hss_stab import (
     AffineReference,
     HarmonicIndexSet,
+    NumericalError,
     PqReference,
     SingularOperatingPointError,
-    VfReference,
-    linearize_reference,
     make_operating_point,
     signal_from_harmonics,
     toeplitz_from_fourier,
 )
 from hss_stab.harmonic import default_sample_count
-from tests.conftest import coeff
 
 
 def grid_frame(iset):
     """Lift of the identity map from the grid frame to the control frame."""
     return toeplitz_from_fourier({0: np.eye(2)}, iset)
+
+
+def reference_lifts(plugin, w_pi, w_sigma, iset):
+    """R_rho, R_sigma of ``plugin`` with the control frame equal to the grid frame."""
+    return make_operating_point(plugin, grid_frame(iset), w_pi, w_sigma, iset)
+
+
+def periodic_samples(signal, n):
+    """(n, channels) samples over one period of ``signal``, by numpy alone."""
+    iset = signal.index_set
+    phases = np.exp(2j * np.pi * np.outer(np.arange(n), iset.orders) / n)
+    return phases @ signal.coeffs.reshape(iset.count, signal.channels)
+
+
+def dft(samples, iset):
+    """Coefficients over -hmax..hmax (h-major) of samples over one period."""
+    n = samples.shape[0]
+    return (np.fft.fft(samples, axis=0) / n)[iset.orders % n].reshape(-1)
 
 
 def alpha_beta_voltage(iset, v_peak=325.0):
@@ -30,11 +46,10 @@ def alpha_beta_voltage(iset, v_peak=325.0):
 
 
 def make_pq_op(iset, p=5000.0, q=1000.0, v_peak=325.0):
-    plugin = PqReference()
+    """The power reference and its (w_pi, w_sigma) on a rotating voltage."""
     w_pi = alpha_beta_voltage(iset, v_peak)
     w_sigma = signal_from_harmonics({0: np.array([p, q])}, 2, iset)
-    op = make_operating_point(plugin, grid_frame(iset), w_pi, w_sigma, iset)
-    return plugin, op
+    return PqReference(), w_pi, w_sigma
 
 
 def block_offsets(matrix, iset, block_shape, tol=1e-12):
@@ -50,13 +65,13 @@ def block_offsets(matrix, iset, block_shape, tol=1e-12):
 
 
 class TestVf:
-    def test_jacobian_lift(self):
+    def test_jacobian_lift(self, two_node):
+        # the vf template's reference passes the setpoint through
         iset = HarmonicIndexSet(2, 50.0)
-        plugin = VfReference(channels=2, d_rho=2)
+        plugin = two_node.ciders[0].plugin
         w_pi = alpha_beta_voltage(iset)
         w_sigma = signal_from_harmonics({0: np.array([325.0, 0.0])}, 2, iset)
-        op = make_operating_point(plugin, grid_frame(iset), w_pi, w_sigma, iset)
-        r_rho, r_sigma = linearize_reference(plugin, op, iset)
+        r_rho, r_sigma = reference_lifts(plugin, w_pi, w_sigma, iset)
         assert not r_rho.toarray().any()
         assert np.max(np.abs(r_sigma.toarray() - np.eye(iset.count * 2))) < 1e-12
 
@@ -68,8 +83,7 @@ class TestAffine:
         plugin = AffineReference(m, np.zeros((2, 2)))
         w_pi = alpha_beta_voltage(iset)
         w_sigma = signal_from_harmonics({}, 2, iset)
-        op = make_operating_point(plugin, grid_frame(iset), w_pi, w_sigma, iset)
-        r_rho, _ = linearize_reference(plugin, op, iset)
+        r_rho, _ = reference_lifts(plugin, w_pi, w_sigma, iset)
         assert np.max(np.abs(r_rho.toarray() - np.kron(np.eye(iset.count), m))) < 1e-12
 
 
@@ -96,8 +110,7 @@ class TestPq:
         # circular trajectory: the DC part of the current-reference Jacobian
         # cancels exactly and only the +-2 coupling survives
         iset = HarmonicIndexSet(4, 50.0)
-        plugin, op = make_pq_op(iset)
-        r_rho, r_sigma = linearize_reference(plugin, op, iset)
+        r_rho, r_sigma = reference_lifts(*make_pq_op(iset), iset)
         assert block_offsets(r_rho, iset, (2, 2), tol=1e-10) == {-2, 2}
         assert block_offsets(r_sigma, iset, (2, 2), tol=1e-10) == {-1, 1}
 
@@ -116,8 +129,7 @@ class TestPq:
             iset,
         )
         w_sigma = signal_from_harmonics({0: np.array([5000.0, 1000.0])}, 2, iset)
-        op = make_operating_point(plugin, grid_frame(iset), w_pi, w_sigma, iset)
-        r_rho, _ = linearize_reference(plugin, op, iset)
+        r_rho, _ = reference_lifts(plugin, w_pi, w_sigma, iset)
         offsets = block_offsets(r_rho, iset, (2, 2), tol=1e-8)
         assert {-2, 2} <= offsets
         assert all(off % 2 == 0 for off in offsets)
@@ -138,8 +150,7 @@ class TestPq:
             iset,
         )
         w_sigma = signal_from_harmonics({0: np.array([5000.0, 1000.0])}, 2, iset)
-        op = make_operating_point(plugin, grid_frame(iset), w_pi, w_sigma, iset)
-        r_rho, _ = linearize_reference(plugin, op, iset)
+        r_rho, _ = reference_lifts(plugin, w_pi, w_sigma, iset)
         offsets = block_offsets(r_rho, iset, (2, 2), tol=1e-8)
         assert {0, -1, 1, -2, 2} <= offsets
 
@@ -148,12 +159,12 @@ class TestPq:
         # 2x2 diagonal blocks and no FFT rounding at the other orders
         iset = HarmonicIndexSet(25, 50.0)
         plugin = PqReference()
-        w_pi = signal_from_harmonics({0: np.array([325.0, 20.0])}, 2, iset)
-        w_sigma = signal_from_harmonics({0: np.array([5000.0, 1000.0])}, 2, iset)
-        op = make_operating_point(plugin, grid_frame(iset), w_pi, w_sigma, iset)
-        v, pq = coeff(op.w_rho, 0).real[None], coeff(op.w_sigma, 0).real[None]
+        v, pq = np.array([[325.0, 20.0]]), np.array([[5000.0, 1000.0]])
+        w_pi = signal_from_harmonics({0: v[0]}, 2, iset)
+        w_sigma = signal_from_harmonics({0: pq[0]}, 2, iset)
         for lift, jac in zip(
-            linearize_reference(plugin, op, iset), (plugin.jac_rho(v, pq), plugin.jac_sigma(v, pq))
+            reference_lifts(plugin, w_pi, w_sigma, iset),
+            (plugin.jac_rho(v, pq), plugin.jac_sigma(v, pq)),
         ):
             assert lift.nnz == 4 * iset.count
             expected = np.kron(np.eye(iset.count), jac[0])
@@ -165,30 +176,32 @@ class TestPq:
         w_pi = signal_from_harmonics({}, 2, iset)  # zero trajectory
         w_sigma = signal_from_harmonics({0: np.array([100.0, 0.0])}, 2, iset)
         with pytest.raises(SingularOperatingPointError):
-            make_operating_point(plugin, grid_frame(iset), w_pi, w_sigma, iset)
+            reference_lifts(plugin, w_pi, w_sigma, iset)
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-4])
     def test_small_signal_first_order(self, eps):
         iset = HarmonicIndexSet(6, 50.0)
-        plugin, op = make_pq_op(iset)
-        r_rho, _ = linearize_reference(plugin, op, iset)
-        err = _small_signal_error(plugin, op, r_rho, iset, eps)
+        plugin, w_pi, w_sigma = make_pq_op(iset)
+        r_rho, _ = reference_lifts(plugin, w_pi, w_sigma, iset)
+        err = _small_signal_error(plugin, w_pi, w_sigma, r_rho, eps)
         assert err < 10 * eps  # first-order model: error is O(eps^2)
 
     def test_small_signal_quadratic_convergence(self):
         iset = HarmonicIndexSet(6, 50.0)
-        plugin, op = make_pq_op(iset)
-        r_rho, _ = linearize_reference(plugin, op, iset)
-        e3 = _small_signal_error(plugin, op, r_rho, iset, 1e-3)
-        e4 = _small_signal_error(plugin, op, r_rho, iset, 1e-4)
+        plugin, w_pi, w_sigma = make_pq_op(iset)
+        r_rho, _ = reference_lifts(plugin, w_pi, w_sigma, iset)
+        e3 = _small_signal_error(plugin, w_pi, w_sigma, r_rho, 1e-3)
+        e4 = _small_signal_error(plugin, w_pi, w_sigma, r_rho, 1e-4)
         ratio = e3 / e4
         assert 80.0 <= ratio <= 120.0
 
 
-def _small_signal_error(plugin, op, r_rho, iset, eps):
-    """Max coefficient error of the linearised reference under a perturbation."""
-    from hss_stab.harmonic import fourier_from_samples
+def _small_signal_error(plugin, w_rho, w_sigma, r_rho, eps):
+    """Max coefficient error of the linearised reference under a perturbation.
 
+    w_rho and w_kappa are sampled and transformed here, with numpy alone.
+    """
+    iset = w_rho.index_set
     rng = np.random.default_rng(17)
     c1 = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) * eps * 150.0
     delta = signal_from_harmonics(
@@ -201,22 +214,47 @@ def _small_signal_error(plugin, op, r_rho, iset, eps):
         iset,
     )
     n = default_sample_count(iset)
-    rho_t = op.w_rho.sample(n).real + delta.sample(n).real
-    sigma_t = op.w_sigma.sample(n).real
-    nonlinear = fourier_from_samples(plugin.evaluate(rho_t, sigma_t), iset).coeffs
-    linear = op.w_kappa.coeffs + r_rho @ delta.coeffs
+    rho_t = periodic_samples(w_rho, n).real
+    sigma_t = periodic_samples(w_sigma, n).real
+    w_kappa = dft(plugin.evaluate(rho_t, sigma_t), iset)
+    nonlinear = dft(plugin.evaluate(rho_t + periodic_samples(delta, n).real, sigma_t), iset)
+    linear = w_kappa + r_rho @ delta.coeffs
     return float(np.max(np.abs(nonlinear - linear)))
 
 
 class TestOperatingPoint:
     def test_residual_small(self):
+        # w_kappa of the rotating-voltage operating point, at two sample
+        # counts, agrees far inside the aliasing bound, and the lifts build
         iset = HarmonicIndexSet(4, 50.0)
-        _, op = make_pq_op(iset)
-        assert op.residual <= 1e-8 * max(1.0, np.max(np.abs(op.w_kappa.coeffs)))
+        plugin, w_pi, w_sigma = make_pq_op(iset)
+        n = default_sample_count(iset)
+        kappa = []
+        for k in (n, 2 * n):
+            rho_t, sigma_t = periodic_samples(w_pi, k).real, periodic_samples(w_sigma, k).real
+            kappa.append(dft(plugin.evaluate(rho_t, sigma_t), iset))
+        assert np.max(np.abs(kappa[1] - kappa[0])) <= 1e-8 * max(1.0, np.max(np.abs(kappa[0])))
+        reference_lifts(plugin, w_pi, w_sigma, iset)
 
     def test_deterministic(self):
         iset = HarmonicIndexSet(3, 50.0)
-        _, op1 = make_pq_op(iset)
-        _, op2 = make_pq_op(iset)
-        for field in ("w_kappa", "w_pi", "w_sigma", "w_rho"):
-            assert np.array_equal(getattr(op1, field).coeffs, getattr(op2, field).coeffs)
+        first = reference_lifts(*make_pq_op(iset), iset)
+        second = reference_lifts(*make_pq_op(iset), iset)
+        for a, b in zip(first, second):
+            assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+            assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("hmax, aliased", [(2, True), (4, False)])
+    def test_aliasing_check(self, hmax, aliased):
+        # v_d swings between 10 and 190 with v_q = 0, so the current
+        # reference, through 1/|v|^2, has slowly decaying harmonics: at hmax 2
+        # its trajectory aliases, at hmax 4 it does not
+        iset = HarmonicIndexSet(hmax, 50.0)
+        swing = np.array([45.0, 0.0])
+        w_pi = signal_from_harmonics({0: np.array([100.0, 0.0]), 1: swing, -1: swing}, 2, iset)
+        w_sigma = signal_from_harmonics({0: np.array([5000.0, 1000.0])}, 2, iset)
+        if aliased:
+            with pytest.raises(NumericalError, match="not band-limited enough for this hmax"):
+                reference_lifts(PqReference(), w_pi, w_sigma, iset)
+        else:
+            reference_lifts(PqReference(), w_pi, w_sigma, iset)

@@ -118,6 +118,16 @@ class TestLoading:
         with pytest.raises(ScenarioError, match="cannot sit"):
             scenario_from_dict(raw)
 
+    def test_unknown_custom_kind_names_field(self):
+        # at a following node the scenario checks alone would place it; the
+        # template rejects the kind itself, with its field
+        raw = load_raw("four_cider_six_node")
+        custom = copy.deepcopy(load_raw("toy_gain")["ciders"][0])
+        raw["ciders"].append({**custom, "node": "n5", "kind": "grid-supporting"})
+        with pytest.raises(ScenarioError, match="kind must be") as exc:
+            scenario_from_dict(raw)
+        assert exc.value.field == "ciders.4.kind"
+
     def test_duplicate_resource(self):
         raw = load_raw("two_node")
         raw["ciders"].append(copy.deepcopy(raw["ciders"][1]))
@@ -152,6 +162,10 @@ class TestLoading:
             ("two_node", 1, "operating_point", 5, "ciders.1.operating_point"),
             ("two_node", 0, "setpoint", 5, "ciders.0.setpoint"),
             ("toy_gain", 0, "reference.channels", "x", "ciders.0.reference.channels"),
+            ("toy_gain", 0, "reference.channels", 0, "ciders.0.reference.channels"),
+            ("toy_gain", 0, "reference.channels", -1, "ciders.0.reference.channels"),
+            ("toy_gain", 0, "reference.d_rho", 0, "ciders.0.reference.d_rho"),
+            ("toy_gain", 0, "reference.d_rho", -1, "ciders.0.reference.d_rho"),
             ("toy_gain", 0, "routing.ctl_inputs", 5, "ciders.0.routing.ctl_inputs"),
             ("toy_gain", 0, "hardware.0.state_names", 5, "ciders.0.hardware.0.state_names"),
             (
@@ -170,6 +184,10 @@ class TestLoading:
             "op-number",
             "setpoint-number",
             "reference-channels-string",
+            "reference-channels-zero",
+            "reference-channels-negative",
+            "reference-d-rho-zero",
+            "reference-d-rho-negative",
             "ctl-inputs-number",
             "state-names-number",
             "theta0-string",
