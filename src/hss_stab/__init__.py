@@ -65,7 +65,6 @@ from .grid import (
 )
 from .harmonic import (
     HarmonicIndexSet,
-    HarmonicSignal,
     default_sample_count,
     node_major_order,
     omega_diagonal,
@@ -74,7 +73,7 @@ from .harmonic import (
     toeplitz_from_fourier,
 )
 from .model import HssModel, lift_ltp
-from .pipeline import SystemModel, assemble_cider, assemble_system, signal_from_harmonics
+from .pipeline import SystemModel, assemble_cider, assemble_system
 from .references import (
     AffineReference,
     PqReference,

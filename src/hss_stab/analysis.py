@@ -240,11 +240,14 @@ def _solve_spectrum(model: HssModel, vectors: bool):
     * otherwise in real form (``_parity_form``).
 
     The parity form is built only when the largest sequence block is not
-    smaller than M's own largest block, which stands in for the parity
-    split's: the flip joins harmonics h and -h, which the bundled models'
-    M already couples, so their parity split is as coarse as M's.  A model
-    whose real form splits finer than M may thus keep the sequence form
-    where the parity form would give smaller blocks; both are exact.
+    smaller than M's own largest block, which bounds the parity split's
+    from below: the flip joins harmonics h and -h.  Where M already couples
+    them (``two_node`` and ``four_cider_six_node``), the parity split is as
+    coarse as M's.  Where it does not, the parity split is coarser:
+    ``rlc_grid`` at hmax >= 1 has 2-state blocks in M and 4-state ones in
+    parity form, and keeps the sequence form (2 states); ``toy_gain``, which
+    declares no triples, has 1 and 2 and takes the parity form at every
+    hmax.  Both forms are exact.
 
     The matrix solved stays sparse until it is split into the diagonal
     blocks its nonzero pattern decouples into (one rotating-frame rung:
@@ -661,18 +664,17 @@ def classify_eigenvalues(
     control_parameters,
     hardware_parameters,
     epsilon: float | None = None,
-    perturbations=DEFAULT_PERTURBATIONS,
 ) -> EigenClassification:
     """Classify eigenvalues by their displacement under parameter sweeps.
 
-    Every parameter is perturbed on a relative grid around its nominal
-    value; each perturbed spectrum is matched back to the nominal one,
-    block by block while the rebuild keeps the nominal block partition and
-    in one global assignment otherwise (``match_eigenvalues``), and the
-    per-eigenvalue displacement recorded.  An eigenvalue is
-    control-design invariant when no control perturbation moves it beyond
-    epsilon, and design invariant when the hardware sweeps stay below
-    epsilon as well.  ``epsilon`` defaults to 1e-6 times the spectral
+    Every parameter is perturbed by each relative step of
+    ``DEFAULT_PERTURBATIONS`` around its nominal value; each perturbed
+    spectrum is matched back to the nominal one, block by block while the
+    rebuild keeps the nominal block partition and in one global assignment
+    otherwise (``match_eigenvalues``), and the per-eigenvalue displacement
+    recorded.  An eigenvalue is control-design invariant when no control
+    perturbation moves it beyond epsilon, and design invariant when the
+    hardware sweeps stay below epsilon as well.  ``epsilon`` defaults to 1e-6 times the spectral
     radius; a negative one is rejected.  Every perturbed rebuild reuses the
     nominal system's unchanged pieces (``assemble_system(like=...)``).
     """
@@ -699,7 +701,7 @@ def classify_eigenvalues(
         # error of the request, not an unresolved label
         bases = [scenario.resolve_parameter(path) for path in params]
         for path, base in zip(params, bases):
-            for rel in perturbations:
+            for rel in DEFAULT_PERTURBATIONS:
                 sc = scenario.with_parameter(path, base * (1.0 + rel))
                 try:
                     lam = _rebuild_eigenvalues(sc, pieces)

@@ -423,11 +423,9 @@ def assemble_cider_hss(
     return CiderHss(node_id, model)
 
 
-def make_zero_injection(
-    index_set: HarmonicIndexSet, node_id: str, port_dim: int = 3
-) -> CiderHss:
+def make_zero_injection(index_set: HarmonicIndexSet, node_id: str) -> CiderHss:
     """Stateless resource injecting nothing; used for pure junction nodes."""
-    n = index_set.count * port_dim
+    n = index_set.count * 3  # one three-phase grid port
 
     def zeros(rows, cols):
         return sp.csr_array((rows, cols), dtype=complex)

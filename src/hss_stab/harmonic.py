@@ -60,45 +60,15 @@ def default_sample_count(index_set: HarmonicIndexSet) -> int:
     return 8 * index_set.count
 
 
-@dataclass(frozen=True)
-class HarmonicSignal:
-    """Column stack of Fourier coefficients of an n-channel periodic signal."""
-
-    index_set: HarmonicIndexSet
-    channels: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=complex).reshape(-1)
-        object.__setattr__(self, "coeffs", coeffs)
-        expected = self.index_set.count * self.channels
-        if self.channels < 1:
-            raise ShapeError("channels must be >= 1")
-        if coeffs.shape != (expected,):
-            raise ShapeError(
-                f"coefficient vector has length {coeffs.shape[0]}, expected {expected}"
-            )
-
-    def sample(self, n_samples: int | None = None) -> np.ndarray:
-        """Reconstruct one fundamental period on a uniform grid, shape (N, channels)."""
-        n = n_samples or default_sample_count(self.index_set)
-        t = np.arange(n) / (n * self.index_set.f1)
-        stack = self.coeffs.reshape(self.index_set.count, self.channels)
-        phases = np.exp(
-            2j * np.pi * self.index_set.f1 * np.outer(t, self.index_set.orders)
-        )
-        return phases @ stack
-
-
 def series_from_samples(
-    samples: np.ndarray, index_set: HarmonicIndexSet, order: int | None = None
+    samples: np.ndarray, index_set: HarmonicIndexSet
 ) -> dict[int, np.ndarray]:
     """Entry-wise DFT of a matrix trajectory, shape (N, m, n) -> {h: (m, n)}.
 
-    Coefficients are retained for |h| <= order (default hmax).  Those at or
-    below ``CONSTRUCTION_TOL`` times the largest retained coefficient are
-    FFT rounding, about 1e-16 of it, and are set to zero, so that a lift
-    does not store them.
+    Coefficients are retained for |h| <= hmax.  Those at or below
+    ``CONSTRUCTION_TOL`` times the largest retained coefficient are FFT
+    rounding, about 1e-16 of it, and are set to zero, so that a lift does
+    not store them.
     """
     samples = np.asarray(samples)
     if samples.ndim != 3:
@@ -106,8 +76,7 @@ def series_from_samples(
     n = samples.shape[0]
     if n < 2 * index_set.count:
         raise ShapeError(f"{n} samples insufficient for hmax={index_set.hmax}")
-    hc = index_set.hmax if order is None else order
-    orders = range(-hc, hc + 1)
+    orders = range(-index_set.hmax, index_set.hmax + 1)
     coeffs = (np.fft.fft(samples, axis=0) / n)[np.asarray(orders) % n]
     coeffs[np.abs(coeffs) <= CONSTRUCTION_TOL * np.max(np.abs(coeffs), initial=0.0)] = 0.0
     return dict(zip(orders, coeffs))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (
@@ -17,25 +16,12 @@ from .assembly import (
     stack_resources,
 )
 from .cider import CiderHss, assemble_cider_hss, assemble_internal_response, make_zero_injection
-from .errors import ConfigurationError
 from .grid import build_grid_state_space, lift_grid_to_hss
-from .harmonic import HarmonicIndexSet, HarmonicSignal, toeplitz_from_fourier
+from .harmonic import HarmonicIndexSet, toeplitz_from_fourier
 from .model import HssModel
 from .references import make_operating_point
 from .scenario import Scenario
 from .templates import CiderConfig
-
-
-def signal_from_harmonics(
-    harmonics, channels: int, index_set: HarmonicIndexSet
-) -> HarmonicSignal:
-    """Zero-padded signal from a sparse {order: channel vector} mapping."""
-    stack = np.zeros((index_set.count, channels), dtype=complex)
-    for h, vec in harmonics.items():
-        if abs(int(h)) > index_set.hmax:
-            continue  # orders beyond the grid are simply not representable
-        stack[index_set.order_index(int(h))] = vec
-    return HarmonicSignal(index_set, channels, stack.reshape(-1))
 
 
 def assemble_cider(config: CiderConfig, index_set: HarmonicIndexSet) -> CiderHss:
@@ -51,9 +37,9 @@ def assemble_cider(config: CiderConfig, index_set: HarmonicIndexSet) -> CiderHss
         name=config.node_id,
     )
     ctl_frame_op = toeplitz_from_fourier(config.transforms.hw_to_ctl, index_set)
-    w_pi = signal_from_harmonics(config.w_pi, config.w_pi_channels, index_set)
-    w_sigma = signal_from_harmonics(config.setpoint, config.setpoint_channels, index_set)
-    r_rho, r_sigma = make_operating_point(config.plugin, ctl_frame_op, w_pi, w_sigma, index_set)
+    r_rho, r_sigma = make_operating_point(
+        config.plugin, ctl_frame_op, config.w_pi, config.setpoint, index_set
+    )
     return assemble_cider_hss(
         internal, r_rho, r_sigma, config.transforms, ctl_frame_op, index_set, config.node_id
     )
@@ -141,12 +127,7 @@ def assemble_system(
             ciders.append(kept[node_id])
         elif node_id in by_node:
             ciders.append(assemble_cider(by_node[node_id], index_set))
-        else:
-            kind = dict((n.node_id, n.kind) for n in scenario.topology.nodes)[node_id]
-            if kind == "forming":
-                raise ConfigurationError(
-                    f"forming node '{node_id}' has no resource"
-                )
+        else:  # a following node: the scenario gives every forming node a resource
             ciders.append(make_zero_injection(index_set, node_id))
     ciders = tuple(ciders)
 

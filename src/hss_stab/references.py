@@ -9,6 +9,8 @@ arrays (``toeplitz_from_fourier``).
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -20,7 +22,6 @@ from .errors import (
 )
 from .harmonic import (
     HarmonicIndexSet,
-    HarmonicSignal,
     default_sample_count,
     series_from_samples,
     toeplitz_from_fourier,
@@ -126,29 +127,38 @@ class PqReference(ReferencePlugin):
 def make_operating_point(
     plugin: ReferencePlugin,
     ctl_frame_op: sp.csr_array,
-    w_pi: HarmonicSignal,
-    w_sigma: HarmonicSignal,
+    w_pi: Mapping[int, np.ndarray],
+    w_sigma: Mapping[int, np.ndarray],
     index_set: HarmonicIndexSet,
 ) -> tuple[sp.csr_array, sp.csr_array]:
     """The lifts R_rho, R_sigma (CSR) of the reference law's Jacobians along
     the operating trajectories.
 
-    ``ctl_frame_op`` is the CSR lift of the hardware-to-control transform; it
-    maps the hardware-frame trajectory w_pi into the frame the reference law
-    acts in.  The trajectories are sampled once, at twice the default count;
-    the Jacobians are read at every other sample.  The law's own trajectory
-    w_kappa, from both sample counts, must agree to 1e-8 of its size: else
-    it is not band-limited enough for the harmonic grid.
+    ``w_pi`` (hardware frame) and ``w_sigma`` (the setpoint) are
+    {order: channel vector} maps, as the scenario gives them; orders beyond
+    hmax are dropped, and absent orders are zero.  ``ctl_frame_op`` is the
+    CSR lift of the hardware-to-control transform; it maps w_pi into the
+    frame the reference law acts in.  The trajectories are sampled once, at
+    twice the default count; the Jacobians are read at every other sample.
+    The law's own trajectory w_kappa, from both sample counts, must agree to
+    1e-8 of its size: else it is not band-limited enough for the harmonic
+    grid.
     """
-    d_rho = ctl_frame_op.shape[0] // index_set.count
-    if d_rho != plugin.d_rho or w_sigma.channels != plugin.d_sigma:
+    count = index_set.count
+    d_rho, d_pi = ctl_frame_op.shape[0] // count, ctl_frame_op.shape[1] // count
+    if d_rho != plugin.d_rho:
         raise ConfigurationError(
-            f"operating trajectories ({d_rho}, {w_sigma.channels}) do not match "
-            f"the reference law dims ({plugin.d_rho}, {plugin.d_sigma})"
+            f"control-frame transform gives {d_rho} channels, "
+            f"the reference law takes {plugin.d_rho}"
         )
-    w_rho = HarmonicSignal(index_set, d_rho, ctl_frame_op @ w_pi.coeffs)
-    n = default_sample_count(index_set)
-    rho_2n, sigma_2n = w_rho.sample(2 * n).real, w_sigma.sample(2 * n).real
+    pi = _stack(w_pi, d_pi, index_set, "w_pi", "control-frame transform")
+    sigma = _stack(w_sigma, plugin.d_sigma, index_set, "setpoint", "reference law")
+    w_rho = (ctl_frame_op @ pi.reshape(-1)).reshape(count, d_rho)
+    # one uniform sampling of the period at twice the default count
+    n = 2 * default_sample_count(index_set)
+    t = np.arange(n) / (n * index_set.f1)
+    phases = np.exp(2j * np.pi * index_set.f1 * np.outer(t, index_set.orders))
+    rho_2n, sigma_2n = (phases @ w_rho).real, (phases @ sigma).real
     rho_t, sigma_t = rho_2n[::2], sigma_2n[::2]
 
     def w_kappa(rho, sigma):
@@ -168,3 +178,22 @@ def make_operating_point(
         toeplitz_from_fourier(r_rho, index_set),
         toeplitz_from_fourier(r_sigma, index_set),
     )
+
+
+def _stack(
+    harmonics: Mapping[int, np.ndarray],
+    channels: int,
+    index_set: HarmonicIndexSet,
+    name: str,
+    taker: str,
+) -> np.ndarray:
+    """The coefficients of ``harmonics`` on the harmonic grid, shape (count, channels)."""
+    stack = np.zeros((index_set.count, channels), dtype=complex)
+    for h, vec in harmonics.items():
+        if np.shape(vec) != (channels,):
+            raise ConfigurationError(
+                f"{name} at order {h} has {np.size(vec)} channels, the {taker} takes {channels}"
+            )
+        if abs(h) <= index_set.hmax:  # orders beyond the grid are not representable
+            stack[index_set.order_index(h)] = vec
+    return stack

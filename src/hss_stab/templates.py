@@ -45,9 +45,7 @@ class CiderConfig:
     transforms: CiderTransforms
     plugin: ReferencePlugin
     setpoint: Mapping[int, np.ndarray]
-    setpoint_channels: int
     w_pi: Mapping[int, np.ndarray]
-    w_pi_channels: int
 
 
 def parse_number(value, field: str) -> complex:
@@ -146,37 +144,65 @@ def _require(section, key, field, kind=object):
 
 
 def _number(section, key, field, kind=float, default=None):
-    """A numeric entry converted by ``kind``; required unless ``default`` is given."""
+    """A numeric entry converted by ``kind``; required unless ``default`` is
+    given.  An ``int`` entry must be integral: 3.7 is rejected, not truncated."""
     if default is not None and isinstance(section, dict) and key not in section:
         return default
     value = _require(section, key, field)
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError):
-        raise ScenarioError(f"expected a number, got {value!r}", field=f"{field}.{key}") from None
+        number = None
+    if number is None or (kind is int and number != float(value)):
+        noun = "an integer" if kind is int else "a number"
+        raise ScenarioError(f"expected {noun}, got {value!r}", field=f"{field}.{key}")
+    return number
 
 
-def _w_pi(raw, field, channels: int) -> dict[int, np.ndarray]:
-    """The operating voltage trajectory, empty when the resource gives none."""
+def _trajectory(section, field, channels: int) -> dict[int, np.ndarray]:
+    """The {order: vector} map of a trajectory section whose width is
+    ``channels``; a ``channels`` entry, when given, must say the same."""
+    if "channels" in section and _number(section, "channels", field, int) != channels:
+        raise ScenarioError(
+            f"declares {section['channels']!r} channels, the resource takes {channels}",
+            field=f"{field}.channels",
+        )
+    return parse_harmonic_vectors(section.get("harmonics"), channels, f"{field}.harmonics")
+
+
+def _resource(raw, field, kind, hardware, control, routing, transforms, plugin) -> CiderConfig:
+    """A resource's configuration; its setpoint is as wide as the reference
+    law's and its operating voltage trajectory as its grid inputs, empty
+    when the resource gives none."""
     op = raw.get("operating_point", {})
     if not isinstance(op, dict) or not isinstance(op.get("w_pi", {}), dict):
         raise ScenarioError(
             "expected an object with an object 'w_pi'", field=f"{field}.operating_point"
         )
-    return parse_harmonic_vectors(
-        op.get("w_pi", {}).get("harmonics"), channels, f"{field}.operating_point.w_pi.harmonics"
+    return CiderConfig(
+        node_id=_require(raw, "node", field),
+        kind=kind,
+        hardware=hardware,
+        control=control,
+        routing=routing,
+        transforms=transforms,
+        plugin=plugin,
+        setpoint=_trajectory(
+            _require(raw, "setpoint", field, dict), f"{field}.setpoint", plugin.d_sigma
+        ),
+        w_pi=_trajectory(
+            op.get("w_pi", {}), f"{field}.operating_point.w_pi", len(routing.hw_grid_inputs)
+        ),
     )
 
 
-def _gains(raw, field) -> tuple[float, float]:
+def _dq_config(raw, field, hardware: LtpBlock, plugin: ReferencePlugin, kind: str) -> CiderConfig:
+    """A three-phase resource under PI control in the rotating (dq) frame:
+    hardware inputs 0-2 actuate, 3-5 take the grid, outputs 0-2 are measured."""
     gains = _require(_require(raw, "control", field), "gains", f"{field}.control")
     kp = _number(gains, "kp", f"{field}.control.gains")
     ki = _number(gains, "ki", f"{field}.control.gains")
-    return kp, ki
-
-
-def _pi_control(kp: float, ki: float) -> LtpBlock:
-    return lti_block(
+    pi = lti_block(
         "pi",
         np.zeros((2, 2)),
         np.eye(2),
@@ -184,10 +210,7 @@ def _pi_control(kp: float, ki: float) -> LtpBlock:
         kp * np.eye(2),
         state_names=("pi.xi_d", "pi.xi_q"),
     )
-
-
-def _dq_routing() -> InternalRouting:
-    return InternalRouting(
+    routing = InternalRouting(
         hw_grid_inputs=(3, 4, 5),
         hw_actuation_inputs=(0, 1, 2),
         ctl_measured_outputs=(0, 1, 2),
@@ -196,15 +219,13 @@ def _dq_routing() -> InternalRouting:
             CtlInput("error", meas_index=1, ref_index=1),
         ),
     )
-
-
-def _dq_transforms() -> CiderTransforms:
-    return CiderTransforms(
+    transforms = CiderTransforms(
         grid_to_hw=identity_series(3),
         hw_to_ctl=park_series(),
         ctl_to_hw=inverse_park_series(),
         grid_out_to_hw_out=identity_series(3),
     )
+    return _resource(raw, field, kind, (hardware,), (pi,), routing, transforms, plugin)
 
 
 def _vf_config(raw, field) -> CiderConfig:
@@ -221,22 +242,7 @@ def _vf_config(raw, field) -> CiderConfig:
     d = np.zeros((3, 6))
     names = tuple(f"lc.i_f.{p}" for p in PHASES) + tuple(f"lc.v_c.{p}" for p in PHASES)
     hardware = lti_block("lc", a, b, c_mat, d, state_names=names, phase_triples=(0, 3))
-    kp, ki = _gains(raw, field)
-    return CiderConfig(
-        node_id=_require(raw, "node", field),
-        kind=GRID_FORMING,
-        hardware=(hardware,),
-        control=(_pi_control(kp, ki),),
-        routing=_dq_routing(),
-        transforms=_dq_transforms(),
-        plugin=_setpoint_reference(2, 2),
-        setpoint=parse_harmonic_vectors(
-            _require(raw, "setpoint", field, dict).get("harmonics"), 2, f"{field}.setpoint.harmonics"
-        ),
-        setpoint_channels=2,
-        w_pi=_w_pi(raw, field, 3),
-        w_pi_channels=3,
-    )
+    return _dq_config(raw, field, hardware, _setpoint_reference(2, 2), GRID_FORMING)
 
 
 def _pq_config(raw, field) -> CiderConfig:
@@ -250,28 +256,13 @@ def _pq_config(raw, field) -> CiderConfig:
     b = np.hstack([(1.0 / l) * eye, -(1.0 / l) * eye])
     names = tuple(f"lf.i.{p}" for p in PHASES)
     hardware = lti_block("lf", a, b, eye, np.zeros((3, 6)), state_names=names, phase_triples=(0,))
-    kp, ki = _gains(raw, field)
-    w_pi = _w_pi(raw, field, 3)
+    cfg = _dq_config(raw, field, hardware, PqReference(), GRID_FOLLOWING)
     if "w_pi" not in raw.get("operating_point", {}):
         raise ScenarioError(
             "power-controlled resource needs an operating voltage trajectory",
             field=f"{field}.operating_point.w_pi",
         )
-    return CiderConfig(
-        node_id=_require(raw, "node", field),
-        kind=GRID_FOLLOWING,
-        hardware=(hardware,),
-        control=(_pi_control(kp, ki),),
-        routing=_dq_routing(),
-        transforms=_dq_transforms(),
-        plugin=PqReference(),
-        setpoint=parse_harmonic_vectors(
-            _require(raw, "setpoint", field, dict).get("harmonics"), 2, f"{field}.setpoint.harmonics"
-        ),
-        setpoint_channels=2,
-        w_pi=w_pi,
-        w_pi_channels=3,
-    )
+    return cfg
 
 
 def parse_block(raw, field) -> LtpBlock:
@@ -367,34 +358,12 @@ def _custom_config(raw, field) -> CiderConfig:
         ),
     )
     plugin = _parse_reference(_require(raw, "reference", field), f"{field}.reference")
-    sp = _require(raw, "setpoint", field)
-    channels = _number(sp, "channels", f"{field}.setpoint", int)
-    if channels != plugin.d_sigma:
-        raise ScenarioError(
-            f"setpoint has {channels} channels, reference law expects {plugin.d_sigma}",
-            field=f"{field}.setpoint",
-        )
     kind = _require(raw, "kind", field)
     if kind not in (GRID_FORMING, GRID_FOLLOWING):
         raise ScenarioError(
             f"kind must be '{GRID_FORMING}' or '{GRID_FOLLOWING}', got {kind!r}", field=f"{field}.kind"
         )
-    d_pi = len(routing.hw_grid_inputs)
-    return CiderConfig(
-        node_id=_require(raw, "node", field),
-        kind=kind,
-        hardware=hardware,
-        control=control,
-        routing=routing,
-        transforms=transforms,
-        plugin=plugin,
-        setpoint=parse_harmonic_vectors(
-            sp.get("harmonics"), channels, f"{field}.setpoint.harmonics"
-        ),
-        setpoint_channels=channels,
-        w_pi=_w_pi(raw, field, d_pi),
-        w_pi_channels=d_pi,
-    )
+    return _resource(raw, field, kind, hardware, control, routing, transforms, plugin)
 
 
 def _setpoint_reference(channels: int, d_rho: int) -> AffineReference:

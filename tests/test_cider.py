@@ -22,24 +22,18 @@ from hss_stab import (
     make_zero_injection,
     park_series,
     pinv_series,
-    signal_from_harmonics,
     stack_blocks,
     toeplitz_from_fourier,
 )
 from hss_stab.model import HssModel
 from hss_stab.pipeline import assemble_cider
-from tests.test_references import block_offsets, dft, periodic_samples
+from tests.test_references import block_offsets, coefficients, dft, periodic_samples
 
 
 def resource_lifts(cfg, iset):
     """R_rho, R_sigma of a configured resource along its operating trajectories."""
-    return make_operating_point(
-        cfg.plugin,
-        toeplitz_from_fourier(cfg.transforms.hw_to_ctl, iset),
-        signal_from_harmonics(cfg.w_pi, cfg.w_pi_channels, iset),
-        signal_from_harmonics(cfg.setpoint, cfg.setpoint_channels, iset),
-        iset,
-    )
+    ctl_frame_op = toeplitz_from_fourier(cfg.transforms.hw_to_ctl, iset)
+    return make_operating_point(cfg.plugin, ctl_frame_op, cfg.w_pi, cfg.setpoint, iset)
 
 
 def integrator_gain_parts(k=2.5, with_grid_input=True):
@@ -218,10 +212,8 @@ def vf_identity_cider(iset, k=2.0, kp_only=True):
         grid_out_to_hw_out=identity_series(1),
     )
     plugin = AffineReference(np.zeros((1, 1)), np.eye(1))  # the setpoint passes through
-    w_pi = signal_from_harmonics({}, 1, iset)
-    w_sigma = signal_from_harmonics({0: np.array([1.0])}, 1, iset)
     ctl_frame_op = toeplitz_from_fourier({0: np.eye(1)}, iset)
-    r_rho, r_sigma = make_operating_point(plugin, ctl_frame_op, w_pi, w_sigma, iset)
+    r_rho, r_sigma = make_operating_point(plugin, ctl_frame_op, {}, {0: np.ones(1)}, iset)
     return internal, assemble_cider_hss(
         internal, r_rho, r_sigma, transforms, ctl_frame_op, iset, "n1"
     )
@@ -270,22 +262,22 @@ class TestGridResponse:
             cfg.hardware, cfg.control, cfg.routing, t.ctl_to_hw, t.hw_to_ctl, iset
         )
         r_rho, _ = resource_lifts(cfg, iset)
-        w_pi = signal_from_harmonics(cfg.w_pi, cfg.w_pi_channels, iset)
-        w_sigma = signal_from_harmonics(cfg.setpoint, cfg.setpoint_channels, iset)
+        w_pi = coefficients(cfg.w_pi, iset).reshape(-1)
+        w_sigma = coefficients(cfg.setpoint, iset).reshape(-1)
         n = 8 * iset.count
         phases = np.exp(2j * np.pi * np.outer(np.arange(n), iset.orders) / n)
         park = [t.hw_to_ctl.get(h, np.zeros((2, 3))) for h in iset.orders]
         park_t = np.tensordot(phases, park, axes=1)
-        rho_t = np.einsum("tij,tj->ti", park_t, periodic_samples(w_pi, n)).real
-        sigma_t = periodic_samples(w_sigma, n).real
+        rho_t = np.einsum("tij,tj->ti", park_t, periodic_samples(cfg.w_pi, iset, n)).real
+        sigma_t = periodic_samples(cfg.setpoint, iset, n).real
         w_rho = dft(rho_t, iset)
         w_kappa = dft(cfg.plugin.evaluate(rho_t, sigma_t), iset)
         e_kappa = internal.e["kappa"]
-        w_o = np.concatenate([w_kappa, w_pi.coeffs, w_sigma.coeffs])
+        w_o = np.concatenate([w_kappa, w_pi, w_sigma])
         recovered = (
             cider.model.e["o"] @ w_o
             + e_kappa @ (r_rho @ w_rho)
-            + cider.model.e["sigma"] @ w_sigma.coeffs
+            + cider.model.e["sigma"] @ w_sigma
         )
         expected = e_kappa @ w_kappa
         scale = max(1.0, np.max(np.abs(expected)))
@@ -425,9 +417,7 @@ def oracle_config(seed=3):
         transforms=transforms,
         plugin=PqReference(),
         setpoint={0: np.array([5.0, 1.0])},
-        setpoint_channels=2,
         w_pi={0: np.array([3.0, 0.5]), 1: np.array([0.4 - 0.2j, 0.1j]), -1: np.array([0.4 + 0.2j, -0.1j])},
-        w_pi_channels=2,
     )
 
 

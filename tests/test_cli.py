@@ -149,6 +149,32 @@ class TestValidationErrors:
         assert record["message"].startswith(f"{node}: reference law gives 3 channels")
 
     @pytest.mark.parametrize(
+        "w_pi, error",
+        [({}, "ShapeError"), ({"0": [1.0, 0.0, 0.0]}, "ConfigurationError")],
+        ids=["zero-trajectory", "given-trajectory"],
+    )
+    def test_hardware_frame_width_mismatch_exit_2(self, w_pi, error, tmp_path, capsys):
+        # a fourth, measured hardware output widens the hardware-to-control
+        # transform to 3x4, while the grid inputs and w_pi stay 3 wide
+        raw = json.loads(Path(TOY).read_text())
+        cider = raw["ciders"][0]
+        plant = cider["hardware"][0]
+        plant["c"]["0"].append([1.0, 1.0, 1.0])
+        plant["d"]["0"] = [[0.0] * 6 for _ in range(4)]
+        cider["routing"]["ctl_measured_outputs"] = [0, 1, 2, 3]
+        frame = {"type": "custom", "harmonics": {"0": np.eye(3, 4).tolist()}}
+        cider["transforms"]["hardware_to_control"] = frame
+        cider["transforms"]["hardware_output_to_grid_output"] = frame
+        cider["operating_point"]["w_pi"]["harmonics"] = w_pi
+        p = tmp_path / "wide_hardware.json"
+        p.write_text(json.dumps(raw))
+        assert run_cli("eig", "--scenario", str(p), "--hmax", "1") == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == error
+        assert record["exit_code"] == 2
+        assert "control-frame transform" in record["message"]
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("htf", "--scenario", RLC, "--s", "1+x"),

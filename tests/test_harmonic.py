@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from hss_stab import (
     HarmonicIndexSet,
-    HarmonicSignal,
     ShapeError,
     node_major_order,
     omega_diagonal,
@@ -46,6 +45,9 @@ class TestIndexSet:
     def test_invalid(self, hmax, f1):
         with pytest.raises(ConfigurationError):
             HarmonicIndexSet(hmax, f1)
+
+    def test_sample_count_default(self):
+        assert default_sample_count(HarmonicIndexSet(3, 50.0)) == 56
 
 
 class TestToeplitz:
@@ -306,11 +308,3 @@ class TestGrouping:
         lam2 = np.sort_complex(np.linalg.eigvals(permuted))
         assert np.max(np.abs(lam1 - lam2)) < 1e-10 * max(1.0, np.max(np.abs(lam1)))
 
-
-class TestHarmonicSignal:
-    def test_length_checked(self):
-        with pytest.raises(ShapeError):
-            HarmonicSignal(HarmonicIndexSet(1, 50.0), 2, np.zeros(5))
-
-    def test_sample_count_default(self):
-        assert default_sample_count(HarmonicIndexSet(3, 50.0)) == 56

@@ -166,6 +166,32 @@ class TestLoading:
             ("toy_gain", 0, "reference.channels", -1, "ciders.0.reference.channels"),
             ("toy_gain", 0, "reference.d_rho", 0, "ciders.0.reference.d_rho"),
             ("toy_gain", 0, "reference.d_rho", -1, "ciders.0.reference.d_rho"),
+            ("toy_gain", 0, "setpoint.channels", 3.7, "ciders.0.setpoint.channels"),
+            ("toy_gain", 0, "reference.channels", 3.2, "ciders.0.reference.channels"),
+            ("toy_gain", 0, "reference.d_rho", 3.9, "ciders.0.reference.d_rho"),
+            ("two_node", 0, "setpoint.channels", 5, "ciders.0.setpoint.channels"),
+            (
+                "two_node",
+                1,
+                "operating_point.w_pi.channels",
+                7,
+                "ciders.1.operating_point.w_pi.channels",
+            ),
+            ("toy_gain", 0, "setpoint.channels", 2, "ciders.0.setpoint.channels"),
+            (
+                "toy_gain",
+                0,
+                "operating_point.w_pi.channels",
+                2,
+                "ciders.0.operating_point.w_pi.channels",
+            ),
+            (
+                "two_node",
+                0,
+                "setpoint.harmonics",
+                {"0": [325.0, 0.0, 0.0]},
+                "ciders.0.setpoint.harmonics.0",
+            ),
             ("toy_gain", 0, "routing.ctl_inputs", 5, "ciders.0.routing.ctl_inputs"),
             ("toy_gain", 0, "hardware.0.state_names", 5, "ciders.0.hardware.0.state_names"),
             (
@@ -188,6 +214,14 @@ class TestLoading:
             "reference-channels-negative",
             "reference-d-rho-zero",
             "reference-d-rho-negative",
+            "setpoint-channels-fractional",
+            "reference-channels-fractional",
+            "reference-d-rho-fractional",
+            "vf-setpoint-channels-contradict",
+            "pq-w-pi-channels-contradict",
+            "custom-setpoint-channels-contradict",
+            "custom-w-pi-channels-contradict",
+            "setpoint-entry-width",
             "ctl-inputs-number",
             "state-names-number",
             "theta0-string",
