@@ -24,6 +24,7 @@ class ScenarioError(ConfigurationError):
     """
 
     def __init__(self, message, field=None, path=None):
+        self.message = message
         self.field = field
         self.path = path
         prefix = ""

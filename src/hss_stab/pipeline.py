@@ -16,6 +16,7 @@ from .assembly import (
     stack_resources,
 )
 from .cider import CiderHss, assemble_cider_hss, assemble_internal_response, make_zero_injection
+from .errors import ConfigurationError
 from .grid import build_grid_state_space, lift_grid_to_hss
 from .harmonic import HarmonicIndexSet, toeplitz_from_fourier
 from .model import HssModel
@@ -37,9 +38,12 @@ def assemble_cider(config: CiderConfig, index_set: HarmonicIndexSet) -> CiderHss
         name=config.node_id,
     )
     ctl_frame_op = toeplitz_from_fourier(config.transforms.hw_to_ctl, index_set)
-    r_rho, r_sigma = make_operating_point(
-        config.plugin, ctl_frame_op, config.w_pi, config.setpoint, index_set
-    )
+    try:
+        r_rho, r_sigma = make_operating_point(
+            config.plugin, ctl_frame_op, config.w_pi, config.setpoint, index_set
+        )
+    except ConfigurationError as exc:  # a width mismatch: name the resource
+        raise ConfigurationError(f"{config.node_id}: {exc}") from None
     return assemble_cider_hss(
         internal, r_rho, r_sigma, config.transforms, ctl_frame_op, index_set, config.node_id
     )

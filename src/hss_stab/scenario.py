@@ -4,147 +4,35 @@ A scenario is a single JSON document describing the harmonic grid
 settings, the electrical topology, the resources with their setpoints
 and operating trajectories, named parameter sweeps and analysis
 tolerances.  Everything the downstream modules need is pre-validated
-here with path-to-field diagnostics.
+here, with the field-path helpers of ``templates``, and every error names
+its field.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-import jsonschema
-import numpy as np
-
 from .errors import ScenarioError
-from .grid import Branch, GridNode, GridTopology
-from .templates import CiderConfig, build_cider_config
+from .grid import FOLLOWING, FORMING, Branch, GridNode, GridTopology
+from .templates import (
+    DOCUMENT,
+    CiderConfig,
+    _as_number,
+    _count,
+    _entries,
+    _number,
+    _require,
+    _strings,
+    build_cider_config,
+)
 
 DEFAULT_F1 = 50.0
 DEFAULT_HMAX = 25
-
-_NUMBER_OR_PAIR = {
-    "oneOf": [
-        {"type": "number"},
-        {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-    ]
-}
-_PHASE_MATRIX = {
-    "oneOf": [
-        {"type": "number"},
-        {
-            "type": "array",
-            "minItems": 3,
-            "maxItems": 3,
-            "items": {
-                "type": "array",
-                "minItems": 3,
-                "maxItems": 3,
-                "items": {"type": "number"},
-            },
-        },
-    ]
-}
-
-SCHEMA = {
-    "type": "object",
-    "required": ["grid"],
-    "additionalProperties": False,
-    "properties": {
-        "system": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "f1": {"type": "number", "exclusiveMinimum": 0},
-                "hmax": {"type": "integer", "minimum": 0},
-            },
-        },
-        "grid": {
-            "type": "object",
-            "required": ["nodes"],
-            "additionalProperties": False,
-            "properties": {
-                "nodes": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "required": ["id", "kind"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "id": {"type": "string"},
-                            "kind": {"enum": ["forming", "following"]},
-                        },
-                    },
-                },
-                "branches": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["from", "to", "r", "l"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "from": {"type": "string"},
-                            "to": {"type": "string"},
-                            "r": _PHASE_MATRIX,
-                            "l": _PHASE_MATRIX,
-                        },
-                    },
-                },
-                "shunts": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "required": ["node", "c"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "node": {"type": "string"},
-                            "c": _PHASE_MATRIX,
-                        },
-                    },
-                },
-            },
-        },
-        "ciders": {"type": "array", "items": {"type": "object"}},
-        "sweeps": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["path", "values"],
-                "additionalProperties": False,
-                "properties": {
-                    "path": {"type": "string"},
-                    "values": {
-                        "type": "array",
-                        "minItems": 2,
-                        "items": {"type": "number"},
-                    },
-                },
-            },
-        },
-        "analysis": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "stability_margin": {"type": "number"},
-                "classification_tolerance": {"type": ["number", "null"]},
-                "spurious_tolerance": {"type": ["number", "null"]},
-                "control_parameters": {"type": "array", "items": {"type": "string"}},
-                "hardware_parameters": {"type": "array", "items": {"type": "string"}},
-            },
-        },
-    },
-}
-
 
 @dataclass(frozen=True)
 class SweepDef:
@@ -255,48 +143,61 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(raw, source=str(p))
 
 
-@functools.cache
-def _schema_validator():
-    """Validator of ``SCHEMA``; the schema itself is checked on first use only."""
-    cls = jsonschema.validators.validator_for(SCHEMA)
-    cls.check_schema(SCHEMA)
-    return cls(SCHEMA)
-
-
 def scenario_from_dict(raw: dict, source: str | None = None) -> Scenario:
-    error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(raw))
-    if error is not None:
-        field = ".".join(str(s) for s in error.absolute_path) or "<document>"
-        raise ScenarioError(error.message, field=field, path=source)
-    for field in _non_finite_fields(raw):  # the first, if any: json.loads and jsonschema take NaN
-        raise ScenarioError("number is not finite", field=field, path=source)
+    """Validate a scenario document and build its Scenario; a ScenarioError
+    names ``source`` and the field at fault."""
+    try:
+        return _parse(raw, source)
+    except ScenarioError as exc:
+        if exc.path is not None:
+            raise
+        raise ScenarioError(exc.message, field=exc.field, path=source) from None
 
-    system = raw.get("system", {})
-    f1 = float(system.get("f1", DEFAULT_F1))
-    hmax = int(system.get("hmax", DEFAULT_HMAX))
 
-    topology = _build_topology(raw["grid"], source)
+def _parse(raw, source) -> Scenario:
+    for field in _non_finite_fields(raw):  # the first, if any: json.loads takes NaN
+        raise ScenarioError("number is not finite", field=field)
+    _entries(raw, DOCUMENT, ("grid",), ("system", "ciders", "sweeps", "analysis"))
+    system = _entries(raw.get("system", {}), "system", optional=("f1", "hmax"))
+    f1 = _number(system, "f1", "system", default=DEFAULT_F1)
+    if f1 <= 0:
+        raise ScenarioError(f"expected a number > 0, got {f1}", field="system.f1")
+    hmax = _count(system, "hmax", "system", 0, default=DEFAULT_HMAX)
+
+    topology = _build_topology(raw["grid"])
     ciders = tuple(
-        build_cider_config(c, i) for i, c in enumerate(raw.get("ciders", []))
+        build_cider_config(c, i)
+        for i, c in enumerate(_require(raw, "ciders", DOCUMENT, list, default=[]))
     )
-    _cross_validate(topology, ciders, source)
+    _cross_validate(topology, ciders)
 
     sweeps = {
-        name: SweepDef(sw["path"], tuple(float(v) for v in sw["values"]))
-        for name, sw in raw.get("sweeps", {}).items()
+        name: _sweep(sw, f"sweeps.{name}")
+        for name, sw in _require(raw, "sweeps", DOCUMENT, dict, default={}).items()
     }
-    an = raw.get("analysis", {})
+    keys = tuple(f.name for f in fields(AnalysisOptions))
+    an = _entries(raw.get("analysis", {}), "analysis", optional=keys)
     analysis = AnalysisOptions(
-        stability_margin=float(an.get("stability_margin", 0.0)),
-        classification_tolerance=an.get("classification_tolerance"),
-        spurious_tolerance=an.get("spurious_tolerance"),
-        control_parameters=tuple(an.get("control_parameters", ())),
-        hardware_parameters=tuple(an.get("hardware_parameters", ())),
+        stability_margin=_number(an, "stability_margin", "analysis", default=0.0),
+        classification_tolerance=_number(an, "classification_tolerance", "analysis", default=None),
+        spurious_tolerance=_number(an, "spurious_tolerance", "analysis", default=None),
+        control_parameters=_strings(an, "control_parameters", "analysis"),
+        hardware_parameters=_strings(an, "hardware_parameters", "analysis"),
     )
     scenario = Scenario(raw, source, f1, hmax, topology, ciders, sweeps, analysis)
     for name, sw in sweeps.items():
         scenario.resolve_parameter(sw.path)
     return scenario
+
+
+def _sweep(raw, field) -> SweepDef:
+    values = _require(_entries(raw, field, ("path", "values")), "values", field, list)
+    if len(values) < 2:
+        raise ScenarioError(f"expected at least 2 values, got {len(values)}", field=f"{field}.values")
+    return SweepDef(
+        _require(raw, "path", field, str),
+        tuple(_as_number(v, f"{field}.values.{i}") for i, v in enumerate(values)),
+    )
 
 
 def _non_finite_fields(node, path=()):
@@ -308,17 +209,55 @@ def _non_finite_fields(node, path=()):
             yield from _non_finite_fields(value, path + (str(key),))
 
 
-def _build_topology(grid_raw, source) -> GridTopology:
-    nodes = tuple(GridNode(n["id"], n["kind"]) for n in grid_raw["nodes"])
-    branches = tuple(
-        Branch(b["from"], b["to"], np.asarray(b["r"], float), np.asarray(b["l"], float))
-        for b in grid_raw.get("branches", [])
+def _build_topology(raw) -> GridTopology:
+    grid = _entries(raw, "grid", ("nodes",), ("branches", "shunts"))
+    nodes = _require(grid, "nodes", "grid", list)
+    if not nodes:
+        raise ScenarioError("expected at least one node", field="grid.nodes")
+    branches = _require(grid, "branches", "grid", list, default=[])
+    shunts = _require(grid, "shunts", "grid", list, default=[])
+    return GridTopology(
+        tuple(_node(n, f"grid.nodes.{i}") for i, n in enumerate(nodes)),
+        tuple(_branch(b, f"grid.branches.{i}") for i, b in enumerate(branches)),
+        dict(_shunt(s, f"grid.shunts.{i}") for i, s in enumerate(shunts)),
     )
-    shunts = {s["node"]: np.asarray(s["c"], float) for s in grid_raw.get("shunts", [])}
-    return GridTopology(nodes, branches, shunts)
 
 
-def _cross_validate(topology: GridTopology, ciders, source):
+def _node(raw, field) -> GridNode:
+    kind = _entries(raw, field, ("id", "kind"))["kind"]
+    if kind not in (FORMING, FOLLOWING):
+        raise ScenarioError(
+            f"expected '{FORMING}' or '{FOLLOWING}', got {kind!r}", field=f"{field}.kind"
+        )
+    return GridNode(_require(raw, "id", field, str), kind)
+
+
+def _branch(raw, field) -> Branch:
+    _entries(raw, field, ("from", "to", "r", "l"))
+    return Branch(
+        _require(raw, "from", field, str),
+        _require(raw, "to", field, str),
+        _phase_matrix(raw, "r", field),
+        _phase_matrix(raw, "l", field),
+    )
+
+
+def _shunt(raw, field) -> tuple[str, float | list]:
+    _entries(raw, field, ("node", "c"))
+    return _require(raw, "node", field, str), _phase_matrix(raw, "c", field)
+
+
+def _phase_matrix(section, key, field) -> float | list:
+    """A number (the same decoupled phases) or a 3x3 array of numbers."""
+    value, at = _require(section, key, field), f"{field}.{key}"
+    if not isinstance(value, list):
+        return _as_number(value, at)
+    if len(value) != 3 or not all(isinstance(row, list) and len(row) == 3 for row in value):
+        raise ScenarioError(f"expected a number or 3x3 numbers, got {value!r}", field=at)
+    return [[_as_number(v, f"{at}.{i}.{k}") for k, v in enumerate(row)] for i, row in enumerate(value)]
+
+
+def _cross_validate(topology: GridTopology, ciders):
     kinds = {n.node_id: n.kind for n in topology.nodes}
     seen = set()
     for i, cfg in enumerate(ciders):
@@ -326,13 +265,11 @@ def _cross_validate(topology: GridTopology, ciders, source):
             raise ScenarioError(
                 f"resource references unknown node '{cfg.node_id}'",
                 field=f"ciders.{i}.node",
-                path=source,
             )
         if cfg.node_id in seen:
             raise ScenarioError(
                 f"node '{cfg.node_id}' hosts more than one resource",
                 field=f"ciders.{i}.node",
-                path=source,
             )
         seen.add(cfg.node_id)
         expected = "forming" if cfg.kind == "grid-forming" else "following"
@@ -341,7 +278,6 @@ def _cross_validate(topology: GridTopology, ciders, source):
                 f"a {cfg.kind} resource cannot sit at a {kinds[cfg.node_id]} node "
                 f"'{cfg.node_id}'",
                 field=f"ciders.{i}.kind",
-                path=source,
             )
     if ciders:
         forming_hosts = {c.node_id for c in ciders if c.kind == "grid-forming"}
@@ -350,5 +286,4 @@ def _cross_validate(topology: GridTopology, ciders, source):
             raise ScenarioError(
                 f"forming nodes without a voltage-forming resource: {sorted(missing)}",
                 field="ciders",
-                path=source,
             )

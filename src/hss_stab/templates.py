@@ -5,7 +5,9 @@ Two executable resources ship with the package: a voltage-controlled
 the rotating frame, and a power-controlled (grid-following) unit with an
 L filter, PI current control and the nonlinear power reference.  All
 gains and filter values come from the scenario; a 'custom' template
-accepts raw LTP blocks keyed by harmonic order.
+accepts raw LTP blocks keyed by harmonic order.  The field-path helpers
+(``_entries``, ``_require``, ``_number``) check the rest of the scenario
+document too, with one definition of a number: booleans are not numbers.
 """
 
 from __future__ import annotations
@@ -50,13 +52,11 @@ class CiderConfig:
 
 def parse_number(value, field: str) -> complex:
     """A JSON number, or an [re, im] pair."""
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(
-        isinstance(v, (int, float)) for v in value
-    ):
+    if isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value):
         return complex(value[0], value[1])
-    raise ScenarioError("expected a number or [re, im] pair", field=field)
+    raise ScenarioError(f"expected a number or [re, im] pair, got {value!r}", field=field)
 
 
 def parse_matrix(value, field: str) -> np.ndarray:
@@ -117,10 +117,7 @@ def parse_transform(spec, field: str) -> dict[int, np.ndarray]:
         raise ScenarioError("transform needs a 'type'", field=field)
     kind = spec["type"]
     if kind == "identity":
-        dim = spec.get("dim")
-        if not isinstance(dim, int) or dim < 1:
-            raise ScenarioError("identity transform needs integer 'dim'", field=field)
-        return identity_series(dim)
+        return identity_series(_count(spec, "dim", field, 1))
     if kind == "park":
         return park_series(_number(spec, "theta0", field, default=0.0))
     if kind == "inverse-park":
@@ -130,33 +127,88 @@ def parse_transform(spec, field: str) -> dict[int, np.ndarray]:
     raise ScenarioError(f"unknown transform type '{kind}'", field=field)
 
 
-_KINDS = {list: "an array", dict: "an object"}
+DOCUMENT = "<document>"
+_KINDS = {list: "an array", dict: "an object", str: "a string"}
+_REQUIRED = object()
 
 
-def _require(section, key, field, kind=object):
-    """The entry ``key`` of ``section``, which must be an instance of ``kind``."""
+def _at(field: str, key) -> str:
+    """The field path of entry ``key`` of the section at ``field``."""
+    return str(key) if field == DOCUMENT else f"{field}.{key}"
+
+
+def _entries(section, field, required=(), optional=()):
+    """``section``, an object holding every key of ``required`` and no key
+    outside ``required`` and ``optional``."""
+    if not isinstance(section, dict):
+        raise ScenarioError(f"expected an object, got {section!r}", field=field)
+    for key in section:
+        if key not in required and key not in optional:
+            allowed = ", ".join(required + optional)
+            raise ScenarioError(f"unknown entry '{key}' (allowed: {allowed})", field=field)
+    for key in required:
+        _require(section, key, field)
+    return section
+
+
+def _require(section, key, field, kind=object, default=_REQUIRED):
+    """The entry ``key`` of ``section``, which must be an instance of ``kind``;
+    required unless ``default`` is given."""
+    if isinstance(section, dict) and key not in section and default is not _REQUIRED:
+        return default
     if not isinstance(section, dict) or key not in section:
         raise ScenarioError(f"missing required entry '{key}'", field=field)
     value = section[key]
     if not isinstance(value, kind):
-        raise ScenarioError(f"expected {_KINDS[kind]}, got {value!r}", field=f"{field}.{key}")
+        raise ScenarioError(f"expected {_KINDS[kind]}, got {value!r}", field=_at(field, key))
     return value
 
 
-def _number(section, key, field, kind=float, default=None):
-    """A numeric entry converted by ``kind``; required unless ``default`` is
-    given.  An ``int`` entry must be integral: 3.7 is rejected, not truncated."""
-    if default is not None and isinstance(section, dict) and key not in section:
-        return default
-    value = _require(section, key, field)
-    try:
-        number = kind(value)
-    except (TypeError, ValueError):
-        number = None
-    if number is None or (kind is int and number != float(value)):
+def _is_number(value) -> bool:
+    """A JSON number: true and false are not, though Python's bool is an int."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _as_number(value, field, kind=float):
+    """``value`` converted by ``kind``; an ``int`` must be integral: 3.7 is
+    rejected, not truncated."""
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if not _is_number(value) or fractional:
         noun = "an integer" if kind is int else "a number"
-        raise ScenarioError(f"expected {noun}, got {value!r}", field=f"{field}.{key}")
-    return number
+        raise ScenarioError(f"expected {noun}, got {value!r}", field=field)
+    return kind(value)
+
+
+def _number(section, key, field, kind=float, default=_REQUIRED):
+    """A numeric entry converted by ``kind``; required unless ``default`` is
+    given.  With a default of None the entry may also be null."""
+    value = _require(section, key, field, default=default)
+    if value is None and default is None:
+        return None
+    return _as_number(value, _at(field, key), kind)
+
+
+def _count(section, key, field, minimum, default=_REQUIRED) -> int:
+    """An integer entry no less than ``minimum``."""
+    value = _number(section, key, field, int, default)
+    if value < minimum:
+        raise ScenarioError(f"expected an integer >= {minimum}, got {value}", field=_at(field, key))
+    return value
+
+
+def _strings(section, key, field) -> tuple[str, ...]:
+    """An array of strings; empty when the entry is absent."""
+    values = _require(section, key, field, list, default=[])
+    for i, value in enumerate(values):
+        if not isinstance(value, str):
+            raise ScenarioError(f"expected a string, got {value!r}", field=f"{_at(field, key)}.{i}")
+    return tuple(values)
+
+
+def _indices(section, key, field) -> tuple[int, ...]:
+    """A required array of channel indices."""
+    values = _require(section, key, field, list)
+    return tuple(_as_number(v, f"{_at(field, key)}.{i}", int) for i, v in enumerate(values))
 
 
 def _trajectory(section, field, channels: int) -> dict[int, np.ndarray]:
@@ -174,13 +226,9 @@ def _resource(raw, field, kind, hardware, control, routing, transforms, plugin) 
     """A resource's configuration; its setpoint is as wide as the reference
     law's and its operating voltage trajectory as its grid inputs, empty
     when the resource gives none."""
-    op = raw.get("operating_point", {})
-    if not isinstance(op, dict) or not isinstance(op.get("w_pi", {}), dict):
-        raise ScenarioError(
-            "expected an object with an object 'w_pi'", field=f"{field}.operating_point"
-        )
+    op = _require(raw, "operating_point", field, dict, default={})
     return CiderConfig(
-        node_id=_require(raw, "node", field),
+        node_id=_require(raw, "node", field, str),
         kind=kind,
         hardware=hardware,
         control=control,
@@ -191,7 +239,9 @@ def _resource(raw, field, kind, hardware, control, routing, transforms, plugin) 
             _require(raw, "setpoint", field, dict), f"{field}.setpoint", plugin.d_sigma
         ),
         w_pi=_trajectory(
-            op.get("w_pi", {}), f"{field}.operating_point.w_pi", len(routing.hw_grid_inputs)
+            _require(op, "w_pi", f"{field}.operating_point", dict, default={}),
+            f"{field}.operating_point.w_pi",
+            len(routing.hw_grid_inputs),
         ),
     )
 
@@ -224,6 +274,7 @@ def _dq_config(raw, field, hardware: LtpBlock, plugin: ReferencePlugin, kind: st
         hw_to_ctl=park_series(),
         ctl_to_hw=inverse_park_series(),
         grid_out_to_hw_out=identity_series(3),
+        hw_out_to_grid_out=identity_series(3),
     )
     return _resource(raw, field, kind, (hardware,), (pi,), routing, transforms, plugin)
 
@@ -269,7 +320,7 @@ def parse_block(raw, field) -> LtpBlock:
     """Raw LTP block; absent matrices default to zeros of the inferred shape."""
     if not isinstance(raw, dict):
         raise ScenarioError("block must be an object", field=field)
-    name = raw.get("name", "block")
+    name = _require(raw, "name", field, str, default="block")
     series = {}
     for key in ("a", "b", "c", "d"):
         if key in raw:
@@ -292,7 +343,7 @@ def parse_block(raw, field) -> LtpBlock:
     series.setdefault("b", {0: np.zeros((nx, nu))})
     series.setdefault("c", {0: np.zeros((ny, nx))})
     series.setdefault("d", {0: np.zeros((ny, nu))})
-    state_names = tuple(_require(raw, "state_names", field, list)) if "state_names" in raw else None
+    state_names = _strings(raw, "state_names", field) if "state_names" in raw else None
     return LtpBlock(name, series["a"], series["b"], series["c"], series["d"], state_names)
 
 
@@ -314,20 +365,16 @@ def _custom_config(raw, field) -> CiderConfig:
     routing_raw = _require(raw, "routing", field)
     ctl_inputs = tuple(
         CtlInput(
-            kind=_require(src, "kind", f"{field}.routing.ctl_inputs.{i}"),
-            meas_index=src.get("meas"),
-            ref_index=src.get("ref"),
+            kind=_require(src, "kind", f"{field}.routing.ctl_inputs.{i}", str),
+            meas_index=_number(src, "meas", f"{field}.routing.ctl_inputs.{i}", int, None),
+            ref_index=_number(src, "ref", f"{field}.routing.ctl_inputs.{i}", int, None),
         )
         for i, src in enumerate(_require(routing_raw, "ctl_inputs", f"{field}.routing", list))
     )
     routing = InternalRouting(
-        hw_grid_inputs=tuple(_require(routing_raw, "hw_grid_inputs", f"{field}.routing", list)),
-        hw_actuation_inputs=tuple(
-            _require(routing_raw, "hw_actuation_inputs", f"{field}.routing", list)
-        ),
-        ctl_measured_outputs=tuple(
-            _require(routing_raw, "ctl_measured_outputs", f"{field}.routing", list)
-        ),
+        hw_grid_inputs=_indices(routing_raw, "hw_grid_inputs", f"{field}.routing"),
+        hw_actuation_inputs=_indices(routing_raw, "hw_actuation_inputs", f"{field}.routing"),
+        ctl_measured_outputs=_indices(routing_raw, "ctl_measured_outputs", f"{field}.routing"),
         ctl_inputs=ctl_inputs,
     )
     traw = _require(raw, "transforms", field)
@@ -374,11 +421,9 @@ def _setpoint_reference(channels: int, d_rho: int) -> AffineReference:
 def _parse_reference(raw, field) -> ReferencePlugin:
     kind = _require(raw, "type", field)
     if kind == "vf":
-        dims = {key: _number(raw, key, field, int, default=2) for key in ("channels", "d_rho")}
-        for key, value in dims.items():
-            if value < 1:
-                raise ScenarioError(f"expected an integer >= 1, got {value}", field=f"{field}.{key}")
-        return _setpoint_reference(dims["channels"], dims["d_rho"])
+        return _setpoint_reference(
+            _count(raw, "channels", field, 1, default=2), _count(raw, "d_rho", field, 1, default=2)
+        )
     if kind == "pq":
         return PqReference()
     if kind == "affine":
@@ -394,7 +439,9 @@ TEMPLATES = {"vf": _vf_config, "pq": _pq_config, "custom": _custom_config}
 
 def build_cider_config(raw, index: int) -> CiderConfig:
     field = f"ciders.{index}"
-    template = raw.get("template", "custom")
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"expected an object, got {raw!r}", field=field)
+    template = _require(raw, "template", field, str, default="custom")
     if template not in TEMPLATES:
         raise ScenarioError(
             f"unknown template '{template}' (choose from {sorted(TEMPLATES)})",

@@ -172,6 +172,7 @@ class TestValidationErrors:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == error
         assert record["exit_code"] == 2
+        assert record["message"].startswith(f"{cider['node']}: ")
         assert "control-frame transform" in record["message"]
 
     @pytest.mark.parametrize(
@@ -362,6 +363,17 @@ class TestCommands:
             f"assert main(['sweep', '--scenario', {TWO_NODE!r}, '--sweep', 'voltage_kp',"
             f" '--out', {str(tmp_path / 's.csv')!r}]) == 0\n"
             "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize imported'\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+
+    def test_load_and_eig_leave_jsonschema_unloaded(self):
+        # scenarios are validated by the package's own field-path checks
+        code = (
+            "import sys\n"
+            "from hss_stab import load_scenario, run_command\n"
+            f"run_command('eig', load_scenario({TWO_NODE!r}).with_hmax(1))\n"
+            "assert 'jsonschema' not in sys.modules, 'jsonschema imported'\n"
         )
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
