@@ -201,12 +201,18 @@ def _sweep(raw, field) -> SweepDef:
 
 
 def _non_finite_fields(node, path=()):
-    """Dotted paths of the NaN and infinite numbers in ``node``, in document order."""
-    if isinstance(node, float) and not math.isfinite(node):
-        yield ".".join(path)
-    elif isinstance(node, (dict, list)):
+    """Dotted paths of the numbers in ``node`` that no finite float holds (NaN,
+    the infinities and integers too large for a float), in document order."""
+    if isinstance(node, (dict, list)):
         for key, value in node.items() if isinstance(node, dict) else enumerate(node):
             yield from _non_finite_fields(value, path + (str(key),))
+    elif isinstance(node, (int, float)):
+        try:
+            finite = math.isfinite(node)
+        except OverflowError:
+            finite = False
+        if not finite:
+            yield ".".join(path)
 
 
 def _build_topology(raw) -> GridTopology:

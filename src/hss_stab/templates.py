@@ -5,9 +5,10 @@ Two executable resources ship with the package: a voltage-controlled
 the rotating frame, and a power-controlled (grid-following) unit with an
 L filter, PI current control and the nonlinear power reference.  All
 gains and filter values come from the scenario; a 'custom' template
-accepts raw LTP blocks keyed by harmonic order.  The field-path helpers
-(``_entries``, ``_require``, ``_number``) check the rest of the scenario
-document too, with one definition of a number: booleans are not numbers.
+accepts raw LTP blocks keyed by harmonic order.  Tables name the entries
+of every object of a resource, and the field-path helpers (``_entries``,
+``_require``, ``_number``) check them and the rest of the scenario
+document, with one definition of a number: booleans are not numbers.
 """
 
 from __future__ import annotations
@@ -50,81 +51,60 @@ class CiderConfig:
     w_pi: Mapping[int, np.ndarray]
 
 
-def parse_number(value, field: str) -> complex:
-    """A JSON number, or an [re, im] pair."""
+def parse_number(value, field: str, real: bool = False) -> complex:
+    """A JSON number, or an [re, im] pair whose im is 0 when ``real``."""
     if _is_number(value):
         return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value):
+    pair = isinstance(value, list) and len(value) == 2 and all(_is_number(v) for v in value)
+    if pair and not (real and value[1]):
         return complex(value[0], value[1])
-    raise ScenarioError(f"expected a number or [re, im] pair, got {value!r}", field=field)
+    noun = "a real number" if real else "a number or [re, im] pair"
+    raise ScenarioError(f"expected {noun}, got {value!r}", field=field)
 
 
-def parse_matrix(value, field: str) -> np.ndarray:
+def parse_matrix(value, field: str, real: bool = False) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise ScenarioError("expected a non-empty nested array", field=field)
     rows = []
     for i, row in enumerate(value):
         if not isinstance(row, list):
             raise ScenarioError("matrix rows must be arrays", field=f"{field}.{i}")
-        rows.append([parse_number(v, f"{field}.{i}.{k}") for k, v in enumerate(row)])
+        rows.append([parse_number(v, f"{field}.{i}.{k}", real) for k, v in enumerate(row)])
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ScenarioError("matrix rows differ in length", field=field)
     return np.array(rows, dtype=complex)
 
 
-def parse_series(value, field: str) -> dict[int, np.ndarray]:
-    if not isinstance(value, dict) or not value:
-        raise ScenarioError("expected {harmonic order: matrix}", field=field)
-    out = {}
-    for key, mat in value.items():
-        try:
-            h = int(key)
-        except ValueError:
-            raise ScenarioError(f"'{key}' is not an integer harmonic order", field=field)
-        out[h] = parse_matrix(mat, f"{field}.{key}")
-    return out
-
-
-def parse_harmonic_vectors(value, channels: int, field: str) -> dict[int, np.ndarray]:
-    """{order: flat channel vector} used for setpoints and trajectories."""
-    out: dict[int, np.ndarray] = {}
-    if value is None:
-        return out
+def _by_order(value, field, noun, parse, *args) -> dict:
+    """{order: parse(entry, its field, *args)} of an {harmonic order: entry}
+    object; a second key for one order, such as '+0' after '0', is rejected."""
     if not isinstance(value, dict):
-        raise ScenarioError("expected {harmonic order: vector}", field=field)
-    for key, vec in value.items():
+        raise ScenarioError(f"expected {{harmonic order: {noun}}}", field=field)
+    out = {}
+    for key, entry in value.items():
         try:
             h = int(key)
         except ValueError:
             raise ScenarioError(f"'{key}' is not an integer harmonic order", field=field)
-        if not isinstance(vec, list):
-            raise ScenarioError("harmonic entry must be an array", field=f"{field}.{key}")
-        parsed = np.array(
-            [parse_number(v, f"{field}.{key}.{i}") for i, v in enumerate(vec)]
-        )
-        if parsed.shape != (channels,):
-            raise ScenarioError(
-                f"harmonic entry has {parsed.shape[0]} channels, expected {channels}",
-                field=f"{field}.{key}",
-            )
-        out[h] = parsed
+        if h in out:
+            raise ScenarioError(f"harmonic order {h} is given twice", field=f"{field}.{key}")
+        out[h] = parse(entry, f"{field}.{key}", *args)
     return out
 
 
-def parse_transform(spec, field: str) -> dict[int, np.ndarray]:
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ScenarioError("transform needs a 'type'", field=field)
-    kind = spec["type"]
-    if kind == "identity":
-        return identity_series(_count(spec, "dim", field, 1))
-    if kind == "park":
-        return park_series(_number(spec, "theta0", field, default=0.0))
-    if kind == "inverse-park":
-        return inverse_park_series(_number(spec, "theta0", field, default=0.0))
-    if kind == "custom":
-        return parse_series(spec.get("harmonics"), f"{field}.harmonics")
-    raise ScenarioError(f"unknown transform type '{kind}'", field=field)
+def parse_series(value, field: str) -> dict[int, np.ndarray]:
+    series = _by_order(value, field, "matrix", parse_matrix)
+    if not series:
+        raise ScenarioError("expected at least one harmonic order", field=field)
+    return series
+
+
+def _vector(value, field, channels: int) -> np.ndarray:
+    """One harmonic entry of a trajectory: ``channels`` numbers."""
+    if not isinstance(value, list) or len(value) != channels:
+        raise ScenarioError(f"expected an array of {channels} numbers, got {value!r}", field=field)
+    return np.array([parse_number(v, f"{field}.{i}") for i, v in enumerate(value)])
 
 
 DOCUMENT = "<document>"
@@ -151,13 +131,20 @@ def _entries(section, field, required=(), optional=()):
     return section
 
 
+def _object(section, key, field, required=(), optional=()):
+    """The object entry ``key`` of ``section`` ({} when absent), checked by ``_entries``."""
+    return _entries(section.get(key, {}), _at(field, key), required, optional)
+
+
 def _require(section, key, field, kind=object, default=_REQUIRED):
-    """The entry ``key`` of ``section``, which must be an instance of ``kind``;
-    required unless ``default`` is given."""
-    if isinstance(section, dict) and key not in section and default is not _REQUIRED:
+    """The entry ``key`` of the object ``section``, which must be an instance
+    of ``kind``; required unless ``default`` is given."""
+    if not isinstance(section, dict):
+        raise ScenarioError(f"expected an object, got {section!r}", field=field)
+    if key not in section:
+        if default is _REQUIRED:
+            raise ScenarioError(f"missing required entry '{key}'", field=field)
         return default
-    if not isinstance(section, dict) or key not in section:
-        raise ScenarioError(f"missing required entry '{key}'", field=field)
     value = section[key]
     if not isinstance(value, kind):
         raise ScenarioError(f"expected {_KINDS[kind]}, got {value!r}", field=_at(field, key))
@@ -211,47 +198,49 @@ def _indices(section, key, field) -> tuple[int, ...]:
     return tuple(_as_number(v, f"{_at(field, key)}.{i}", int) for i, v in enumerate(values))
 
 
-def _trajectory(section, field, channels: int) -> dict[int, np.ndarray]:
-    """The {order: vector} map of a trajectory section whose width is
-    ``channels``; a ``channels`` entry, when given, must say the same."""
-    if "channels" in section and _number(section, "channels", field, int) != channels:
+def _typed(spec, field, table, noun):
+    """What ``table`` builds from the object ``spec``, whose 'type' names a
+    row of (required entries, optional entries, builder)."""
+    kind = _require(spec, "type", field, str)
+    if kind not in table:
+        raise ScenarioError(f"unknown {noun} type '{kind}'", field=field)
+    required, optional, build = table[kind]
+    return build(_entries(spec, field, ("type",) + required, optional), field)
+
+
+def _trajectory(section, key, field, channels: int) -> dict[int, np.ndarray]:
+    """The {order: vector} map of trajectory ``key`` of ``section`` ({} when
+    absent), ``channels`` wide; a ``channels`` entry, if given, must agree."""
+    at = _at(field, key)
+    trajectory = _object(section, key, field, optional=("channels", "harmonics"))
+    if "channels" in trajectory and _number(trajectory, "channels", at, int) != channels:
         raise ScenarioError(
-            f"declares {section['channels']!r} channels, the resource takes {channels}",
-            field=f"{field}.channels",
+            f"declares {trajectory['channels']!r} channels, the resource takes {channels}",
+            field=f"{at}.channels",
         )
-    return parse_harmonic_vectors(section.get("harmonics"), channels, f"{field}.harmonics")
+    harmonics = trajectory.get("harmonics", {})
+    return _by_order(harmonics, f"{at}.harmonics", "vector", _vector, channels)
 
 
-def _resource(raw, field, kind, hardware, control, routing, transforms, plugin) -> CiderConfig:
-    """A resource's configuration; its setpoint is as wide as the reference
-    law's and its operating voltage trajectory as its grid inputs, empty
-    when the resource gives none."""
-    op = _require(raw, "operating_point", field, dict, default={})
-    return CiderConfig(
-        node_id=_require(raw, "node", field, str),
-        kind=kind,
-        hardware=hardware,
-        control=control,
-        routing=routing,
-        transforms=transforms,
-        plugin=plugin,
-        setpoint=_trajectory(
-            _require(raw, "setpoint", field, dict), f"{field}.setpoint", plugin.d_sigma
-        ),
-        w_pi=_trajectory(
-            _require(op, "w_pi", f"{field}.operating_point", dict, default={}),
-            f"{field}.operating_point.w_pi",
-            len(routing.hw_grid_inputs),
-        ),
-    )
+def _dq_filter(raw, field, *keys) -> list[float]:
+    """The ``keys`` entries of a dq template's ``hardware.filter``; r may be
+    0, the others must be positive."""
+    at = f"{field}.hardware.filter"
+    hardware = _object(raw, "hardware", field, ("filter",))
+    filt = _object(hardware, "filter", f"{field}.hardware", keys)
+    values = [_number(filt, key, at) for key in keys]
+    if any(value < 0 or (value == 0 and key != "r") for key, value in zip(keys, values)):
+        raise ScenarioError("filter values must be positive (r >= 0)", field=at)
+    return values
 
 
-def _dq_config(raw, field, hardware: LtpBlock, plugin: ReferencePlugin, kind: str) -> CiderConfig:
+def _dq_parts(raw, field, hardware: LtpBlock, plugin: ReferencePlugin):
     """A three-phase resource under PI control in the rotating (dq) frame:
     hardware inputs 0-2 actuate, 3-5 take the grid, outputs 0-2 are measured."""
-    gains = _require(_require(raw, "control", field), "gains", f"{field}.control")
-    kp = _number(gains, "kp", f"{field}.control.gains")
-    ki = _number(gains, "ki", f"{field}.control.gains")
+    at = f"{field}.control.gains"
+    control = _object(raw, "control", field, ("gains",))
+    gains = _object(control, "gains", f"{field}.control", ("kp", "ki"))
+    kp, ki = _number(gains, "kp", at), _number(gains, "ki", at)
     pi = lti_block(
         "pi",
         np.zeros((2, 2)),
@@ -276,16 +265,11 @@ def _dq_config(raw, field, hardware: LtpBlock, plugin: ReferencePlugin, kind: st
         grid_out_to_hw_out=identity_series(3),
         hw_out_to_grid_out=identity_series(3),
     )
-    return _resource(raw, field, kind, (hardware,), (pi,), routing, transforms, plugin)
+    return (hardware,), (pi,), routing, transforms, plugin
 
 
-def _vf_config(raw, field) -> CiderConfig:
-    filt = _require(_require(raw, "hardware", field), "filter", f"{field}.hardware")
-    l = _number(filt, "l", f"{field}.hardware.filter")
-    r = _number(filt, "r", f"{field}.hardware.filter")
-    c = _number(filt, "c", f"{field}.hardware.filter")
-    if l <= 0 or c <= 0 or r < 0:
-        raise ScenarioError("filter values must be positive (r >= 0)", field=f"{field}.hardware.filter")
+def _vf_parts(raw, field):
+    l, r, c = _dq_filter(raw, field, "l", "r", "c")
     eye, zero = np.eye(3), np.zeros((3, 3))
     a = np.block([[-(r / l) * eye, -(1.0 / l) * eye], [(1.0 / c) * eye, zero]])
     b = np.block([[(1.0 / l) * eye, zero], [zero, -(1.0 / c) * eye]])
@@ -293,166 +277,174 @@ def _vf_config(raw, field) -> CiderConfig:
     d = np.zeros((3, 6))
     names = tuple(f"lc.i_f.{p}" for p in PHASES) + tuple(f"lc.v_c.{p}" for p in PHASES)
     hardware = lti_block("lc", a, b, c_mat, d, state_names=names, phase_triples=(0, 3))
-    return _dq_config(raw, field, hardware, _setpoint_reference(2, 2), GRID_FORMING)
+    return _dq_parts(raw, field, hardware, _vf_reference({}, field))
 
 
-def _pq_config(raw, field) -> CiderConfig:
-    filt = _require(_require(raw, "hardware", field), "filter", f"{field}.hardware")
-    l = _number(filt, "l", f"{field}.hardware.filter")
-    r = _number(filt, "r", f"{field}.hardware.filter")
-    if l <= 0 or r < 0:
-        raise ScenarioError("filter values must be positive (r >= 0)", field=f"{field}.hardware.filter")
-    eye, zero = np.eye(3), np.zeros((3, 3))
+def _pq_parts(raw, field):
+    l, r = _dq_filter(raw, field, "l", "r")
+    eye = np.eye(3)
     a = -(r / l) * eye
     b = np.hstack([(1.0 / l) * eye, -(1.0 / l) * eye])
     names = tuple(f"lf.i.{p}" for p in PHASES)
     hardware = lti_block("lf", a, b, eye, np.zeros((3, 6)), state_names=names, phase_triples=(0,))
-    cfg = _dq_config(raw, field, hardware, PqReference(), GRID_FOLLOWING)
-    if "w_pi" not in raw.get("operating_point", {}):
-        raise ScenarioError(
-            "power-controlled resource needs an operating voltage trajectory",
-            field=f"{field}.operating_point.w_pi",
-        )
-    return cfg
+    return _dq_parts(raw, field, hardware, PqReference())
 
 
 def parse_block(raw, field) -> LtpBlock:
     """Raw LTP block; absent matrices default to zeros of the inferred shape."""
-    if not isinstance(raw, dict):
-        raise ScenarioError("block must be an object", field=field)
-    name = _require(raw, "name", field, str, default="block")
-    series = {}
-    for key in ("a", "b", "c", "d"):
-        if key in raw:
-            series[key] = parse_series(raw[key], f"{field}.{key}")
-    nx = _series_dim(series, "a", 0)
-    if nx is None:
-        nx = _series_dim(series, "b", 0) or _series_dim(series, "c", 1) or 0
-    nu = _series_dim(series, "b", 1)
-    if nu is None:
-        nu = _series_dim(series, "d", 1)
-    ny = _series_dim(series, "c", 0)
-    if ny is None:
-        ny = _series_dim(series, "d", 0)
+    _entries(raw, field, optional=("name", "a", "b", "c", "d", "state_names"))
+    series = {key: parse_series(raw[key], f"{field}.{key}") for key in "abcd" if key in raw}
+    nx = _dim(series, ("a", 0), ("b", 0), ("c", 1)) or 0
+    nu = _dim(series, ("b", 1), ("d", 1))
+    ny = _dim(series, ("c", 0), ("d", 0))
     if nu is None or ny is None:
         raise ScenarioError(
             "cannot infer block input/output dims; provide b or d and c or d",
             field=field,
         )
-    series.setdefault("a", {0: np.zeros((nx, nx))})
-    series.setdefault("b", {0: np.zeros((nx, nu))})
-    series.setdefault("c", {0: np.zeros((ny, nx))})
-    series.setdefault("d", {0: np.zeros((ny, nu))})
+    for key, shape in {"a": (nx, nx), "b": (nx, nu), "c": (ny, nx), "d": (ny, nu)}.items():
+        series.setdefault(key, {0: np.zeros(shape)})
+    name = _require(raw, "name", field, str, default="block")
     state_names = _strings(raw, "state_names", field) if "state_names" in raw else None
     return LtpBlock(name, series["a"], series["b"], series["c"], series["d"], state_names)
 
 
-def _series_dim(series, key, axis):
-    if key not in series:
-        return None
-    return next(iter(series[key].values())).shape[axis]
+def _dim(series, *where) -> int | None:
+    """The size along ``axis`` of the first (matrix, axis) of ``where`` given."""
+    for key, axis in where:
+        if key in series:
+            return next(iter(series[key].values())).shape[axis]
+    return None
 
 
-def _custom_config(raw, field) -> CiderConfig:
-    hardware = tuple(
-        parse_block(b, f"{field}.hardware.{i}")
-        for i, b in enumerate(_require(raw, "hardware", field, list))
-    )
-    control = tuple(
-        parse_block(b, f"{field}.control.{i}")
-        for i, b in enumerate(_require(raw, "control", field, list))
-    )
-    routing_raw = _require(raw, "routing", field)
-    ctl_inputs = tuple(
-        CtlInput(
-            kind=_require(src, "kind", f"{field}.routing.ctl_inputs.{i}", str),
-            meas_index=_number(src, "meas", f"{field}.routing.ctl_inputs.{i}", int, None),
-            ref_index=_number(src, "ref", f"{field}.routing.ctl_inputs.{i}", int, None),
-        )
-        for i, src in enumerate(_require(routing_raw, "ctl_inputs", f"{field}.routing", list))
-    )
-    routing = InternalRouting(
-        hw_grid_inputs=_indices(routing_raw, "hw_grid_inputs", f"{field}.routing"),
-        hw_actuation_inputs=_indices(routing_raw, "hw_actuation_inputs", f"{field}.routing"),
-        ctl_measured_outputs=_indices(routing_raw, "ctl_measured_outputs", f"{field}.routing"),
-        ctl_inputs=ctl_inputs,
-    )
-    traw = _require(raw, "transforms", field)
-    transforms = CiderTransforms(
-        grid_to_hw=parse_transform(
-            _require(traw, "grid_to_hardware", f"{field}.transforms"),
-            f"{field}.transforms.grid_to_hardware",
-        ),
-        hw_to_ctl=parse_transform(
-            _require(traw, "hardware_to_control", f"{field}.transforms"),
-            f"{field}.transforms.hardware_to_control",
-        ),
-        ctl_to_hw=parse_transform(
-            _require(traw, "control_to_hardware", f"{field}.transforms"),
-            f"{field}.transforms.control_to_hardware",
-        ),
-        grid_out_to_hw_out=parse_transform(
-            _require(traw, "grid_output_to_hardware_output", f"{field}.transforms"),
-            f"{field}.transforms.grid_output_to_hardware_output",
-        ),
-        hw_out_to_grid_out=(
-            parse_transform(
-                traw["hardware_output_to_grid_output"],
-                f"{field}.transforms.hardware_output_to_grid_output",
-            )
-            if "hardware_output_to_grid_output" in traw
-            else None
-        ),
-    )
-    plugin = _parse_reference(_require(raw, "reference", field), f"{field}.reference")
-    kind = _require(raw, "kind", field)
-    if kind not in (GRID_FORMING, GRID_FOLLOWING):
-        raise ScenarioError(
-            f"kind must be '{GRID_FORMING}' or '{GRID_FOLLOWING}', got {kind!r}", field=f"{field}.kind"
-        )
-    return _resource(raw, field, kind, hardware, control, routing, transforms, plugin)
+def _blocks(raw, key, field) -> tuple[LtpBlock, ...]:
+    blocks = _require(raw, key, field, list)
+    return tuple(parse_block(b, f"{field}.{key}.{i}") for i, b in enumerate(blocks))
 
 
-def _setpoint_reference(channels: int, d_rho: int) -> AffineReference:
-    """The grid-forming voltage reference: the setpoint passes through."""
+def _ctl_input(raw, field) -> CtlInput:
+    _entries(raw, field, ("kind",), ("meas", "ref"))
+    return CtlInput(
+        _require(raw, "kind", field, str),
+        _number(raw, "meas", field, int, None),
+        _number(raw, "ref", field, int, None),
+    )
+
+
+_TRANSFORMS = {
+    "identity": (("dim",), (), lambda s, f: identity_series(_count(s, "dim", f, 1))),
+    "park": ((), ("theta0",), lambda s, f: park_series(_number(s, "theta0", f, default=0.0))),
+    "inverse-park": (
+        (), ("theta0",), lambda s, f: inverse_park_series(_number(s, "theta0", f, default=0.0))
+    ),
+    "custom": (("harmonics",), (), lambda s, f: parse_series(s["harmonics"], f"{f}.harmonics")),
+}
+# The CiderTransforms field of each entry of a custom resource's
+# 'transforms'; the last entry is optional.
+_TRANSFORM_FIELDS = {
+    "grid_to_hardware": "grid_to_hw",
+    "hardware_to_control": "hw_to_ctl",
+    "control_to_hardware": "ctl_to_hw",
+    "grid_output_to_hardware_output": "grid_out_to_hw_out",
+    "hardware_output_to_grid_output": "hw_out_to_grid_out",
+}
+_INDEX_LISTS = ("hw_grid_inputs", "hw_actuation_inputs", "ctl_measured_outputs")
+
+
+def _vf_reference(spec, field) -> AffineReference:
+    """The grid-forming voltage law AffineReference(0, I): the setpoint passes
+    through.  ``channels`` and ``d_rho`` default to 2."""
+    channels = _count(spec, "channels", field, 1, default=2)
+    d_rho = _count(spec, "d_rho", field, 1, default=2)
     return AffineReference(np.zeros((channels, d_rho)), np.eye(channels))
 
 
-def _parse_reference(raw, field) -> ReferencePlugin:
-    kind = _require(raw, "type", field)
-    if kind == "vf":
-        return _setpoint_reference(
-            _count(raw, "channels", field, 1, default=2), _count(raw, "d_rho", field, 1, default=2)
-        )
-    if kind == "pq":
-        return PqReference()
-    if kind == "affine":
-        return AffineReference(
-            parse_matrix(_require(raw, "m_rho", field), f"{field}.m_rho").real,
-            parse_matrix(_require(raw, "m_sigma", field), f"{field}.m_sigma").real,
-        )
-    raise ScenarioError(f"unknown reference type '{kind}'", field=field)
+_REFERENCES = {
+    "vf": ((), ("channels", "d_rho"), _vf_reference),
+    "pq": ((), (), lambda s, f: PqReference()),
+    "affine": (
+        ("m_rho", "m_sigma"),
+        (),
+        lambda s, f: AffineReference(
+            parse_matrix(s["m_rho"], f"{f}.m_rho", real=True).real,
+            parse_matrix(s["m_sigma"], f"{f}.m_sigma", real=True).real,
+        ),
+    ),
+}
 
 
-TEMPLATES = {"vf": _vf_config, "pq": _pq_config, "custom": _custom_config}
+def _custom_parts(raw, field):
+    at = f"{field}.routing"
+    routing = _object(raw, "routing", field, _INDEX_LISTS + ("ctl_inputs",))
+    ctl_inputs = _require(routing, "ctl_inputs", at, list)
+    *required, optional = _TRANSFORM_FIELDS
+    given = _object(raw, "transforms", field, tuple(required), (optional,))
+    transforms = {
+        name: _typed(given[key], f"{field}.transforms.{key}", _TRANSFORMS, "transform")
+        for key, name in _TRANSFORM_FIELDS.items()
+        if key in given
+    }
+    return (
+        _blocks(raw, "hardware", field),
+        _blocks(raw, "control", field),
+        InternalRouting(
+            **{key: _indices(routing, key, at) for key in _INDEX_LISTS},
+            ctl_inputs=tuple(
+                _ctl_input(src, f"{at}.ctl_inputs.{i}") for i, src in enumerate(ctl_inputs)
+            ),
+        ),
+        CiderTransforms(**transforms),
+        _typed(raw["reference"], f"{field}.reference", _REFERENCES, "reference"),
+    )
+
+
+_COMMON = ("node", "hardware", "control", "setpoint")
+# Per template: the reader of a resource's hardware, control, routing,
+# transforms and reference law; the kinds of resource it builds (vf and pq
+# build one, so their 'kind' may be omitted); and the (required, optional)
+# entries of the resource, besides 'template', and of its operating_point.
+TEMPLATES = {
+    "vf": (_vf_parts, (GRID_FORMING,), (_COMMON, ("kind", "operating_point")), ((), ("w_pi",))),
+    "pq": (
+        _pq_parts, (GRID_FOLLOWING,), (_COMMON + ("operating_point",), ("kind",)), (("w_pi",), ())
+    ),
+    "custom": (
+        _custom_parts,
+        (GRID_FORMING, GRID_FOLLOWING),
+        (_COMMON + ("kind", "routing", "transforms", "reference"), ("operating_point",)),
+        ((), ("w_pi",)),
+    ),
+}
 
 
 def build_cider_config(raw, index: int) -> CiderConfig:
+    """The resource at ``ciders.index``.  Its setpoint is as wide as the
+    reference law's and its operating voltage trajectory as its grid inputs,
+    empty when the resource gives none."""
     field = f"ciders.{index}"
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"expected an object, got {raw!r}", field=field)
     template = _require(raw, "template", field, str, default="custom")
     if template not in TEMPLATES:
         raise ScenarioError(
-            f"unknown template '{template}' (choose from {sorted(TEMPLATES)})",
-            field=field,
+            f"unknown template '{template}' (choose from {sorted(TEMPLATES)})", field=field
         )
-    cfg = TEMPLATES[template](raw, field)
-    expected = GRID_FORMING if template == "vf" else GRID_FOLLOWING if template == "pq" else cfg.kind
-    if raw.get("kind", expected) != expected:
+    parts, kinds, (required, optional), operating_point = TEMPLATES[template]
+    _entries(raw, field, required, ("template",) + optional)
+    kind = _require(raw, "kind", field, str, default=kinds[0])
+    if kind not in kinds:
         raise ScenarioError(
-            f"template '{template}' builds a {expected} resource, scenario says "
-            f"'{raw.get('kind')}'",
+            f"kind must be {' or '.join(map(repr, kinds))} for template '{template}', got {kind!r}",
             field=f"{field}.kind",
         )
-    return cfg
+    hardware, control, routing, transforms, plugin = parts(raw, field)
+    op = _object(raw, "operating_point", field, *operating_point)
+    return CiderConfig(
+        node_id=_require(raw, "node", field, str),
+        kind=kind,
+        hardware=hardware,
+        control=control,
+        routing=routing,
+        transforms=transforms,
+        plugin=plugin,
+        setpoint=_trajectory(raw, "setpoint", field, plugin.d_sigma),
+        w_pi=_trajectory(op, "w_pi", f"{field}.operating_point", len(routing.hw_grid_inputs)),
+    )

@@ -53,9 +53,14 @@ class TestLoading:
         with pytest.raises(ScenarioError, match="grid.nodes.0.kind"):
             scenario_from_dict(raw)
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+        ids=["NaN", "Infinity", "-Infinity", "1e999", "int-400-digits"],
+    )
     def test_non_finite_literal_names_field(self, tmp_path, literal):
-        # json.loads reads these as floats, and the schema's "number" accepts them
+        # json.loads reads the first four as floats and the last as an int no
+        # float holds
         text = scenario_path("two_node").read_text()
         assert text.count('"kp": 0.05') == 1
         p = tmp_path / "s.json"
@@ -233,6 +238,87 @@ class TestLoading:
                 [False, 1, 2],
                 "ciders.0.routing.hw_actuation_inputs.0",
             ),
+            ("two_node", 0, "extra", 1, "ciders.0"),
+            ("two_node", 1, "extra", 1, "ciders.1"),
+            ("toy_gain", 0, "extra", 1, "ciders.0"),
+            ("two_node", 0, "hardware.extra", 1, "ciders.0.hardware"),
+            ("two_node", 0, "hardware.filter.x", 1.0, "ciders.0.hardware.filter"),
+            ("two_node", 1, "hardware.filter.c", 1e-05, "ciders.1.hardware.filter"),
+            ("two_node", 0, "control.extra", 1, "ciders.0.control"),
+            ("two_node", 0, "control.gains.kd", 1.0, "ciders.0.control.gains"),
+            ("two_node", 0, "setpoint.harmonic", {"0": [1.0, 0.0]}, "ciders.0.setpoint"),
+            ("two_node", 0, "operating_point.extra", 1, "ciders.0.operating_point"),
+            (
+                "two_node",
+                1,
+                "operating_point.w_pi.harmonic",
+                {},
+                "ciders.1.operating_point.w_pi",
+            ),
+            ("toy_gain", 0, "hardware.0.e", {"0": [[1.0]]}, "ciders.0.hardware.0"),
+            ("toy_gain", 0, "routing.extra", 1, "ciders.0.routing"),
+            ("toy_gain", 0, "routing.ctl_inputs.0.gain", 1, "ciders.0.routing.ctl_inputs.0"),
+            ("toy_gain", 0, "transforms.extra", {}, "ciders.0.transforms"),
+            (
+                "toy_gain",
+                0,
+                "transforms.grid_to_hardware.theta0",
+                0.0,
+                "ciders.0.transforms.grid_to_hardware",
+            ),
+            (
+                "toy_gain",
+                0,
+                "transforms.hardware_to_control",
+                {"type": "park", "theta": 0.1},
+                "ciders.0.transforms.hardware_to_control",
+            ),
+            (
+                "toy_gain",
+                0,
+                "transforms.control_to_hardware",
+                {"type": "inverse-park", "dim": 3},
+                "ciders.0.transforms.control_to_hardware",
+            ),
+            (
+                "toy_gain",
+                0,
+                "transforms.hardware_to_control",
+                {"type": "custom", "harmonics": {"0": [[1.0]]}, "dim": 1},
+                "ciders.0.transforms.hardware_to_control",
+            ),
+            ("toy_gain", 0, "reference.gain", 1, "ciders.0.reference"),
+            ("toy_gain", 0, "reference", {"type": "pq", "channels": 2}, "ciders.0.reference"),
+            (
+                "toy_gain",
+                0,
+                "reference",
+                {"type": "affine", "m_rho": [[0.0]], "m_sigma": [[1.0]], "d_rho": 1},
+                "ciders.0.reference",
+            ),
+            ("toy_gain", 0, "kind", ["grid-forming"], "ciders.0.kind"),
+            (
+                "toy_gain",
+                0,
+                "transforms.grid_to_hardware.type",
+                ["identity"],
+                "ciders.0.transforms.grid_to_hardware.type",
+            ),
+            ("toy_gain", 0, "reference.type", {"vf": 1}, "ciders.0.reference.type"),
+            ("two_node", 0, "setpoint.harmonics.+0", [1.0, 0.0], "ciders.0.setpoint.harmonics.+0"),
+            ("toy_gain", 0, "hardware.0.a.00", [[1.0] * 3] * 3, "ciders.0.hardware.0.a.00"),
+            (
+                "toy_gain",
+                0,
+                "reference",
+                {
+                    "type": "affine",
+                    "m_rho": [[0.0] * 3] * 3,
+                    "m_sigma": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, [1, 5]]],
+                },
+                "ciders.0.reference.m_sigma.2.2",
+            ),
+            ("two_node", 1, "operating_point.w_pi", DELETE, "ciders.1.operating_point"),
         ],
         ids=[
             "filter-l-string",
@@ -262,6 +348,35 @@ class TestLoading:
             "setpoint-entry-bool",
             "meas-index-bool",
             "routing-index-bool",
+            "vf-unknown-entry",
+            "pq-unknown-entry",
+            "custom-unknown-entry",
+            "hardware-unknown-entry",
+            "vf-filter-unknown-entry",
+            "pq-filter-c",
+            "control-unknown-entry",
+            "gains-kd",
+            "setpoint-harmonic",
+            "operating-point-unknown-entry",
+            "w-pi-unknown-entry",
+            "block-unknown-entry",
+            "routing-unknown-entry",
+            "ctl-input-unknown-entry",
+            "transforms-unknown-entry",
+            "identity-theta0",
+            "park-theta",
+            "inverse-park-dim",
+            "custom-transform-dim",
+            "vf-reference-unknown-entry",
+            "pq-reference-channels",
+            "affine-reference-d-rho",
+            "custom-kind-list",
+            "transform-type-list",
+            "reference-type-object",
+            "setpoint-order-plus-zero",
+            "block-order-double-zero",
+            "affine-imaginary-gain",
+            "pq-w-pi-missing",
         ],
     )
     def test_malformed_resource_names_field(self, name, cider, path, value, field):
