@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg
 from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
 
@@ -33,8 +32,12 @@ REAL_FORM_TOL = 1e-12
 #: margin by this fraction of the largest |Re| in the spectrum: about 100
 #: times the rounding noise that leaves truncation-rim modes at Re ~ +1e-12
 VERDICT_RTOL = 1e-10
-#: eigenvector columns per residual product, which bounds the product's size
-_RESIDUAL_CHUNK = 64
+#: eigenvector columns per chunk of the back-map's normalisation and of the
+#: residual products, which bounds their temporaries
+_CHUNK_COLUMNS = 128
+#: scratch bytes of one bounded whole-array step: a slab's nonzero mask in
+#: ``_shifted_csr``, a chunk of distances in ``detect_spurious``
+_SCRATCH_BYTES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,9 +95,10 @@ class EigenSolution(Spectrum):
         """
         v = self.vectors
         n = v.shape[1]
-        cols = np.repeat(np.arange(n), np.diff(v.indptr))
         flat = np.bincount(
-            group[v.indices] * n + cols, weights=np.abs(v.data) ** 2, minlength=groups * n
+            group[v.indices] * n + _column_ids(v.indptr),
+            weights=np.abs(v.data) ** 2,
+            minlength=groups * n,
         )
         return flat.reshape(groups, n)
 
@@ -122,11 +126,47 @@ def by_real_part(solution: EigenSolution) -> EigenSolution:
 
 
 def _shifted_csr(model: HssModel) -> sp.csr_array:
-    """A - j*Omega in CSR, storing exactly its nonzero entries."""
-    omega = omega_diagonal(model.index_set, model.state_channels)
-    m = sp.csr_array(model.a, dtype=complex) - sp.diags_array(1j * omega, format="csr")
-    m.eliminate_zeros()
-    return m
+    """A - j*Omega in CSR, storing exactly its nonzero entries.
+
+    A dense A is read in one pass over slabs of rows, each slab's nonzero
+    mask bounded by ``_SCRATCH_BYTES``; ``indptr`` comes from the row
+    counts.  The diagonal is always taken into the mask so that j*Omega is
+    subtracted in place, and entries that cancel to zero are dropped.
+    """
+    shift = 1j * omega_diagonal(model.index_set, model.state_channels)
+    if sp.issparse(model.a):
+        m = sp.csr_array(model.a, dtype=complex) - sp.diags_array(shift, format="csr")
+        m.eliminate_zeros()
+        return m
+    n = shift.size
+    step = max(1, _SCRATCH_BYTES // max(n, 1))
+    data, indices, counts = [np.zeros(0, complex)], [np.zeros(0, int)], [np.zeros(0, int)]
+    for start in range(0, n, step):
+        slab = model.a[start : start + step]
+        mask = slab != 0
+        local = np.arange(slab.shape[0])
+        mask[local, start + local] = True
+        flat = np.flatnonzero(mask)
+        r, c = np.divmod(flat, n)
+        d = np.asarray(slab.reshape(-1)[flat], complex)
+        on_diag = r + start == c
+        # an absent diagonal entry is +0, as in the sparse difference
+        diag = d[on_diag]
+        d[on_diag] = np.where(diag != 0, diag, 0) - shift[c[on_diag]]
+        keep = d != 0
+        data.append(d[keep])
+        indices.append(c[keep])
+        counts.append(np.bincount(r[keep], minlength=slab.shape[0]))
+    return _compressed(sp.csr_array, *map(np.concatenate, (data, indices, counts)))
+
+
+def _compressed(kind, data: np.ndarray, indices: np.ndarray, counts: np.ndarray):
+    """A square CSR or CSC array (``kind``) from its stored entries in order
+    and their count per row (column), with 32-bit indices where they fit."""
+    n = counts.size
+    index = sp.get_index_dtype(maxval=max(n, data.size))
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(index)
+    return kind((data, indices.astype(index), indptr), shape=(n, n))
 
 
 def _decoupled_blocks(a: sp.csr_array) -> list[np.ndarray]:
@@ -211,33 +251,43 @@ def _sequence_form(model: HssModel, m: sp.csr_array):
     return s, u, "sequence"
 
 
-def _back_map(t: sp.csc_array, rows: np.ndarray, y: np.ndarray):
-    """``(support, unit-norm columns of T[:, rows] y on their support)``.
+def _back_map(t: sp.csc_array, y: sp.csc_array) -> sp.csc_array:
+    """Unit-norm columns of V = T Y, in CSC with ascending rows.
 
-    ``y`` holds the eigenvectors of the block ``rows`` of T^H M T, so
-    v = T y are those of M; ``support`` is every row where T[:, rows]
-    is nonzero.
+    Column j of ``y`` holds eigenvector j of T^H M T on the rows of its
+    diagonal block, so column j of T Y is an eigenvector of M, stored on
+    the rows T maps that block to.  Each squared norm sums Re(conj(v) v)
+    in row order, as ``np.linalg.norm`` of a dense column does, so the
+    columns equal the dense back-map's bit for bit.  The columns are
+    normalised in place, ``_CHUNK_COLUMNS`` at a time, which bounds the
+    temporaries.
     """
-    sub = t[:, rows]
-    support = np.unique(sub.indices)
-    v = sub[support] @ y
-    norms = np.linalg.norm(v, axis=0)
-    norms[norms == 0] = 1.0
-    v /= norms
-    return support, v
+    v = t @ y
+    v.sort_indices()
+    for start in range(0, v.shape[1], _CHUNK_COLUMNS):
+        ends = v.indptr[start : start + _CHUNK_COLUMNS + 1]
+        d = v.data[ends[0] : ends[-1]]
+        cols = _column_ids(ends)
+        norms = np.sqrt(np.bincount(cols, weights=(d.conj() * d).real, minlength=ends.size - 1))
+        norms[norms == 0] = 1.0
+        d /= norms[cols]
+    return v
 
 
-def _solve_spectrum(model: HssModel, vectors: bool):
-    """``(M, eigenvalues, unit-norm right eigenvectors or None, partition)``
-    of M = A - j*Omega.
+def _column_ids(indptr: np.ndarray) -> np.ndarray:
+    """The column of every stored entry of a CSC array with ``indptr``,
+    counted from the first column it covers."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
-    M is returned in CSR.  The spectrum is solved as that of a unitary
-    similarity T^H M T, whose eigenvectors map back as v = T y:
 
-    * in sequence form (``_sequence_form``) when the model declares phase
-      triples and the split below then yields a smaller largest block;
-      each block is solved in complex form;
-    * otherwise in real form (``_parity_form``).
+def _similarity(model: HssModel, m: sp.csr_array):
+    """``(T^H M T, T, form, diagonal blocks of T^H M T)`` for the unitary
+    similarity the spectrum of M is solved in:
+
+    * the sequence form (``_sequence_form``) when the model declares phase
+      triples and its split then yields a smaller largest block; each
+      block is solved in complex form;
+    * otherwise the real form (``_parity_form``).
 
     The parity form is built only when the largest sequence block is not
     smaller than M's own largest block, which bounds the parity split's
@@ -248,23 +298,7 @@ def _solve_spectrum(model: HssModel, vectors: bool):
     parity form, and keeps the sequence form (2 states); ``toy_gain``, which
     declares no triples, has 1 and 2 and takes the parity form at every
     hmax.  Both forms are exact.
-
-    The matrix solved stays sparse until it is split into the diagonal
-    blocks its nonzero pattern decouples into (one rotating-frame rung:
-    positive sequence at harmonic m+1, negative at m-1, dq states at m,
-    for a balanced converter model in sequence form; a state channel at
-    even harmonics and at odd ones in real form); only the blocks are
-    densified and solved, one LAPACK call each.  The spectrum of a
-    block-diagonal matrix is the union of its blocks' spectra, so the
-    split is exact.  Eigenvalues come block by block, in the order of the
-    returned ``Partition``'s index sets, and the eigenvectors are returned
-    in CSC, each column storing only the rows ``_back_map`` gives its block.
     """
-    m = _shifted_csr(model)
-    n = m.shape[0]
-    if n == 0:
-        v = sp.csc_array((0, 0), dtype=complex) if vectors else None
-        return m, np.zeros(0, complex), v, Partition("complex", ())
     form = _sequence_form(model, m) if model.phase_triples else None
     blocks = _decoupled_blocks(form[0]) if form else None
     if form is None or _largest(blocks) >= _largest(_decoupled_blocks(m)):
@@ -272,39 +306,79 @@ def _solve_spectrum(model: HssModel, vectors: bool):
         parity_blocks = _decoupled_blocks(parity[0])
         if form is None or _largest(blocks) >= _largest(parity_blocks):
             form, blocks = parity, parity_blocks
-    a, t, name = form
-    t = t.tocsc()
+    return (*form, blocks)
+
+
+def _solve_spectrum(model: HssModel, vectors: bool):
+    """``(M, eigenvalues, unit-norm right eigenvectors or None, partition)``
+    of M = A - j*Omega.
+
+    M is returned in CSR, built in one bounded pass (``_shifted_csr``).
+    The spectrum is solved as that of a unitary similarity T^H M T
+    (``_similarity``), whose eigenvectors map back as v = T y.  The
+    matrix solved stays sparse until it is split into the diagonal blocks
+    its nonzero pattern decouples into (one rotating-frame rung: positive
+    sequence at harmonic m+1, negative at m-1, dq states at m, for a
+    balanced converter model in sequence form; a state channel at even
+    harmonics and at odd ones in real form); only the blocks are densified
+    and solved, one LAPACK call each.  The spectrum of a block-diagonal
+    matrix is the union of its blocks' spectra, so the split is exact.
+    Eigenvalues come block by block, in the order of the returned
+    ``Partition``'s index sets.  Every block's eigenvectors are gathered
+    into one CSC Y, each on its block's rows, and mapped back with one
+    product (``_back_map``); each column of the CSC result stores only the
+    rows T maps its block to.
+    """
+    m = _shifted_csr(model)
+    n = m.shape[0]
+    if n == 0:
+        v = sp.csc_array((0, 0), dtype=complex) if vectors else None
+        return m, np.zeros(0, complex), v, Partition("complex", ())
+    a, t, name, blocks = _similarity(model, m)
     w = np.empty(n, complex)
-    data, indices, counts = [], [], []
+    data, indices = [], []
     start = 0
     for rows, block in zip(blocks, _dense_blocks(a, blocks)):
         cols = slice(start, start + rows.size)
         if vectors:
             w[cols], y = scipy.linalg.eig(block, overwrite_a=True)
-            support, y = _back_map(t, rows, y)
             data.append(y.ravel(order="F"))
-            indices.append(np.tile(support, rows.size))
-            counts.append(np.full(rows.size, support.size))
+            indices.append(np.tile(rows, rows.size))
         else:
             w[cols] = scipy.linalg.eigvals(block, overwrite_a=True)
         start += rows.size
     partition = Partition(name, tuple(blocks))
     if not vectors:
         return m, w, None, partition
-    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
-    v = sp.csc_array((np.concatenate(data), np.concatenate(indices), indptr), shape=(n, n))
-    return m, w, v, partition
+    del a  # only its blocks were solved: free it before the back-map
+    sizes = [rows.size for rows in blocks]
+    y = _compressed(
+        sp.csc_array, np.concatenate(data), np.concatenate(indices), np.repeat(sizes, sizes)
+    )
+    del data, indices  # the blocks' own arrays, copied into y
+    return m, w, _back_map(t.tocsc(), y), partition
 
 
-def _worst_residual(m: sp.csr_array, w: np.ndarray, v: sp.csc_array) -> float:
-    """Largest ||M v - lambda v|| over the eigenpairs, in sparse column chunks."""
-    worst = 0.0
-    for start in range(0, w.size, _RESIDUAL_CHUNK):
-        cols = slice(start, start + _RESIDUAL_CHUNK)
-        chunk = v[:, cols]
-        r = m @ chunk - chunk @ sp.diags_array(w[cols])
-        worst = max(worst, float(scipy.sparse.linalg.norm(r, axis=0).max()))
-    return worst
+def _worst_residual(m: sp.csr_array, w: np.ndarray, v: sp.csc_array) -> tuple[float, int]:
+    """``(largest ||M v - lambda v||, its column)`` over the eigenpairs.
+
+    The residuals are formed in sparse chunks of ``_CHUNK_COLUMNS``
+    columns, which bounds their size; each chunk's column norms are summed
+    from the CSR entries of M V - V diag(lambda) by their column index.
+    """
+    norms = np.empty(w.size)
+    for start in range(0, w.size, _CHUNK_COLUMNS):
+        chunk = v[:, start : start + _CHUNK_COLUMNS]
+        lam = w[start : start + _CHUNK_COLUMNS]
+        scaled = sp.csc_array(
+            (chunk.data * lam[_column_ids(chunk.indptr)], chunk.indices, chunk.indptr),
+            shape=chunk.shape,
+        )
+        r = (m @ chunk - scaled).tocsr()
+        sq = np.bincount(r.indices, weights=r.data.real**2 + r.data.imag**2, minlength=lam.size)
+        norms[start : start + lam.size] = np.sqrt(sq)
+    worst = int(np.argmax(norms))
+    return float(norms[worst]), worst
 
 
 def eigen_decompose(model: HssModel) -> EigenSolution:
@@ -313,19 +387,31 @@ def eigen_decompose(model: HssModel) -> EigenSolution:
     Eigenvalues are reported in solver order; any ordering across
     parameter variations is the matcher's job.  The residual of every
     eigenpair is checked against the full complex matrix A - j*Omega, so
-    a fault in the block split or the back-mapping cannot pass.
+    a fault in the block split or the back-mapping cannot pass; a failure
+    reports the 1-norm condition of the failing eigenpair's block, the
+    matrix its eigenvalue was solved from.
     """
     m, w, v, partition = _solve_spectrum(model, vectors=True)
     block = _block_ids(partition)
     if w.size == 0:
         return EigenSolution(w, block, partition, v, ())
-    worst = _worst_residual(m, w, v)
+    worst, col = _worst_residual(m, w, v)
     if worst > RESIDUAL_TOL:
+        k = block[col]
         raise NumericalError(
             f"eigen decomposition residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} "
-            f"(matrix 1-norm condition ~{np.linalg.cond(m.toarray(), 1):.3e})"
+            f"(block {k} of {partition.rows[k].size} states, 1-norm condition "
+            f"~{_block_condition(model, m, partition, k):.3e})"
         )
     return EigenSolution(w, block, partition, v, model.state_labels())
+
+
+def _block_condition(model: HssModel, m: sp.csr_array, partition: Partition, k: int) -> float:
+    """1-norm condition of block ``k`` of the matrix ``partition`` was solved in."""
+    form = {"sequence": _sequence_form, "parity": _parity_form}.get(partition.form)
+    a = form(model, m)[0] if form else m
+    rows = partition.rows[k]
+    return float(np.linalg.cond(a[rows][:, rows].toarray(), 1))
 
 
 def eigenvalues_only(model: HssModel) -> Spectrum:
@@ -786,7 +872,10 @@ def detect_spurious(
         w1 = 2.0 * np.pi * f1
         lower, upper = folded_probe[folded_probe.imag < 0], folded_probe[folded_probe.imag > 0]
         near = np.concatenate((folded_probe, lower + 1j * w1, upper - 1j * w1))
-        dist = np.array([float(np.min(np.abs(near - x))) for x in folded])
+        # nearest distance per mode, a bounded chunk of modes at a time
+        rows = max(1, _SCRATCH_BYTES // (16 * near.size))
+        chunks = np.split(folded, range(rows, folded.size, rows))
+        dist = np.concatenate([np.abs(near - x[:, None]).min(axis=1) for x in chunks])
     else:
         dist = np.full(lam.shape, np.inf)
     spurious = dist > tol

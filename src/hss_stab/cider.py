@@ -361,6 +361,7 @@ def assemble_cider_hss(
     ctl_frame_op: sp.csr_array,
     index_set: HarmonicIndexSet,
     node_id: str,
+    state_only: bool = False,
 ) -> CiderHss:
     """Combine internal response, reference small-signal model and transforms.
 
@@ -373,6 +374,9 @@ def assemble_cider_hss(
         gamma = (X_pi + X_kappa K) T_pg
         sigma = X_kappa R_sigma
         o     = [X_kappa | -X_kappa K | -X_kappa R_sigma]
+
+    ``state_only`` builds the gamma port alone, the one port a state-only
+    loop closure reads (``assemble_system``).
     """
     t_pg = toeplitz_from_fourier(transforms.grid_to_hw, index_set)
     out_map = transforms.output_map(index_set)
@@ -404,9 +408,12 @@ def assemble_cider_hss(
 
     def ports(x_pi, x_kappa):
         ref = x_kappa @ k
+        gamma = (x_pi + ref) @ t_pg
+        if state_only:
+            return {"gamma": gamma}
         sigma = x_kappa @ r_sigma
         return {
-            "gamma": (x_pi + ref) @ t_pg,
+            "gamma": gamma,
             "sigma": sigma,
             "o": sp.hstack([x_kappa, -ref, -sigma], format="csr"),
         }

@@ -25,9 +25,12 @@ from .scenario import Scenario
 from .templates import CiderConfig
 
 
-def assemble_cider(config: CiderConfig, index_set: HarmonicIndexSet) -> CiderHss:
+def assemble_cider(
+    config: CiderConfig, index_set: HarmonicIndexSet, state_only: bool = False
+) -> CiderHss:
     """Build the grid response of one configured resource; the one lift of
-    ``hw_to_ctl`` serves both the reference lifts and the grid response."""
+    ``hw_to_ctl`` serves both the reference lifts and the grid response.
+    ``state_only`` builds its gamma port alone (``assemble_cider_hss``)."""
     internal = assemble_internal_response(
         config.hardware,
         config.control,
@@ -45,7 +48,14 @@ def assemble_cider(config: CiderConfig, index_set: HarmonicIndexSet) -> CiderHss
     except ConfigurationError as exc:  # a width mismatch: name the resource
         raise ConfigurationError(f"{config.node_id}: {exc}") from None
     return assemble_cider_hss(
-        internal, r_rho, r_sigma, config.transforms, ctl_frame_op, index_set, config.node_id
+        internal,
+        r_rho,
+        r_sigma,
+        config.transforms,
+        ctl_frame_op,
+        index_set,
+        config.node_id,
+        state_only,
     )
 
 
@@ -95,20 +105,22 @@ def assemble_system(
     ordering); following nodes without a declared resource receive a
     zero-injection placeholder so the interconnection stays square.
     ``state_only`` propagates to the loop closure when only the spectrum
-    of the result is needed; the stack and the open loop then carry the
-    loop port alone.  The system closed loop is densified here, once:
-    ``perfbench/checks.py`` and ``perfbench/traced.py`` read
-    ``model`` and ``closed.model`` as ndarrays.  Every other model
-    stays in CSR.
+    of the result is needed; each resource is then built with its loop
+    port alone, and the stack and the open loop carry that port alone.
+    The system closed loop is densified here, once: ``perfbench/checks.py``
+    and ``perfbench/traced.py`` read ``model`` and ``closed.model`` as
+    ndarrays.  Every other model stays in CSR.
 
     ``like`` holds the pieces (``SystemModel.pieces``) of a system
     assembled earlier in the same command, typically the nominal one of a
     sweep or classification.  On the same harmonic grid, its grid lift is
     taken when ``raw["grid"]`` is unchanged, and its ``CiderHss`` of every
-    resource whose ``raw["ciders"]`` entry is unchanged: each depends on
-    nothing else.  Only the other pieces, the stacking, the open loop and
-    the loop closure are rebuilt, so the result equals a fresh assembly
-    bit for bit.  Reused pieces are only read.
+    resource whose ``raw["ciders"]`` entry is unchanged and that carries
+    every port this assembly stacks (a full assembly rebuilds the resources
+    of state-only pieces): each depends on nothing else.  Only the other
+    pieces, the stacking, the open loop and the loop closure are rebuilt,
+    so the result equals a fresh assembly bit for bit.  Reused pieces are
+    only read.
     """
     index_set = HarmonicIndexSet(scenario.hmax, scenario.f1)
     if like is not None and like.grid_model.index_set != index_set:
@@ -123,22 +135,21 @@ def assemble_system(
             scenario, index_set, grid_model.dense(), grid_model, (), None, None, None, None
         )
 
-    kept = {} if like is None else _unchanged_ciders(scenario, like)
+    ports = ("gamma",) if state_only else ("gamma", "sigma", "o")
+    kept = {} if like is None else _unchanged_ciders(scenario, like, ports)
     by_node = {cfg.node_id: cfg for cfg in scenario.ciders}
     ciders = []
     for node_id in scenario.topology.ordered_ids:
         if node_id in kept:
             ciders.append(kept[node_id])
         elif node_id in by_node:
-            ciders.append(assemble_cider(by_node[node_id], index_set))
+            ciders.append(assemble_cider(by_node[node_id], index_set, state_only))
         else:  # a following node: the scenario gives every forming node a resource
             ciders.append(make_zero_injection(index_set, node_id))
     ciders = tuple(ciders)
 
-    stacked = ciders
-    if state_only:  # the loop closure then reads A, C and the gamma port alone
-        stacked = [replace(c, model=c.model.with_ports(("gamma",))) for c in ciders]
-    resources = stack_resources(stacked)
+    # a state-only loop closure reads A, C and the gamma port alone
+    resources = stack_resources([replace(c, model=c.model.with_ports(ports)) for c in ciders])
     open_loop = build_open_loop(resources, grid_model, scenario.topology.ordered_ids)
     n_res_out, n_grid_out = open_loop.output_split
     interconnection = build_interconnection((n_res_out, n_grid_out))
@@ -162,14 +173,16 @@ def assemble_system(
     )
 
 
-def _unchanged_ciders(scenario: Scenario, like: AssemblyPieces) -> dict[str, CiderHss]:
+def _unchanged_ciders(
+    scenario: Scenario, like: AssemblyPieces, ports: tuple[str, ...]
+) -> dict[str, CiderHss]:
     """``like``'s assembled resources, by node, whose scenario entry
-    ``scenario`` repeats unchanged."""
+    ``scenario`` repeats unchanged and whose model carries ``ports``."""
     built = {c.node_id: c for c in like.ciders}
     return {
         cfg.node_id: built[cfg.node_id]
         for cfg, entry, old in zip(
             scenario.ciders, scenario.raw["ciders"], like.scenario.raw.get("ciders", ())
         )
-        if entry == old
+        if entry == old and set(ports) <= set(built[cfg.node_id].model.ports)
     }

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from hss_stab import (
@@ -278,16 +279,42 @@ class TestBlockSolve:
         if form == "parity":
             model = replace(model, phase_triples=())
         calls = spy_solvers(monkeypatch)
-        back_map = analysis._back_map
-
-        def shifted(t, rows, y):
-            support, v = back_map(t, rows, y)
-            return np.roll(support, 1), v
-
-        monkeypatch.setattr(analysis, "_back_map", shifted)
+        monkeypatch.setattr(analysis, "_back_map", misplaced(analysis._back_map))
         with pytest.raises(NumericalError, match="residual"):
             eigen_decompose(model)
         assert calls["eig"][0][0] == (COMPLEX if form == "sequence" else REAL)
+
+    def test_residual_failure_stays_sparse(self, monkeypatch):
+        # the message reports the failing block's condition: M is never densified
+        model = nominal_model("four_cider_six_node", 12)
+        n = model.state_dim
+        monkeypatch.setattr(analysis, "_back_map", misplaced(analysis._back_map))
+        tracemalloc.start()
+        try:
+            with pytest.raises(NumericalError, match=r"residual .* \(block \d+ of \d+ states"):
+                eigen_decompose(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 16 / 4
+
+    @pytest.mark.parametrize("form", ["sequence", "parity"])
+    def test_back_map_matches_dense_product(self, form):
+        model = nominal_model("two_node")
+        if form == "parity":
+            model = replace(model, phase_triples=())
+        a, t, name, blocks = analysis._similarity(model, analysis._shifted_csr(model))
+        assert name == form
+        # every block's eigenvectors, on the block's rows: a dense block_diag(Y)
+        y = np.zeros(a.shape, complex)
+        y[np.concatenate(blocks)] = scipy.linalg.block_diag(
+            *(scipy.linalg.eig(a[rows][:, rows].toarray())[1] for rows in blocks)
+        )
+        expected = t.toarray() @ y
+        expected /= np.linalg.norm(expected, axis=0)
+        v = analysis._back_map(t.tocsc(), sp.csc_array(y))
+        assert v.has_sorted_indices
+        np.testing.assert_allclose(v.toarray(), expected, rtol=0.0, atol=1e-14)
 
     def test_residual_reads_every_nonzero_row(self):
         m, w, v, _ = analysis._solve_spectrum(nominal_model("two_node"), vectors=True)
@@ -295,8 +322,10 @@ class TestBlockSolve:
         v = v.copy()
         v.data *= 1.0 + 1e-3 * rng.standard_normal(v.data.shape)  # the same stored entries
         dense = v.toarray()
-        dense = np.linalg.norm(m.toarray() @ dense - dense * w, axis=0).max()
-        assert analysis._worst_residual(m, w, v) == pytest.approx(dense, rel=1e-12)
+        dense = np.linalg.norm(m.toarray() @ dense - dense * w, axis=0)
+        worst, col = analysis._worst_residual(m, w, v)
+        assert worst == pytest.approx(dense.max(), rel=1e-12)
+        assert col == np.argmax(dense)
 
     def test_four_cider_splits_by_harmonic_parity(self):
         model = nominal_model("four_cider_six_node", 8)
@@ -333,6 +362,16 @@ def unequal_branch_two_node(hmax=8):
     raw.pop("sweeps")  # their paths address the scalar r
     raw["analysis"] = {}
     return scenario_from_dict(raw)
+
+
+def misplaced(back_map):
+    """``back_map`` with every stored entry moved to the row of the entry before it."""
+
+    def shifted(t, y):
+        v = back_map(t, y)
+        return sp.csc_array((v.data, np.roll(v.indices, 1), v.indptr), shape=v.shape)
+
+    return shifted
 
 
 def sequence_blocks(model):

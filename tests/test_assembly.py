@@ -300,8 +300,13 @@ class TestRepresentation:
         assert lean.open_loop.model.ports == ("gamma",)
         assert full.open_loop.model.ports == ("gamma", "sigma", "o")
         assert np.array_equal(lean.model.a, full.model.a)
-        # the resources themselves keep every port, for full rebuilds that reuse them
-        assert all(c.model.ports == ("gamma", "sigma", "o") for c in lean.ciders)
+        # every configured resource is built with its loop port alone
+        resources = {cfg.node_id for cfg in scenario.ciders}
+        assert len(resources) == 4
+        for lean_cider, full_cider in zip(lean.ciders, full.ciders, strict=True):
+            if lean_cider.node_id in resources:
+                assert lean_cider.model.ports == ("gamma",)
+            assert full_cider.model.ports == ("gamma", "sigma", "o")
 
     def test_state_only_peak_near_closed_loop(self):
         # the dense closed-loop A dominates: no dense leaf or port stack adds to it
@@ -359,8 +364,10 @@ class TestDenseOracle:
 
         a = diag([leaf[0] for leaf in leaves])[np.ix_(idx, idx)]
         c = diag([leaf[1] for leaf in leaves])[:, idx]
-        e = {p: diag([leaf[2][p] for leaf in leaves])[idx] for p in ("gamma", "sigma", "o")}
-        f = {p: diag([leaf[3][p] for leaf in leaves]) for p in ("gamma", "sigma", "o")}
+        # a state-only assembly builds its resources with the gamma port alone
+        ports = system.resources.model.ports
+        e = {p: diag([leaf[2][p] for leaf in leaves])[idx] for p in ports}
+        f = {p: diag([leaf[3][p] for leaf in leaves]) for p in ports}
 
         n_res = c.shape[0] - g_out
         j = np.zeros((n_res + g_in, c.shape[0]))
@@ -376,8 +383,8 @@ class TestDenseOracle:
         jc = solve_j(c)
         a_closed = a + e["gamma"] @ jc
         c_closed = c + f["gamma"] @ jc
-        e_closed = {p: e[p] + e["gamma"] @ solve_j(f[p]) for p in ("sigma", "o")}
-        f_closed = {p: f[p] + f["gamma"] @ solve_j(f[p]) for p in ("sigma", "o")}
+        e_closed = {p: e[p] + e["gamma"] @ solve_j(f[p]) for p in ports[1:]}
+        f_closed = {p: f[p] + f["gamma"] @ solve_j(f[p]) for p in ports[1:]}
         return a_closed, c_closed, e_closed, f_closed
 
     @pytest.mark.parametrize("state_only", [True, False])

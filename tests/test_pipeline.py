@@ -70,6 +70,22 @@ def test_other_harmonic_grid_reuses_nothing(nominal_systems):
     assert np.array_equal(other.model.a, fresh.model.a)
 
 
+@pytest.mark.parametrize("name", list(CASES))
+def test_full_assembly_rebuilds_state_only_resources(name, nominal_systems):
+    # state-only pieces carry the gamma port alone, so a full assembly
+    # reuses none of their resources and equals a fresh one bit for bit
+    base = nominal_systems[name]
+    reused = assemble_system(base.scenario, like=base.pieces)
+    fresh = assemble_system(base.scenario)
+    assert reused.grid_model is base.grid_model
+    assert not {id(c) for c in reused.ciders} & {id(c) for c in base.ciders}
+    assert reused.model.ports == fresh.model.ports == ("sigma", "o")
+    leaves = dict(array_leaves(fresh.model, "model"))
+    assert leaves.keys() == dict(array_leaves(reused.model, "model")).keys()
+    for path, array in array_leaves(reused.model, "model"):
+        assert np.array_equal(array, leaves[path]), path
+
+
 def array_leaves(obj, path="system"):
     """(path, array) of every ndarray and sparse array reachable from ``obj``."""
     if isinstance(obj, np.ndarray):
