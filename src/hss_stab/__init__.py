@@ -27,6 +27,7 @@ from .assembly import (
     stack_resources,
 )
 from .cider import (
+    CiderConfig,
     CiderHss,
     CiderTransforms,
     CtlInput,

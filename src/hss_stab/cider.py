@@ -1,11 +1,13 @@
 """Harmonic state-space model of a single converter-interfaced resource.
 
 A resource is power hardware plus control software, interconnected
-through coordinate transforms.  The internal closed loop is formed by
-the generic loop-closing operation; the grid response then combines the
-internal response with the linearised reference calculation and the
-external transforms into the grid-facing quadruple with disturbance
-ports gamma (grid), sigma (setpoint) and o (operating-point offset).
+through coordinate transforms.  ``CiderConfig`` holds one and checks, when
+it is built, that the widths of its parts agree.  The internal closed loop
+is formed by the generic loop-closing operation; the grid response then
+combines the internal response with the linearised reference calculation
+and the external transforms into the grid-facing quadruple with
+disturbance ports gamma (grid), sigma (setpoint) and o (operating-point
+offset).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .assembly import close_loop
-from .errors import ConfigurationError, ShapeError, WellPosednessError
+from .errors import ConfigurationError, ScenarioError, ShapeError, WellPosednessError
 from .harmonic import (
     HarmonicIndexSet,
     default_sample_count,
@@ -28,6 +30,7 @@ from .harmonic import (
     toeplitz_from_fourier,
 )
 from .model import HssModel, check_phase_triples, lift_ltp, stack_models, stack_phase_triples
+from .references import ReferencePlugin
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ class LtpBlock:
 
 
 def _series_shape(series) -> tuple[int, int]:
-    return next(iter(series.values())).shape
+    return np.shape(next(iter(series.values())))
 
 
 def lti_block(name, a, b, c, d, state_names=None, phase_triples=()) -> LtpBlock:
@@ -140,14 +143,6 @@ class CtlInput:
     meas_index: int | None = None
     ref_index: int | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("error", "measurement", "reference"):
-            raise ConfigurationError(f"unknown control-input kind '{self.kind}'")
-        if self.kind in ("error", "measurement") and self.meas_index is None:
-            raise ConfigurationError(f"'{self.kind}' input needs a measurement index")
-        if self.kind in ("error", "reference") and self.ref_index is None:
-            raise ConfigurationError(f"'{self.kind}' input needs a reference index")
-
 
 @dataclass(frozen=True)
 class InternalRouting:
@@ -170,30 +165,6 @@ class InternalRouting:
         refs = [c.ref_index for c in self.ctl_inputs if c.ref_index is not None]
         return max(refs) + 1 if refs else 0
 
-    def validate(self, hardware: LtpBlock, control: LtpBlock, n_meas: int):
-        declared = sorted(self.hw_grid_inputs + self.hw_actuation_inputs)
-        if declared != list(range(hardware.n_inputs)):
-            raise ConfigurationError(
-                f"hardware inputs {declared} must partition 0..{hardware.n_inputs - 1}"
-            )
-        if len(self.ctl_inputs) != control.n_inputs:
-            raise ConfigurationError(
-                f"{len(self.ctl_inputs)} control-input sources declared for "
-                f"{control.n_inputs} control inputs"
-            )
-        for k in self.ctl_measured_outputs:
-            if not 0 <= k < hardware.n_outputs:
-                raise ConfigurationError(f"measured hardware output {k} out of range")
-        refs = sorted({c.ref_index for c in self.ctl_inputs if c.ref_index is not None})
-        if refs != list(range(len(refs))):
-            raise ConfigurationError(f"reference indices {refs} must be contiguous from 0")
-        for c in self.ctl_inputs:
-            if c.meas_index is not None and not 0 <= c.meas_index < n_meas:
-                raise ConfigurationError(
-                    f"measurement index {c.meas_index} outside transformed "
-                    f"measurement vector of dim {n_meas}"
-                )
-
 
 def _selector(indices, width) -> np.ndarray:
     out = np.zeros((width, len(indices)))
@@ -202,44 +173,20 @@ def _selector(indices, width) -> np.ndarray:
     return out
 
 
-def assemble_internal_response(
-    hardware: Sequence[LtpBlock],
-    control: Sequence[LtpBlock],
-    routing: InternalRouting,
-    ctl_to_hw: Mapping[int, np.ndarray],
-    hw_to_ctl: Mapping[int, np.ndarray],
-    index_set: HarmonicIndexSet,
-    name: str = "cider",
-) -> HssModel:
-    """Close the hardware/control loop through the declared routing.
+def assemble_internal_response(config: CiderConfig, index_set: HarmonicIndexSet) -> HssModel:
+    """Close the hardware/control loop of a resource through its routing.
 
     The result is the internal quadruple over the stacked state
     col(x_hw, x_ctl) with disturbance columns partitioned into the
     grid-side ('pi') and reference ('kappa') groups.  Its outputs are the
     hardware outputs alone: the control outputs only feed the loop.
     """
-    hw = stack_blocks(tuple(hardware), "hw")
-    ctl = stack_blocks(tuple(control), "ctl")
-    act = normalize_series(ctl_to_hw)
-    meas = normalize_series(hw_to_ctl)
-    n_act_t, ny_c_t = _series_shape(act)
-    n_meas, n_sel_t = _series_shape(meas)
-    routing.validate(hw, ctl, n_meas)
-    if ny_c_t != ctl.n_outputs:
-        raise ShapeError(
-            f"{name}: actuation transform expects {ny_c_t} control outputs, "
-            f"control provides {ctl.n_outputs}"
-        )
-    if n_act_t != len(routing.hw_actuation_inputs):
-        raise ShapeError(
-            f"{name}: actuation transform provides {n_act_t} channels for "
-            f"{len(routing.hw_actuation_inputs)} actuation inputs"
-        )
-    if n_sel_t != len(routing.ctl_measured_outputs):
-        raise ShapeError(
-            f"{name}: measurement transform expects {n_sel_t} signals, "
-            f"{len(routing.ctl_measured_outputs)} hardware outputs selected"
-        )
+    hw = stack_blocks(config.hardware, "hw")
+    ctl = stack_blocks(config.control, "ctl")
+    routing = config.routing
+    act = normalize_series(config.transforms.ctl_to_hw)
+    meas = normalize_series(config.transforms.hw_to_ctl)
+    n_meas = _series_shape(meas)[0]
 
     def times(series, right):
         """series * right: T(series) @ kron(I, right) = T(series * right) for constant right."""
@@ -288,7 +235,7 @@ def assemble_internal_response(
         closed = close_loop(open_model, j_int, loop_port="loop")
     except WellPosednessError as exc:
         raise WellPosednessError(
-            f"{name}: internal actuation/measurement loop is ill-posed "
+            f"{config.node_id}: internal actuation/measurement loop is ill-posed "
             f"(feedthrough chain hardware D -> measurement -> control D -> actuation): {exc}"
         ) from exc
     hw_rows = slice(0, index_set.count * hw.n_outputs)  # the outputs stack hardware first
@@ -340,6 +287,103 @@ class CiderTransforms:
         )
 
 
+#: The scenario entry of each CiderTransforms field; the last is optional.
+TRANSFORM_KEYS = {
+    "grid_to_hw": "grid_to_hardware",
+    "hw_to_ctl": "hardware_to_control",
+    "ctl_to_hw": "control_to_hardware",
+    "grid_out_to_hw_out": "grid_output_to_hardware_output",
+    "hw_out_to_grid_out": "hardware_output_to_grid_output",
+}
+#: The indices each kind of control input reads.
+_CTL_INPUT_INDICES = {"error": ("meas", "ref"), "measurement": ("meas",), "reference": ("ref",)}
+
+
+@dataclass(frozen=True)
+class CiderConfig:
+    """Everything needed to assemble one resource at any harmonic grid.
+
+    Construction checks that the channel widths of the blocks, the routing,
+    the transforms, the reference law and the trajectories agree, from the
+    shapes of their series alone.  A ScenarioError names the field at fault
+    relative to the resource's scenario entry (``routing``,
+    ``transforms.hardware_to_control``, ``reference``, ...), so the
+    assembly of a constructed config raises only numerical errors.
+    """
+
+    node_id: str
+    kind: str
+    hardware: tuple[LtpBlock, ...]
+    control: tuple[LtpBlock, ...]
+    routing: InternalRouting
+    transforms: CiderTransforms
+    plugin: ReferencePlugin
+    setpoint: Mapping[int, np.ndarray]
+    w_pi: Mapping[int, np.ndarray]
+
+    def __post_init__(self):
+        routing, plugin, t = self.routing, self.plugin, self.transforms
+        shape = {name: _series_shape(s) for name, s in vars(t).items() if s is not None}
+        at = {name: f"transforms.{key}" for name, key in TRANSFORM_KEYS.items()}
+        hw_in, hw_out = _widths(self.hardware)
+        ctl_in, ctl_out = _widths(self.control)
+        d_pi, n_act = len(routing.hw_grid_inputs), len(routing.hw_actuation_inputs)
+        n_meas, n_frame = shape["hw_to_ctl"]
+        for i, src in enumerate(routing.ctl_inputs):
+            field = f"routing.ctl_inputs.{i}"
+            if src.kind not in _CTL_INPUT_INDICES:
+                kinds = ", ".join(_CTL_INPUT_INDICES)
+                raise ScenarioError(f"unknown kind '{src.kind}' (allowed: {kinds})", field=field)
+            index = {"meas": src.meas_index, "ref": src.ref_index}
+            for key in _CTL_INPUT_INDICES[src.kind]:
+                if index[key] is None:
+                    raise ScenarioError(f"an '{src.kind}' input needs '{key}'", field=field)
+            if src.meas_index is not None and not 0 <= src.meas_index < n_meas:
+                message = f"{src.meas_index} is not one of {n_meas} measurements"
+                raise ScenarioError(message, field=f"{field}.meas")
+        for j, k in enumerate(routing.ctl_measured_outputs):
+            if not 0 <= k < hw_out:
+                message = f"{k} is not one of {hw_out} hardware outputs"
+                raise ScenarioError(message, field=f"routing.ctl_measured_outputs.{j}")
+
+        if t.hw_out_to_grid_out is not None:
+            out = at["hw_out_to_grid_out"], shape["hw_out_to_grid_out"][1], hw_out, "columns"
+        else:  # inverted pointwise (``pinv_series``)
+            out = at["grid_out_to_hw_out"], shape["grid_out_to_hw_out"], (hw_out, hw_out), "shape"
+        declared = sorted(routing.hw_grid_inputs + routing.hw_actuation_inputs)
+        refs = sorted({c.ref_index for c in routing.ctl_inputs if c.ref_index is not None})
+        n_measured = len(routing.ctl_measured_outputs)
+        # (field, width, the width the other parts give it, what is compared)
+        rules = [
+            ("routing", declared, list(range(hw_in)), "grid and actuation inputs, a partition"),
+            ("routing.ctl_inputs", len(routing.ctl_inputs), ctl_in, "sources of control inputs"),
+            ("routing.ctl_inputs", refs, list(range(len(refs))), "reference indices"),
+            (at["ctl_to_hw"], shape["ctl_to_hw"], (n_act, ctl_out), "shape"),
+            (at["hw_to_ctl"], n_frame, n_measured, "columns, one per measured output"),
+            (at["hw_to_ctl"], n_frame, d_pi, "columns, one per grid input"),
+            (at["hw_to_ctl"], n_meas, plugin.d_rho, "rows, one per reference law input"),
+            (at["grid_to_hw"], shape["grid_to_hw"][0], d_pi, "rows, one per grid input"),
+            out,
+            ("reference", plugin.d_kappa, routing.n_ref, "outputs, one per reference input"),
+        ]
+        for field, trajectory, width in [
+            ("setpoint", self.setpoint, plugin.d_sigma),
+            ("operating_point.w_pi", self.w_pi, d_pi),
+        ]:
+            rules += [
+                (f"{field}.harmonics.{h}", np.shape(vec), (width,), "shape")
+                for h, vec in trajectory.items()
+            ]
+        for field, got, wanted, rule in rules:
+            if got != wanted:
+                raise ScenarioError(f"{rule}: {got}, expected {wanted}", field=field)
+
+
+def _widths(blocks: Sequence[LtpBlock]) -> tuple[int, int]:
+    """Inputs and outputs of the parallel stack of ``blocks``."""
+    return sum(b.n_inputs for b in blocks), sum(b.n_outputs for b in blocks)
+
+
 @dataclass(frozen=True)
 class CiderHss:
     """Grid response of one resource: ports gamma, sigma, o.
@@ -354,56 +398,31 @@ class CiderHss:
 
 
 def assemble_cider_hss(
+    config: CiderConfig,
     internal: HssModel,
     r_rho: sp.csr_array,
-    r_sigma: sp.csr_array,
-    transforms: CiderTransforms,
+    r_sigma: sp.csr_array | None,
     ctl_frame_op: sp.csr_array,
     index_set: HarmonicIndexSet,
-    node_id: str,
     state_only: bool = False,
 ) -> CiderHss:
     """Combine internal response, reference small-signal model and transforms.
 
     ``internal`` comes from ``assemble_internal_response``, ``r_rho`` and
     ``r_sigma`` from ``make_operating_point``, and ``ctl_frame_op`` is the
-    lift T_kp of ``transforms.hw_to_ctl``, the one the reference lifts were
-    made with.  With K = R_rho T_kp, one port map takes a disturbance pair
-    (X_pi, X_kappa) of E, or of F through the output map, to the ports
+    lift T_kp of ``config.transforms.hw_to_ctl``, the one the reference lifts
+    were made with.  With K = R_rho T_kp, one port map takes a disturbance
+    pair (X_pi, X_kappa) of E, or of F through the output map, to the ports
 
         gamma = (X_pi + X_kappa K) T_pg
         sigma = X_kappa R_sigma
         o     = [X_kappa | -X_kappa K | -X_kappa R_sigma]
 
     ``state_only`` builds the gamma port alone, the one port a state-only
-    loop closure reads (``assemble_system``).
+    loop closure reads (``assemble_system``); ``r_sigma`` is then not read.
     """
-    t_pg = toeplitz_from_fourier(transforms.grid_to_hw, index_set)
-    out_map = transforms.output_map(index_set)
-
-    count = index_set.count
-    d_pi = internal.port_dim("pi") // count
-    if t_pg.shape[0] // count != d_pi:
-        raise ShapeError(
-            f"{node_id}: grid-side transform yields {t_pg.shape[0] // count} channels, "
-            f"hardware exposes {d_pi} grid inputs"
-        )
-    if ctl_frame_op.shape[1] // count != d_pi:
-        raise ShapeError(
-            f"{node_id}: control-frame transform expects {ctl_frame_op.shape[1] // count} "
-            f"channels, grid-side disturbance has {d_pi}"
-        )
-    if out_map.shape[1] != internal.output_dim:
-        raise ShapeError(
-            f"{node_id}: output transform expects {out_map.shape[1] // count} hardware "
-            f"outputs, internal response provides {internal.output_dim // count}"
-        )
-    if r_rho.shape[0] != internal.port_dim("kappa"):
-        raise ShapeError(
-            f"{node_id}: reference law gives {r_rho.shape[0] // count} channels, "
-            f"control takes {internal.port_dim('kappa') // count} reference inputs"
-        )
-
+    t_pg = toeplitz_from_fourier(config.transforms.grid_to_hw, index_set)
+    out_map = config.transforms.output_map(index_set)
     k = r_rho @ ctl_frame_op
 
     def ports(x_pi, x_kappa):
@@ -424,10 +443,10 @@ def assemble_cider_hss(
         e=ports(internal.e["pi"], internal.e["kappa"]),
         c=out_map @ internal.c,
         f=ports(out_map @ internal.f["pi"], out_map @ internal.f["kappa"]),
-        state_names=tuple(f"{node_id}.{n}" for n in internal.state_names),
+        state_names=tuple(f"{config.node_id}.{n}" for n in internal.state_names),
         phase_triples=internal.phase_triples,
     )
-    return CiderHss(node_id, model)
+    return CiderHss(config.node_id, model)
 
 
 def make_zero_injection(index_set: HarmonicIndexSet, node_id: str) -> CiderHss:

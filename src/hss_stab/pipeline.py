@@ -15,14 +15,18 @@ from .assembly import (
     close_loop,
     stack_resources,
 )
-from .cider import CiderHss, assemble_cider_hss, assemble_internal_response, make_zero_injection
-from .errors import ConfigurationError
+from .cider import (
+    CiderConfig,
+    CiderHss,
+    assemble_cider_hss,
+    assemble_internal_response,
+    make_zero_injection,
+)
 from .grid import build_grid_state_space, lift_grid_to_hss
 from .harmonic import HarmonicIndexSet, toeplitz_from_fourier
 from .model import HssModel
 from .references import make_operating_point
 from .scenario import Scenario
-from .templates import CiderConfig
 
 
 def assemble_cider(
@@ -30,33 +34,14 @@ def assemble_cider(
 ) -> CiderHss:
     """Build the grid response of one configured resource; the one lift of
     ``hw_to_ctl`` serves both the reference lifts and the grid response.
-    ``state_only`` builds its gamma port alone (``assemble_cider_hss``)."""
-    internal = assemble_internal_response(
-        config.hardware,
-        config.control,
-        config.routing,
-        config.transforms.ctl_to_hw,
-        config.transforms.hw_to_ctl,
-        index_set,
-        name=config.node_id,
-    )
+    ``state_only`` builds its gamma port alone (``assemble_cider_hss``), so
+    R_sigma is not built."""
+    internal = assemble_internal_response(config, index_set)
     ctl_frame_op = toeplitz_from_fourier(config.transforms.hw_to_ctl, index_set)
-    try:
-        r_rho, r_sigma = make_operating_point(
-            config.plugin, ctl_frame_op, config.w_pi, config.setpoint, index_set
-        )
-    except ConfigurationError as exc:  # a width mismatch: name the resource
-        raise ConfigurationError(f"{config.node_id}: {exc}") from None
-    return assemble_cider_hss(
-        internal,
-        r_rho,
-        r_sigma,
-        config.transforms,
-        ctl_frame_op,
-        index_set,
-        config.node_id,
-        state_only,
+    r_rho, r_sigma = make_operating_point(
+        config.plugin, ctl_frame_op, config.w_pi, config.setpoint, index_set, state_only
     )
+    return assemble_cider_hss(config, internal, r_rho, r_sigma, ctl_frame_op, index_set, state_only)
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,10 @@ class ReferencePlugin:
     time axis and must be pure functions.
     """
 
-    #: (dim of control-frame grid disturbance, dim of setpoint)
+    #: dims of the control-frame grid disturbance, the setpoint and the output
     d_rho: int
     d_sigma: int
+    d_kappa: int
 
     def evaluate(self, w_rho: np.ndarray, w_sigma: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -57,7 +58,7 @@ class AffineReference(ReferencePlugin):
         self.m_sigma = np.atleast_2d(np.asarray(m_sigma, dtype=float))
         if self.m_rho.shape[0] != self.m_sigma.shape[0]:
             raise ShapeError("row counts of the two gain matrices differ")
-        self.d_rho = self.m_rho.shape[1]
+        self.d_kappa, self.d_rho = self.m_rho.shape
         self.d_sigma = self.m_sigma.shape[1]
 
     def evaluate(self, w_rho, w_sigma):
@@ -82,6 +83,7 @@ class PqReference(ReferencePlugin):
 
     d_rho = 2
     d_sigma = 2
+    d_kappa = 2
 
     #: squared-voltage floor below which the law is considered singular
     min_norm = 1e-9
@@ -130,9 +132,11 @@ def make_operating_point(
     w_pi: Mapping[int, np.ndarray],
     w_sigma: Mapping[int, np.ndarray],
     index_set: HarmonicIndexSet,
-) -> tuple[sp.csr_array, sp.csr_array]:
+    state_only: bool = False,
+) -> tuple[sp.csr_array, sp.csr_array | None]:
     """The lifts R_rho, R_sigma (CSR) of the reference law's Jacobians along
-    the operating trajectories.
+    the operating trajectories; with ``state_only`` R_sigma, which only the
+    sigma and o ports read, is None.
 
     ``w_pi`` (hardware frame) and ``w_sigma`` (the setpoint) are
     {order: channel vector} maps, as the scenario gives them; orders beyond
@@ -173,11 +177,11 @@ def make_operating_point(
             f"(aliasing residual {residual:.3e})"
         )
     r_rho = series_from_samples(plugin.jac_rho(rho_t, sigma_t), index_set)
+    r_rho = toeplitz_from_fourier(r_rho, index_set)
+    if state_only:
+        return r_rho, None
     r_sigma = series_from_samples(plugin.jac_sigma(rho_t, sigma_t), index_set)
-    return (
-        toeplitz_from_fourier(r_rho, index_set),
-        toeplitz_from_fourier(r_sigma, index_set),
-    )
+    return r_rho, toeplitz_from_fourier(r_sigma, index_set)
 
 
 def _stack(

@@ -17,11 +17,11 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
+from .cider import CiderConfig
 from .errors import ScenarioError
 from .grid import FOLLOWING, FORMING, Branch, GridNode, GridTopology
 from .templates import (
     DOCUMENT,
-    CiderConfig,
     _as_number,
     _count,
     _entries,

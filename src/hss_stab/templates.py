@@ -9,16 +9,16 @@ accepts raw LTP blocks keyed by harmonic order.  Tables name the entries
 of every object of a resource, and the field-path helpers (``_entries``,
 ``_require``, ``_number``) check them and the rest of the scenario
 document, with one definition of a number: booleans are not numbers.
+The channel widths of a resource's parts are checked by ``CiderConfig``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
-
 import numpy as np
 
 from .cider import (
+    TRANSFORM_KEYS,
+    CiderConfig,
     CiderTransforms,
     CtlInput,
     InternalRouting,
@@ -28,27 +28,13 @@ from .cider import (
     lti_block,
     park_series,
 )
-from .errors import ScenarioError
+from .errors import ScenarioError, ShapeError
+from .harmonic import normalize_series
 from .references import AffineReference, PqReference, ReferencePlugin
 
 PHASES = ("a", "b", "c")
 GRID_FORMING = "grid-forming"
 GRID_FOLLOWING = "grid-following"
-
-
-@dataclass(frozen=True)
-class CiderConfig:
-    """Everything needed to assemble one resource at any harmonic grid."""
-
-    node_id: str
-    kind: str
-    hardware: tuple[LtpBlock, ...]
-    control: tuple[LtpBlock, ...]
-    routing: InternalRouting
-    transforms: CiderTransforms
-    plugin: ReferencePlugin
-    setpoint: Mapping[int, np.ndarray]
-    w_pi: Mapping[int, np.ndarray]
 
 
 def parse_number(value, field: str, real: bool = False) -> complex:
@@ -94,17 +80,22 @@ def _by_order(value, field, noun, parse, *args) -> dict:
 
 
 def parse_series(value, field: str) -> dict[int, np.ndarray]:
+    """An {order: matrix} series whose matrices share one shape."""
     series = _by_order(value, field, "matrix", parse_matrix)
     if not series:
         raise ScenarioError("expected at least one harmonic order", field=field)
-    return series
+    try:
+        return normalize_series(series)
+    except ShapeError as exc:
+        raise ScenarioError(str(exc), field=field) from None
 
 
-def _vector(value, field, channels: int) -> np.ndarray:
-    """One harmonic entry of a trajectory: ``channels`` numbers."""
-    if not isinstance(value, list) or len(value) != channels:
-        raise ScenarioError(f"expected an array of {channels} numbers, got {value!r}", field=field)
-    return np.array([parse_number(v, f"{field}.{i}") for i, v in enumerate(value)])
+def _vector(value, field) -> np.ndarray:
+    """One harmonic entry of a trajectory, an array of numbers; ``CiderConfig``
+    checks its width."""
+    if not isinstance(value, list):
+        raise ScenarioError(f"expected an array of numbers, got {value!r}", field=field)
+    return np.array([parse_number(v, f"{field}.{i}") for i, v in enumerate(value)], dtype=complex)
 
 
 DOCUMENT = "<document>"
@@ -210,7 +201,8 @@ def _typed(spec, field, table, noun):
 
 def _trajectory(section, key, field, channels: int) -> dict[int, np.ndarray]:
     """The {order: vector} map of trajectory ``key`` of ``section`` ({} when
-    absent), ``channels`` wide; a ``channels`` entry, if given, must agree."""
+    absent) of a resource that takes ``channels``; a ``channels`` entry, if
+    given, must agree."""
     at = _at(field, key)
     trajectory = _object(section, key, field, optional=("channels", "harmonics"))
     if "channels" in trajectory and _number(trajectory, "channels", at, int) != channels:
@@ -219,7 +211,7 @@ def _trajectory(section, key, field, channels: int) -> dict[int, np.ndarray]:
             field=f"{at}.channels",
         )
     harmonics = trajectory.get("harmonics", {})
-    return _by_order(harmonics, f"{at}.harmonics", "vector", _vector, channels)
+    return _by_order(harmonics, f"{at}.harmonics", "vector", _vector)
 
 
 def _dq_filter(raw, field, *keys) -> list[float]:
@@ -306,7 +298,10 @@ def parse_block(raw, field) -> LtpBlock:
         series.setdefault(key, {0: np.zeros(shape)})
     name = _require(raw, "name", field, str, default="block")
     state_names = _strings(raw, "state_names", field) if "state_names" in raw else None
-    return LtpBlock(name, series["a"], series["b"], series["c"], series["d"], state_names)
+    try:
+        return LtpBlock(name, series["a"], series["b"], series["c"], series["d"], state_names)
+    except ShapeError as exc:
+        raise ScenarioError(str(exc), field=field) from None
 
 
 def _dim(series, *where) -> int | None:
@@ -339,15 +334,6 @@ _TRANSFORMS = {
     ),
     "custom": (("harmonics",), (), lambda s, f: parse_series(s["harmonics"], f"{f}.harmonics")),
 }
-# The CiderTransforms field of each entry of a custom resource's
-# 'transforms'; the last entry is optional.
-_TRANSFORM_FIELDS = {
-    "grid_to_hardware": "grid_to_hw",
-    "hardware_to_control": "hw_to_ctl",
-    "control_to_hardware": "ctl_to_hw",
-    "grid_output_to_hardware_output": "grid_out_to_hw_out",
-    "hardware_output_to_grid_output": "hw_out_to_grid_out",
-}
 _INDEX_LISTS = ("hw_grid_inputs", "hw_actuation_inputs", "ctl_measured_outputs")
 
 
@@ -359,17 +345,20 @@ def _vf_reference(spec, field) -> AffineReference:
     return AffineReference(np.zeros((channels, d_rho)), np.eye(channels))
 
 
+def _affine_reference(spec, field) -> AffineReference:
+    m_rho, m_sigma = (
+        parse_matrix(spec[key], f"{field}.{key}", real=True).real for key in ("m_rho", "m_sigma")
+    )
+    try:
+        return AffineReference(m_rho, m_sigma)
+    except ShapeError as exc:
+        raise ScenarioError(str(exc), field=field) from None
+
+
 _REFERENCES = {
     "vf": ((), ("channels", "d_rho"), _vf_reference),
     "pq": ((), (), lambda s, f: PqReference()),
-    "affine": (
-        ("m_rho", "m_sigma"),
-        (),
-        lambda s, f: AffineReference(
-            parse_matrix(s["m_rho"], f"{f}.m_rho", real=True).real,
-            parse_matrix(s["m_sigma"], f"{f}.m_sigma", real=True).real,
-        ),
-    ),
+    "affine": (("m_rho", "m_sigma"), (), _affine_reference),
 }
 
 
@@ -377,11 +366,11 @@ def _custom_parts(raw, field):
     at = f"{field}.routing"
     routing = _object(raw, "routing", field, _INDEX_LISTS + ("ctl_inputs",))
     ctl_inputs = _require(routing, "ctl_inputs", at, list)
-    *required, optional = _TRANSFORM_FIELDS
+    *required, optional = TRANSFORM_KEYS.values()
     given = _object(raw, "transforms", field, tuple(required), (optional,))
     transforms = {
         name: _typed(given[key], f"{field}.transforms.{key}", _TRANSFORMS, "transform")
-        for key, name in _TRANSFORM_FIELDS.items()
+        for name, key in TRANSFORM_KEYS.items()
         if key in given
     }
     return (
@@ -418,9 +407,9 @@ TEMPLATES = {
 
 
 def build_cider_config(raw, index: int) -> CiderConfig:
-    """The resource at ``ciders.index``.  Its setpoint is as wide as the
-    reference law's and its operating voltage trajectory as its grid inputs,
-    empty when the resource gives none."""
+    """The resource at ``ciders.index``, checked by ``CiderConfig``.  Its
+    setpoint is as wide as the reference law's and its operating voltage
+    trajectory as its grid inputs, empty when the resource gives none."""
     field = f"ciders.{index}"
     template = _require(raw, "template", field, str, default="custom")
     if template not in TEMPLATES:
@@ -437,14 +426,12 @@ def build_cider_config(raw, index: int) -> CiderConfig:
         )
     hardware, control, routing, transforms, plugin = parts(raw, field)
     op = _object(raw, "operating_point", field, *operating_point)
-    return CiderConfig(
-        node_id=_require(raw, "node", field, str),
-        kind=kind,
-        hardware=hardware,
-        control=control,
-        routing=routing,
-        transforms=transforms,
-        plugin=plugin,
-        setpoint=_trajectory(raw, "setpoint", field, plugin.d_sigma),
-        w_pi=_trajectory(op, "w_pi", f"{field}.operating_point", len(routing.hw_grid_inputs)),
-    )
+    node_id = _require(raw, "node", field, str)
+    setpoint = _trajectory(raw, "setpoint", field, plugin.d_sigma)
+    w_pi = _trajectory(op, "w_pi", f"{field}.operating_point", len(routing.hw_grid_inputs))
+    try:
+        return CiderConfig(
+            node_id, kind, hardware, control, routing, transforms, plugin, setpoint, w_pi
+        )
+    except ScenarioError as exc:  # its field is relative to the resource
+        raise ScenarioError(exc.message, field=f"{field}.{exc.field}") from None

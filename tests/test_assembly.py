@@ -278,13 +278,7 @@ class TestRepresentation:
         iset = system.index_set
         models = [c.model for c in system.ciders]
         models += [system.grid_model, system.resources.model, system.open_loop.model]
-        for cfg in scenario.ciders:
-            t = cfg.transforms
-            models.append(
-                assemble_internal_response(
-                    cfg.hardware, cfg.control, cfg.routing, t.ctl_to_hw, t.hw_to_ctl, iset
-                )
-            )
+        models += [assemble_internal_response(cfg, iset) for cfg in scenario.ciders]
         models.append(make_zero_injection(iset, "junction").model)
         for m in models:
             assert all(isinstance(x, sp.csr_array) for x in matrices(m))

@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hss_stab import (
     AffineReference,
+    CiderConfig,
     CiderTransforms,
     ConfigurationError,
     CtlInput,
     HarmonicIndexSet,
     InternalRouting,
+    ScenarioError,
     ShapeError,
     WellPosednessError,
     assemble_cider_hss,
@@ -27,6 +31,7 @@ from hss_stab import (
 )
 from hss_stab.model import HssModel
 from hss_stab.pipeline import assemble_cider
+from hss_stab.references import PqReference
 from tests.test_references import block_offsets, coefficients, dft, periodic_samples
 
 
@@ -36,36 +41,42 @@ def resource_lifts(cfg, iset):
     return make_operating_point(cfg.plugin, ctl_frame_op, cfg.w_pi, cfg.setpoint, iset)
 
 
-def integrator_gain_parts(k=2.5, with_grid_input=True):
-    b = [[1.0, 1.0]] if with_grid_input else [[1.0]]
-    hw = lti_block("int", [[0.0]], b, [[1.0]], [[0.0] * len(b[0])])
-    ctl = lti_block(
-        "gain", np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[k]]
+def unit_config(hw, ctl):
+    """Single-channel resource around ``hw`` and ``ctl``: hardware input 0
+    actuates, input 1 takes the grid, output 0 is measured; identity
+    transforms and a reference law that passes its setpoint through."""
+    identity = identity_series(1)
+    return CiderConfig(
+        node_id="n1",
+        kind="grid-forming",
+        hardware=(hw,),
+        control=(ctl,),
+        routing=InternalRouting((1,), (0,), (0,), (CtlInput("error", 0, 0),)),
+        transforms=CiderTransforms(identity, identity, identity, identity),
+        plugin=AffineReference(np.zeros((1, 1)), np.eye(1)),
+        setpoint={0: np.ones(1)},
+        w_pi={},
     )
-    routing = InternalRouting(
-        hw_grid_inputs=(1,) if with_grid_input else (),
-        hw_actuation_inputs=(0,),
-        ctl_measured_outputs=(0,),
-        ctl_inputs=(CtlInput("error", meas_index=0, ref_index=0),),
-    )
-    return hw, ctl, routing
+
+
+def gain(k):
+    return lti_block("gain", np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[k]])
+
+
+def integrator_gain_config(k=2.5):
+    """An integrator with an actuation and a grid input under gain ``k``."""
+    return unit_config(lti_block("int", [[0.0]], [[1.0, 1.0]], [[1.0]], [[0.0, 0.0]]), gain(k))
 
 
 class TestInternalResponse:
     def test_textbook_negative_feedback(self):
         iset = HarmonicIndexSet(0, 50.0)
-        hw, ctl, routing = integrator_gain_parts(k=2.5, with_grid_input=False)
-        internal = assemble_internal_response(
-            [hw], [ctl], routing, identity_series(1), identity_series(1), iset
-        )
+        internal = assemble_internal_response(integrator_gain_config(k=2.5), iset)
         assert np.allclose(internal.a.toarray(), [[-2.5]])
 
     def test_ladder_at_hmax_one(self):
         iset = HarmonicIndexSet(1, 50.0)
-        hw, ctl, routing = integrator_gain_parts(k=2.5, with_grid_input=False)
-        internal = assemble_internal_response(
-            [hw], [ctl], routing, identity_series(1), identity_series(1), iset
-        )
+        internal = assemble_internal_response(integrator_gain_config(k=2.5), iset)
         sol = eigen_decompose(internal)
         w1 = 2 * np.pi * 50.0
         expected = np.array([-2.5 - 1j * w1, -2.5, -2.5 + 1j * w1])
@@ -76,21 +87,14 @@ class TestInternalResponse:
         # a(t) with one cosine term closed under static control: the state
         # matrix may only couple harmonics one step apart
         iset = HarmonicIndexSet(3, 50.0)
-        hw = lti_block("p", [[-1.0]], [[1.0]], [[1.0]], [[0.0]])
-        hw = stack_blocks([hw], "hw")
+        hw = lti_block("p", [[-1.0]], [[1.0, 1.0]], [[1.0]], [[0.0, 0.0]])
         periodic = dict(hw.a)
         periodic[1] = [[0.3]]
         periodic[-1] = [[0.3]]
         from hss_stab.cider import LtpBlock
 
         hw_p = LtpBlock("p", periodic, hw.b, hw.c, hw.d)
-        ctl = lti_block(
-            "gain", np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[1.0]]
-        )
-        routing = InternalRouting((), (0,), (0,), (CtlInput("error", 0, 0),))
-        internal = assemble_internal_response(
-            [hw_p], [ctl], routing, identity_series(1), identity_series(1), iset
-        )
+        internal = assemble_internal_response(unit_config(hw_p, gain(1.0)), iset)
         offsets = block_offsets(internal.a, iset, (1, 1))
         assert offsets == {0, -1, 1}
 
@@ -98,10 +102,7 @@ class TestInternalResponse:
         # independent route: close the same open loop with the disturbance
         # ports merged into one and compare the column groups
         iset = HarmonicIndexSet(1, 50.0)
-        hw, ctl, routing = integrator_gain_parts(k=1.5, with_grid_input=True)
-        internal = assemble_internal_response(
-            [hw], [ctl], routing, identity_series(1), identity_series(1), iset
-        )
+        internal = assemble_internal_response(integrator_gain_config(k=1.5), iset)
         n = iset.count
         k = 1.5
         # manual open loop: states x (integrator); y = (y_hw, y_ctl)
@@ -137,24 +138,16 @@ class TestInternalResponse:
 
     def test_singular_loop_reported(self):
         iset = HarmonicIndexSet(0, 50.0)
-        hw = lti_block("d", np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[1.0]])
-        ctl = lti_block(
-            "gain", np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[-1.0]]
-        )
-        routing = InternalRouting((), (0,), (0,), (CtlInput("error", 0, 0),))
+        hw = lti_block("d", np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((1, 0)), [[1.0, 0.0]])
         with pytest.raises(WellPosednessError, match="feedthrough chain"):
-            assemble_internal_response(
-                [hw], [ctl], routing, identity_series(1), identity_series(1), iset
-            )
+            assemble_internal_response(unit_config(hw, gain(-1.0)), iset)
 
     def test_routing_validated(self):
-        iset = HarmonicIndexSet(0, 50.0)
-        hw, ctl, _ = integrator_gain_parts()
+        # the routing is checked when the config is built, before any assembly
         bad = InternalRouting((0, 1), (0,), (0,), (CtlInput("error", 0, 0),))
-        with pytest.raises(ConfigurationError, match="partition"):
-            assemble_internal_response(
-                [hw], [ctl], bad, identity_series(1), identity_series(1), iset
-            )
+        with pytest.raises(ScenarioError, match="partition") as exc:
+            dataclasses.replace(integrator_gain_config(), routing=bad)
+        assert exc.value.field == "routing"
 
 
 class TestParkTransforms:
@@ -194,29 +187,14 @@ class TestParkTransforms:
             pinv_series(park_series(), HarmonicIndexSet(2, 50.0))
 
 
-def vf_identity_cider(iset, k=2.0, kp_only=True):
+def vf_identity_cider(iset):
     """Single-channel resource with identity transforms and pass-through
     reference: its internal response and its grid response."""
-    hw = lti_block("int", [[0.0]], [[1.0, 1.0]], [[1.0]], [[0.0, 0.0]])
-    ctl = lti_block(
-        "gain", np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((1, 0)), [[k]]
-    )
-    routing = InternalRouting((1,), (0,), (0,), (CtlInput("error", 0, 0),))
-    internal = assemble_internal_response(
-        [hw], [ctl], routing, identity_series(1), identity_series(1), iset
-    )
-    transforms = CiderTransforms(
-        grid_to_hw=identity_series(1),
-        hw_to_ctl=identity_series(1),
-        ctl_to_hw=identity_series(1),
-        grid_out_to_hw_out=identity_series(1),
-    )
-    plugin = AffineReference(np.zeros((1, 1)), np.eye(1))  # the setpoint passes through
+    cfg = integrator_gain_config(2.0)
+    internal = assemble_internal_response(cfg, iset)
     ctl_frame_op = toeplitz_from_fourier({0: np.eye(1)}, iset)
-    r_rho, r_sigma = make_operating_point(plugin, ctl_frame_op, {}, {0: np.ones(1)}, iset)
-    return internal, assemble_cider_hss(
-        internal, r_rho, r_sigma, transforms, ctl_frame_op, iset, "n1"
-    )
+    r_rho, r_sigma = make_operating_point(cfg.plugin, ctl_frame_op, {}, cfg.setpoint, iset)
+    return internal, assemble_cider_hss(cfg, internal, r_rho, r_sigma, ctl_frame_op, iset)
 
 
 class TestGridResponse:
@@ -258,9 +236,7 @@ class TestGridResponse:
         cfg = two_node.ciders[1]  # power-controlled resource
         cider = assemble_cider(cfg, iset)
         t = cfg.transforms
-        internal = assemble_internal_response(
-            cfg.hardware, cfg.control, cfg.routing, t.ctl_to_hw, t.hw_to_ctl, iset
-        )
+        internal = assemble_internal_response(cfg, iset)
         r_rho, _ = resource_lifts(cfg, iset)
         w_pi = coefficients(cfg.w_pi, iset).reshape(-1)
         w_sigma = coefficients(cfg.setpoint, iset).reshape(-1)
@@ -300,15 +276,7 @@ class TestGridResponse:
         iset = HarmonicIndexSet(5, 50.0)
         cfg = two_node.ciders[1]  # power-controlled resource
         cider = assemble_cider(cfg, iset)
-        internal = assemble_internal_response(
-            cfg.hardware,
-            cfg.control,
-            cfg.routing,
-            cfg.transforms.ctl_to_hw,
-            cfg.transforms.hw_to_ctl,
-            iset,
-            name="n2",
-        )
+        internal = assemble_internal_response(cfg, iset)
         n_states = len(internal.state_names)
         e_pi_off = block_offsets(internal.e["pi"], iset, (n_states, 3))
         e_kp_off = block_offsets(internal.e["kappa"], iset, (n_states, 2))
@@ -370,9 +338,6 @@ def oracle_config(seed=3):
     its output map is a time-varying 2x3 series.  Control D acts on the
     reference channels alone, so the internal loop has no algebraic part.
     """
-    from hss_stab.references import PqReference
-    from hss_stab.templates import CiderConfig
-
     rng = np.random.default_rng(seed)
     hw = lti_block(
         "hw",
@@ -419,6 +384,89 @@ def oracle_config(seed=3):
         setpoint={0: np.array([5.0, 1.0])},
         w_pi={0: np.array([3.0, 0.5]), 1: np.array([0.4 - 0.2j, 0.1j]), -1: np.array([0.4 + 0.2j, -0.1j])},
     )
+
+
+def with_routing(cfg, **changes):
+    return {"routing": dataclasses.replace(cfg.routing, **changes)}
+
+
+def with_transforms(cfg, **changes):
+    return {"transforms": dataclasses.replace(cfg.transforms, **changes)}
+
+
+def with_ctl_input(cfg, i, source):
+    inputs = list(cfg.routing.ctl_inputs)
+    inputs[i] = source
+    return with_routing(cfg, ctl_inputs=tuple(inputs))
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        (lambda c: with_ctl_input(c, 0, CtlInput("foo", 0)), "routing.ctl_inputs.0"),
+        (lambda c: with_ctl_input(c, 2, CtlInput("error", ref_index=0)), "routing.ctl_inputs.2"),
+        (lambda c: with_ctl_input(c, 2, CtlInput("reference")), "routing.ctl_inputs.2"),
+        (lambda c: with_ctl_input(c, 1, CtlInput("measurement", 2)), "routing.ctl_inputs.1.meas"),
+        (lambda c: with_routing(c, hw_grid_inputs=(1, 2)), "routing"),
+        (lambda c: with_routing(c, ctl_inputs=c.routing.ctl_inputs[:3]), "routing.ctl_inputs"),
+        (
+            lambda c: with_ctl_input(c, 3, CtlInput("reference", ref_index=2)),
+            "routing.ctl_inputs",
+        ),
+        (
+            lambda c: with_routing(c, ctl_measured_outputs=(0, 3)),
+            "routing.ctl_measured_outputs.1",
+        ),
+        (
+            lambda c: with_transforms(c, ctl_to_hw={0: np.ones((3, 2))}),
+            "transforms.control_to_hardware",
+        ),
+        (
+            lambda c: with_transforms(c, hw_to_ctl={0: np.ones((3, 2))}),
+            "transforms.hardware_to_control",
+        ),
+        (
+            lambda c: with_transforms(c, grid_to_hw={0: np.ones((3, 2))}),
+            "transforms.grid_to_hardware",
+        ),
+        (
+            lambda c: with_transforms(c, hw_out_to_grid_out={0: np.ones((2, 2))}),
+            "transforms.hardware_output_to_grid_output",
+        ),
+        (
+            lambda c: with_transforms(c, hw_out_to_grid_out=None),
+            "transforms.grid_output_to_hardware_output",
+        ),
+        (lambda c: {"plugin": AffineReference(np.zeros((3, 2)), np.zeros((3, 2)))}, "reference"),
+        (lambda c: {"setpoint": {0: np.ones(3)}}, "setpoint.harmonics.0"),
+        (lambda c: {"w_pi": {0: np.ones(2), 1: np.ones(3)}}, "operating_point.w_pi.harmonics.1"),
+    ],
+    ids=[
+        "ctl-input-kind",
+        "error-without-meas",
+        "reference-without-ref",
+        "meas-index-range",
+        "hardware-inputs-partition",
+        "ctl-input-count",
+        "reference-indices-contiguous",
+        "measured-output-range",
+        "control-to-hardware-shape",
+        "hardware-to-control-reference-width",
+        "grid-to-hardware-rows",
+        "output-map-columns",
+        "default-output-map-square",
+        "reference-output-width",
+        "setpoint-width",
+        "w-pi-width",
+    ],
+)
+def test_config_widths_checked(change, field):
+    # each rule a CiderConfig checks at construction, at its field in the
+    # resource's scenario entry; the unchanged config passes every rule
+    cfg = oracle_config()
+    with pytest.raises(ScenarioError) as exc:
+        dataclasses.replace(cfg, **change(cfg))
+    assert exc.value.field == field
 
 
 def dense_lift(series, iset):
@@ -483,10 +531,7 @@ class TestGridResponseOracle:
 
     def test_internal_response(self, built):
         iset, cfg, _, _, _ = built
-        t = cfg.transforms
-        internal = assemble_internal_response(
-            cfg.hardware, cfg.control, cfg.routing, t.ctl_to_hw, t.hw_to_ctl, iset
-        )
+        internal = assemble_internal_response(cfg, iset)
         a, e_p, e_k, c, f_p, f_k = dense_internal(cfg, iset)
         for actual, expected in [
             (internal.a, a),

@@ -122,8 +122,16 @@ class TestValidationErrors:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "non-empty control and hardware parameter sets" in record["message"]
 
+    def assert_scenario_error(self, capsys, field):
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ScenarioError"
+        assert record["exit_code"] == 2
+        assert f"at '{field}': " in record["message"]
+        return record
+
     def test_shape_error_exit_2(self, tmp_path, capsys):
-        # hardware block 'plant' gets a C with one column more than it has states
+        # hardware block 'plant' gets a C with one column more than it has
+        # states: the block is rejected at load, at its field
         raw = json.loads(Path(TOY).read_text())
         plant = next(b for b in raw["ciders"][0]["hardware"] if b["name"] == "plant")
         for row in plant["c"]["0"]:
@@ -131,9 +139,8 @@ class TestValidationErrors:
         p = tmp_path / "wide_c.json"
         p.write_text(json.dumps(raw))
         assert run_cli("eig", "--scenario", str(p)) == 2
-        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert record["error"] == "ShapeError"
-        assert record["exit_code"] == 2
+        record = self.assert_scenario_error(capsys, "ciders.0.hardware.0")
+        assert "C cols != state dim" in record["message"]
 
     def test_reference_width_mismatch_exit_2(self, tmp_path, capsys):
         # the vf reference still gives 3 channels; the control now takes 2 reference inputs
@@ -142,20 +149,16 @@ class TestValidationErrors:
         p = tmp_path / "narrow_ref.json"
         p.write_text(json.dumps(raw))
         assert run_cli("eig", "--scenario", str(p)) == 2
-        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert record["error"] == "ShapeError"
-        assert record["exit_code"] == 2
-        node = raw["ciders"][0]["node"]
-        assert record["message"].startswith(f"{node}: reference law gives 3 channels")
+        record = self.assert_scenario_error(capsys, "ciders.0.reference")
+        assert record["message"].endswith("one per reference input: 3, expected 2")
 
     @pytest.mark.parametrize(
-        "w_pi, error",
-        [({}, "ShapeError"), ({"0": [1.0, 0.0, 0.0]}, "ConfigurationError")],
-        ids=["zero-trajectory", "given-trajectory"],
+        "w_pi", [{}, {"0": [1.0, 0.0, 0.0]}], ids=["zero-trajectory", "given-trajectory"]
     )
-    def test_hardware_frame_width_mismatch_exit_2(self, w_pi, error, tmp_path, capsys):
+    def test_hardware_frame_width_mismatch_exit_2(self, w_pi, tmp_path, capsys):
         # a fourth, measured hardware output widens the hardware-to-control
-        # transform to 3x4, while the grid inputs and w_pi stay 3 wide
+        # transform to 3x4, while the grid inputs and w_pi stay 3 wide: the
+        # resource is rejected at load, whether or not w_pi has entries
         raw = json.loads(Path(TOY).read_text())
         cider = raw["ciders"][0]
         plant = cider["hardware"][0]
@@ -169,11 +172,8 @@ class TestValidationErrors:
         p = tmp_path / "wide_hardware.json"
         p.write_text(json.dumps(raw))
         assert run_cli("eig", "--scenario", str(p), "--hmax", "1") == 2
-        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert record["error"] == error
-        assert record["exit_code"] == 2
-        assert record["message"].startswith(f"{cider['node']}: ")
-        assert "control-frame transform" in record["message"]
+        record = self.assert_scenario_error(capsys, "ciders.0.transforms.hardware_to_control")
+        assert record["message"].endswith("one per grid input: 4, expected 3")
 
     @pytest.mark.parametrize(
         "argv",

@@ -42,7 +42,7 @@ def test_reuse_equals_fresh_assembly(name, path, rel, nominal_systems, monkeypat
     monkeypatch.setattr(
         pipeline,
         "assemble_internal_response",
-        lambda *args, **kwargs: calls.append(kwargs["name"]) or internal(*args, **kwargs),
+        lambda config, index_set: calls.append(config.node_id) or internal(config, index_set),
     )
     reused = assemble_system(scenario, state_only=True, like=base.pieces)
 

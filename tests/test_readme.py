@@ -31,7 +31,11 @@ def test_readme_has_python_blocks():
     assert BLOCKS
 
 
-@pytest.mark.parametrize("line, source", BLOCKS, ids=[f"line-{line}" for line, _ in BLOCKS])
+# ids by position, so that editing the README above a block does not rename its test
+IDS = [f"block-{i}" for i in range(1, len(BLOCKS) + 1)]
+
+
+@pytest.mark.parametrize("line, source", BLOCKS, ids=IDS)
 def test_readme_block_runs(line, source, tmp_path, monkeypatch):
     shutil.copytree(ROOT / "scenarios", tmp_path / "scenarios")
     monkeypatch.chdir(tmp_path)

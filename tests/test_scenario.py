@@ -319,6 +319,50 @@ class TestLoading:
                 "ciders.0.reference.m_sigma.2.2",
             ),
             ("two_node", 1, "operating_point.w_pi", DELETE, "ciders.1.operating_point"),
+            (
+                "toy_gain",
+                0,
+                "transforms.hardware_to_control",
+                {"type": "custom", "harmonics": {"0": [[1.0, 0.0, 0.0, 0.0]] * 3}},
+                "ciders.0.transforms.hardware_to_control",
+            ),
+            ("toy_gain", 0, "routing.ctl_inputs.0.kind", "foo", "ciders.0.routing.ctl_inputs.0"),
+            (
+                "toy_gain",
+                0,
+                "routing.ctl_inputs.0",
+                {"kind": "error", "ref": 0},
+                "ciders.0.routing.ctl_inputs.0",
+            ),
+            (
+                "toy_gain",
+                0,
+                "hardware.0.b",
+                {"0": [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]]},
+                "ciders.0.hardware.0",
+            ),
+            (
+                "toy_gain",
+                0,
+                "hardware.0.a",
+                {"0": [[0.0] * 3] * 3, "1": [[0.0] * 2] * 2},
+                "ciders.0.hardware.0.a",
+            ),
+            ("toy_gain", 0, "routing.hw_grid_inputs", [0, 1, 2], "ciders.0.routing"),
+            (
+                "toy_gain",
+                0,
+                "routing.ctl_inputs.2",
+                {"kind": "measurement", "meas": 2},
+                "ciders.0.reference",
+            ),
+            (
+                "toy_gain",
+                0,
+                "reference",
+                {"type": "affine", "m_rho": [[0.0] * 3] * 3, "m_sigma": [[1.0] * 3] * 2},
+                "ciders.0.reference",
+            ),
         ],
         ids=[
             "filter-l-string",
@@ -377,6 +421,14 @@ class TestLoading:
             "block-order-double-zero",
             "affine-imaginary-gain",
             "pq-w-pi-missing",
+            "hardware-to-control-3x4",
+            "ctl-input-kind-foo",
+            "error-input-without-meas",
+            "block-b-two-rows",
+            "block-orders-mixed-shapes",
+            "routing-overlapping-inputs",
+            "reference-width",
+            "affine-row-counts",
         ],
     )
     def test_malformed_resource_names_field(self, name, cider, path, value, field):
@@ -385,6 +437,7 @@ class TestLoading:
         entry = raw["ciders"][cider]
         for segment in parents:
             entry = entry[int(segment)] if isinstance(entry, list) else entry[segment]
+        key = int(key) if isinstance(entry, list) else key
         if value is DELETE:
             del entry[key]
         else:
