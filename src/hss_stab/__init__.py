@@ -74,7 +74,7 @@ from .harmonic import (
     toeplitz_from_fourier,
 )
 from .model import HssModel, lift_ltp
-from .pipeline import SystemModel, assemble_cider, assemble_system
+from .pipeline import SystemModel, assemble, assemble_cider, assemble_system
 from .references import (
     AffineReference,
     PqReference,

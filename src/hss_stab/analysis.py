@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import ConfigurationError, HssError, NumericalError, PoleProximityError, ShapeError
 from .harmonic import omega_diagonal
 from .model import HssModel
-from .pipeline import assemble_system
+from .pipeline import assemble
 
 RESIDUAL_TOL = 1e-8
 #: largest conjugate-symmetry defect max|P conj(M) P - M| / max|M| at which
@@ -628,7 +628,7 @@ def stability_verdict(
 def _rebuild_eigenvalues(scenario, like):
     """``Spectrum`` of the analysis model of a scenario (no eigenvectors),
     assembled with the pieces of ``like`` it leaves unchanged."""
-    return eigenvalues_only(assemble_system(scenario, state_only=True, like=like).model)
+    return eigenvalues_only(assemble(scenario, state_only=True, like=like).model)
 
 
 @dataclass(frozen=True)
@@ -651,14 +651,14 @@ def sweep_parameter(scenario, path: str, values) -> EigenTrace:
     worst pair cost is far above the step median is re-matched through a
     bisected intermediate point, and pairs that stay ambiguous are marked
     unresolved rather than silently guessed.  Every rebuild after the first
-    reuses the first point's unchanged pieces (``assemble_system(like=...)``).
+    reuses the first point's unchanged pieces (``assemble(like=...)``).
     """
     values = [float(v) for v in values]
     if len(values) < 2:
         raise ConfigurationError("a sweep needs at least 2 parameter values")
     scenario.resolve_parameter(path)  # raises if not a numeric scalar
 
-    first = assemble_system(scenario.with_parameter(path, values[0]), state_only=True)
+    first = assemble(scenario.with_parameter(path, values[0]), state_only=True)
     spectra = [eigenvalues_only(first.model).eigenvalues]
     pieces = first.pieces
     del first  # the rebuilds hold the first point's pieces, not its closed loop
@@ -762,7 +762,7 @@ def classify_eigenvalues(
     perturbation moves it beyond epsilon, and design invariant when the
     hardware sweeps stay below epsilon as well.  ``epsilon`` defaults to 1e-6 times the spectral
     radius; a negative one is rejected.  Every perturbed rebuild reuses the
-    nominal system's unchanged pieces (``assemble_system(like=...)``).
+    nominal system's unchanged pieces (``assemble(like=...)``).
     """
     control_parameters = tuple(control_parameters)
     hardware_parameters = tuple(hardware_parameters)
@@ -772,7 +772,7 @@ def classify_eigenvalues(
         )
     if epsilon is not None and not epsilon >= 0:
         raise ConfigurationError(f"epsilon must be >= 0, got {epsilon}")
-    system = assemble_system(scenario, state_only=True)
+    system = assemble(scenario, state_only=True)
     solution = by_real_part(eigen_decompose(system.model))
     pieces = system.pieces
     del system  # the rebuilds hold the nominal pieces, not its closed loop
@@ -847,14 +847,14 @@ def detect_spurious(
     if delta is not None and not delta > 0:
         raise ConfigurationError(f"delta must be > 0, got {delta}")
 
-    system = assemble_system(scenario, state_only=True)
+    system = assemble(scenario, state_only=True)
     sol = by_real_part(eigen_decompose(system.model))
     lam = sol.eigenvalues
     index_set, channels = system.index_set, system.model.state_channels
     del system  # the probe assembly need not share memory with the nominal one
 
     probe_lam = eigenvalues_only(
-        assemble_system(scenario.with_hmax(probe), state_only=True).model
+        assemble(scenario.with_hmax(probe), state_only=True).model
     ).eigenvalues
     f1 = index_set.f1
     folded = fold_to_strip(lam, f1)

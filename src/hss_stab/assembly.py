@@ -3,9 +3,8 @@
 Stacks resource models, combines them with the grid into the open-loop
 system, and closes the feedback w_gamma = J * y.  Every model here, the
 closed loop included, is held in CSR (``HssModel``'s representation
-rule), and J is a plain CSR array; ``assemble_system`` densifies the
-system closed loop alone.  The loop closure is generic in J and is reused
-for the converter-internal control loop.
+rule), and J is a plain CSR array.  The loop closure is generic in J and
+is reused for the converter-internal control loop.
 """
 
 from __future__ import annotations

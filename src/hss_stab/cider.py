@@ -323,8 +323,12 @@ class CiderConfig:
 
     def __post_init__(self):
         routing, plugin, t = self.routing, self.plugin, self.transforms
-        shape = {name: _series_shape(s) for name, s in vars(t).items() if s is not None}
         at = {name: f"transforms.{key}" for name, key in TRANSFORM_KEYS.items()}
+        series = {name: s for name, s in vars(t).items() if s is not None}
+        for name, s in series.items():
+            if not s:
+                raise ScenarioError("empty series: give at least one order", field=at[name])
+        shape = {name: _series_shape(s) for name, s in series.items()}
         hw_in, hw_out = _widths(self.hardware)
         ctl_in, ctl_out = _widths(self.control)
         d_pi, n_act = len(routing.hw_grid_inputs), len(routing.hw_actuation_inputs)
@@ -377,6 +381,15 @@ class CiderConfig:
         for field, got, wanted, rule in rules:
             if got != wanted:
                 raise ScenarioError(f"{rule}: {got}, expected {wanted}", field=field)
+        # a constant default output map is inverted at every instant alike
+        # (``pinv_series``), so a singular one fails here, not at assembly
+        if t.hw_out_to_grid_out is None and set(t.grid_out_to_hw_out) == {0}:
+            try:
+                np.linalg.inv(np.asarray(t.grid_out_to_hw_out[0], complex))
+            except np.linalg.LinAlgError:
+                inverse = TRANSFORM_KEYS["hw_out_to_grid_out"]
+                message = f"singular, so it has no inverse; give '{inverse}'"
+                raise ScenarioError(message, field=at["grid_out_to_hw_out"]) from None
 
 
 def _widths(blocks: Sequence[LtpBlock]) -> tuple[int, int]:
@@ -419,10 +432,14 @@ def assemble_cider_hss(
         o     = [X_kappa | -X_kappa K | -X_kappa R_sigma]
 
     ``state_only`` builds the gamma port alone, the one port a state-only
-    loop closure reads (``assemble_system``); ``r_sigma`` is then not read.
+    loop closure reads (``assemble``); ``r_sigma`` is then not read.
     """
     t_pg = toeplitz_from_fourier(config.transforms.grid_to_hw, index_set)
-    out_map = config.transforms.output_map(index_set)
+    try:
+        out_map = config.transforms.output_map(index_set)
+    except ConfigurationError as exc:  # a time-varying map, singular at some instant
+        field = TRANSFORM_KEYS["grid_out_to_hw_out"]
+        raise ConfigurationError(f"{config.node_id}: transforms.{field}: {exc}") from exc
     k = r_rho @ ctl_frame_op
 
     def ports(x_pi, x_kappa):

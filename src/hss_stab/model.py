@@ -26,13 +26,12 @@ class HssModel:
     Representation rule: every model an assembly builds holds CSR
     matrices, because a Toeplitz lift couples only nearby harmonics: the
     per-resource leaves and their internal loops, the grid lift, the
-    stacked resources, the open loop and every closed loop.  The one
-    exception is the system closed loop that ``assemble_system`` returns,
-    which it densifies once (``dense``): its A is mostly zeros too, but
-    ``perfbench/checks.py`` reads it as an ndarray, so it stays dense
-    until the benchmark changes with it.  Either form is valid input to
-    the analysis functions: ``evaluate_htf`` and the eigen solve both read
-    A - j*Omega in CSR (``analysis._shifted_csr``).
+    stacked resources, the open loop and every closed loop, the system
+    closed loop that ``assemble`` returns included.  Only
+    ``assemble_system``, a view for readers that take ndarrays, densifies
+    that one (``dense``).  Either form is valid input to the analysis
+    functions: ``evaluate_htf`` and the eigen solve both read A - j*Omega
+    in CSR (``analysis._shifted_csr``).
 
     The state is stacked h-major.  The order of disturbance columns and
     output rows is the builder's to document (the grid lift and the
@@ -95,7 +94,8 @@ class HssModel:
         return self.e[port].shape[1]
 
     def dense(self) -> "HssModel":
-        """The same CSR-held model with every matrix as a dense ndarray."""
+        """The same CSR-held model with every matrix as a dense ndarray;
+        only ``assemble_system`` and tests call it."""
         return replace(
             self,
             a=self.a.toarray(),

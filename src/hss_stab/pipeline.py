@@ -46,7 +46,7 @@ def assemble_cider(
 
 @dataclass(frozen=True)
 class AssemblyPieces:
-    """What ``assemble_system(like=...)`` reuses of an assembled system."""
+    """What ``assemble(like=...)`` reuses of an assembled system."""
 
     scenario: Scenario
     grid_model: HssModel
@@ -58,10 +58,10 @@ class SystemModel:
     """Assembled analysis target of a scenario.
 
     ``model`` is the closed-loop system (``closed.model``), or the bare
-    grid model for scenarios without resources.  It is the one dense model
-    of an assembly; the resources, the grid lift, the stack and the open
-    loop stay in CSR.  A state-only assembly stacks and opens the loop
-    port (gamma) alone, the only one its loop closure reads.
+    grid model for scenarios without resources.  ``assemble`` holds every
+    model in CSR; ``assemble_system`` holds ``model`` dense.  A state-only
+    assembly stacks and opens the loop port (gamma) alone, the only one
+    its loop closure reads.
     """
 
     scenario: Scenario
@@ -81,10 +81,10 @@ class SystemModel:
         return AssemblyPieces(self.scenario, self.grid_model, self.ciders)
 
 
-def assemble_system(
+def assemble(
     scenario: Scenario, state_only: bool = False, like: AssemblyPieces | None = None
 ) -> SystemModel:
-    """Run the full assembly pipeline for a scenario.
+    """Run the full assembly pipeline for a scenario; every model is CSR.
 
     Resources are ordered voltage-forming first (matching the grid's node
     ordering); following nodes without a declared resource receive a
@@ -92,9 +92,6 @@ def assemble_system(
     ``state_only`` propagates to the loop closure when only the spectrum
     of the result is needed; each resource is then built with its loop
     port alone, and the stack and the open loop carry that port alone.
-    The system closed loop is densified here, once: ``perfbench/checks.py``
-    and ``perfbench/traced.py`` read ``model`` and ``closed.model`` as
-    ndarrays.  Every other model stays in CSR.
 
     ``like`` holds the pieces (``SystemModel.pieces``) of a system
     assembled earlier in the same command, typically the nominal one of a
@@ -116,9 +113,7 @@ def assemble_system(
         grid_model = lift_grid_to_hss(build_grid_state_space(scenario.topology), index_set)
 
     if not scenario.ciders:
-        return SystemModel(
-            scenario, index_set, grid_model.dense(), grid_model, (), None, None, None, None
-        )
+        return SystemModel(scenario, index_set, grid_model, grid_model, (), None, None, None, None)
 
     ports = ("gamma",) if state_only else ("gamma", "sigma", "o")
     kept = {} if like is None else _unchanged_ciders(scenario, like, ports)
@@ -144,7 +139,6 @@ def assemble_system(
         loop_port="gamma",
         state_only=state_only,
     )
-    closed = replace(closed, model=closed.model.dense())
     return SystemModel(
         scenario,
         index_set,
@@ -156,6 +150,23 @@ def assemble_system(
         interconnection,
         closed,
     )
+
+
+def assemble_system(
+    scenario: Scenario, state_only: bool = False, like: AssemblyPieces | None = None
+) -> SystemModel:
+    """``assemble`` with ``model`` densified once, and ``closed.model`` set
+    to that same dense model.
+
+    It exists only for readers that take ndarrays: the benchmark's oracle
+    (``perfbench/checks.py``) and tracer (``perfbench/traced.py``), and
+    tests.  No command calls it, and it goes with the benchmark change
+    that lets those readers take CSR (ROADMAP item 4).
+    """
+    system = assemble(scenario, state_only, like)
+    model = system.model.dense()
+    closed = None if system.closed is None else replace(system.closed, model=model)
+    return replace(system, model=model, closed=closed)
 
 
 def _unchanged_ciders(

@@ -23,7 +23,7 @@ from .analysis import (
     sweep_parameter,
 )
 from .errors import ConfigurationError
-from .pipeline import assemble_system
+from .pipeline import assemble
 from .scenario import Scenario
 
 EIGEN_COLUMNS = (
@@ -123,7 +123,7 @@ def _eigen_records(solution: EigenSolution, classification=None, flags=None):
 
 
 def _eig(scenario: Scenario, **_) -> ResultSet:
-    solution = eigen_decompose(assemble_system(scenario, state_only=True).model)
+    solution = eigen_decompose(assemble(scenario, state_only=True).model)
     solution = solution.reordered(spectral_order(solution.eigenvalues, descending=True))
     verdict = stability_verdict(solution.eigenvalues, scenario.analysis.stability_margin)
     records = _eigen_records(solution)
@@ -140,7 +140,7 @@ def _eig(scenario: Scenario, **_) -> ResultSet:
 def _htf(scenario: Scenario, s=None, ports=None, **_) -> ResultSet:
     if s is None:
         raise ConfigurationError("htf needs a Laplace point (--s)")
-    system = assemble_system(scenario)
+    system = assemble(scenario)
     g = evaluate_htf(system.model, complex(s), ports)
     records = tuple(
         (i, k, g[i, k].real, g[i, k].imag)

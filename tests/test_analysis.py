@@ -25,11 +25,10 @@ from hss_stab import (
 )
 from hss_stab import analysis
 from hss_stab.analysis import RESIDUAL_TOL, _labels_from_evidence
-from hss_stab.assembly import close_loop
 from hss_stab.errors import NumericalError
 from hss_stab.harmonic import omega_diagonal
 from hss_stab.model import HssModel, lift_ltp
-from hss_stab.pipeline import assemble_system
+from hss_stab.pipeline import assemble
 from tests.conftest import load_raw, lti_model, shifted_dense
 from hss_stab import scenario_from_dict
 
@@ -56,7 +55,7 @@ class TestEigenDecompose:
         assert np.max(np.abs(sol.eigenvalues - expected[perm])) < 1e-12 * w1
 
     def test_rlc_closed_form(self, rlc_grid):
-        lam = eigenvalues_only(assemble_system(rlc_grid).model).eigenvalues
+        lam = eigenvalues_only(assemble(rlc_grid).model).eigenvalues
         r, l, c = 0.1, 1e-3, 1e-5
         root = -r / (2 * l) + 1j * np.sqrt(1 / (l * c) - (r / (2 * l)) ** 2)
         expected = np.array([root, np.conj(root)] * 3)
@@ -110,7 +109,7 @@ def nominal_model(name, hmax=None):
     scenario = scenario_from_dict(load_raw(name))
     if hmax is not None:
         scenario = scenario.with_hmax(hmax)
-    return assemble_system(scenario, state_only=True).model
+    return assemble(scenario, state_only=True).model
 
 
 def spy_solvers(monkeypatch):
@@ -410,7 +409,7 @@ class TestSequenceSolve:
         ],
     )
     def test_coupled_model_matches_dense(self, build, dtype, count, largest, monkeypatch):
-        model = assemble_system(build(), state_only=True).model
+        model = assemble(build(), state_only=True).model
         m = shifted_dense(model)
         reference = scipy.linalg.eigvals(m)
 
@@ -452,7 +451,7 @@ class TestSequenceSolve:
             pytest.param(lambda: nominal_model("two_node", 8), False, id="two_node-8"),
             pytest.param(lambda: nominal_model("four_cider_six_node", 8), False, id="four_cider-8"),
             pytest.param(
-                lambda: assemble_system(unequal_branch_two_node(), state_only=True).model,
+                lambda: assemble(unequal_branch_two_node(), state_only=True).model,
                 True,
                 id="unequal-phase-r",
             ),
@@ -518,9 +517,9 @@ class TestHtf:
 
     @pytest.mark.parametrize("name", ["two_node", "four_cider_six_node"])
     def test_csr_and_dense_models_agree_bitwise(self, name):
-        # the closed loop as close_loop returns it, in CSR, and its dense copy
-        system = assemble_system(scenario_from_dict(load_raw(name)).with_hmax(4))
-        csr = close_loop(system.open_loop.model, system.interconnection).model
+        # the closed loop as the assembly returns it, in CSR, and its dense copy
+        csr = assemble(scenario_from_dict(load_raw(name)).with_hmax(4)).model
+        assert sp.issparse(csr.a)
         assert set(csr.ports) == {"sigma", "o"}
         for s in (1 + 6j, 10 + 100j, -30 + 100j):
             assert np.array_equal(evaluate_htf(csr, s), evaluate_htf(csr.dense(), s))
@@ -625,11 +624,11 @@ class TestBlockMatch:
     def spectra(self):
         scenario = scenario_from_dict(load_raw("two_node")).with_hmax(8)
         nominal = analysis.by_real_part(
-            eigen_decompose(assemble_system(scenario, state_only=True).model)
+            eigen_decompose(assemble(scenario, state_only=True).model)
         )
         path = "ciders.0.control.gains.kp"
         perturbed = scenario.with_parameter(path, 1.1 * scenario.resolve_parameter(path))
-        return nominal, eigenvalues_only(assemble_system(perturbed, state_only=True).model)
+        return nominal, eigenvalues_only(assemble(perturbed, state_only=True).model)
 
     def test_pairs_stay_in_their_block(self, spectra):
         nominal, other = spectra
@@ -730,7 +729,7 @@ class TestVerdict:
     def test_rim_rounding_noise_reads_stable(self, two_node, hmax):
         # the rightmost eigenvalues are rim modes at Re ~ +1e-13, rounding
         # noise on a spectrum whose physical modes sit near -18
-        model = assemble_system(two_node.with_hmax(hmax), state_only=True).model
+        model = assemble(two_node.with_hmax(hmax), state_only=True).model
         lam = eigenvalues_only(model).eigenvalues
         verdict = stability_verdict(lam, margin=0.0)
         assert verdict.stable and verdict.n_unstable == 0
@@ -864,7 +863,7 @@ class TestSpurious:
     def test_coupled_fixture_flags_at_boundary(self):
         scenario = coupled_fixture(4)
         report = detect_spurious(scenario, hmax_probe=7)
-        sol = eigen_decompose(assemble_system(scenario).model)
+        sol = eigen_decompose(assemble(scenario).model)
         # every flagged eigenvalue is boundary-concentrated or (by
         # construction) failed probe convergence
         flagged = np.where(report.spurious)[0]
@@ -908,16 +907,16 @@ class TestSpurious:
         # the probe assembly at hmax_probe must not share memory with the
         # nominal closed loop: it is collected once its spectrum is read
         nominal_ref = []
-        assemble = analysis.assemble_system
+        original = analysis.assemble
 
         def recording(scenario, state_only=False, like=None):
             if nominal_ref:
                 assert nominal_ref[0]() is None, "nominal system still alive at the probe"
-            system = assemble(scenario, state_only=state_only, like=like)
+            system = original(scenario, state_only=state_only, like=like)
             if not nominal_ref:
                 nominal_ref.append(weakref.ref(system))
             return system
 
-        monkeypatch.setattr(analysis, "assemble_system", recording)
+        monkeypatch.setattr(analysis, "assemble", recording)
         report = detect_spurious(coupled_fixture(3), hmax_probe=5)
         assert len(nominal_ref) == 1 and report.hmax_probe == 5

@@ -15,6 +15,7 @@ from hss_stab import (
     build_grid_state_space,
     build_interconnection,
     close_loop,
+    eigen_decompose,
     eigenvalues_only,
     evaluate_htf,
     load_scenario,
@@ -22,7 +23,7 @@ from hss_stab import (
     match_eigenvalues,
     scenario_from_dict,
 )
-from hss_stab.pipeline import assemble_system
+from hss_stab.pipeline import assemble, assemble_system
 from tests.conftest import load_raw, scenario_path, shifted_dense
 
 
@@ -268,23 +269,50 @@ def matrices(model):
 
 
 class TestRepresentation:
-    """Every model an assembly builds is CSR, except the system closed loop."""
+    """Every model ``assemble`` builds is CSR; ``assemble_system`` is its
+    dense view of the system closed loop."""
 
     @pytest.mark.parametrize("state_only", [True, False])
     @pytest.mark.parametrize("name", ["two_node", "four_cider_six_node"])
     def test_only_system_closed_loop_dense(self, name, state_only):
         scenario = load_scenario(scenario_path(name)).with_hmax(3)
-        system = assemble_system(scenario, state_only=state_only)
+        system = assemble(scenario, state_only=state_only)
         iset = system.index_set
         models = [c.model for c in system.ciders]
         models += [system.grid_model, system.resources.model, system.open_loop.model]
+        models += [system.model, system.closed.model]
         models += [assemble_internal_response(cfg, iset) for cfg in scenario.ciders]
         models.append(make_zero_injection(iset, "junction").model)
         for m in models:
             assert all(isinstance(x, sp.csr_array) for x in matrices(m))
         assert isinstance(system.interconnection, sp.csr_array)
         assert system.closed.model is system.model
-        assert all(isinstance(x, np.ndarray) for x in matrices(system.model))
+
+        dense = assemble_system(scenario, state_only=state_only)
+        assert dense.closed.model is dense.model
+        assert dense.model.ports == system.model.ports
+        for got, csr in zip(matrices(dense.model), matrices(system.model), strict=True):
+            assert isinstance(got, np.ndarray)
+            assert got.dtype == csr.dtype and np.array_equal(got, csr.toarray())
+
+    def test_grid_only_model_csr(self):
+        scenario = load_scenario(scenario_path("rlc_grid")).with_hmax(3)
+        system = assemble(scenario)
+        assert system.closed is None and system.model is system.grid_model
+        assert all(isinstance(x, sp.csr_array) for x in matrices(system.model))
+        dense = assemble_system(scenario).model
+        for got, csr in zip(matrices(dense), matrices(system.model), strict=True):
+            assert isinstance(got, np.ndarray) and np.array_equal(got, csr.toarray())
+
+    @pytest.mark.parametrize("name, hmax", [("two_node", 5), ("four_cider_six_node", 8)])
+    def test_dense_view_decomposes_alike(self, name, hmax):
+        # the dense view is an oracle of the CSR model the commands solve
+        scenario = load_scenario(scenario_path(name)).with_hmax(hmax)
+        csr = eigen_decompose(assemble(scenario, state_only=True).model)
+        dense = eigen_decompose(assemble_system(scenario, state_only=True).model)
+        assert np.array_equal(csr.eigenvalues, dense.eigenvalues)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(csr.vectors, part), getattr(dense.vectors, part))
 
     def test_state_only_stacks_loop_port_alone(self):
         scenario = load_scenario(scenario_path("four_cider_six_node")).with_hmax(3)

@@ -437,6 +437,17 @@ def with_ctl_input(cfg, i, source):
             lambda c: with_transforms(c, hw_out_to_grid_out=None),
             "transforms.grid_output_to_hardware_output",
         ),
+        (
+            lambda c: with_transforms(
+                c, hw_out_to_grid_out=None, grid_out_to_hw_out={0: np.zeros((3, 3))}
+            ),
+            "transforms.grid_output_to_hardware_output",
+        ),
+        (lambda c: with_transforms(c, grid_to_hw={}), "transforms.grid_to_hardware"),
+        (
+            lambda c: with_transforms(c, hw_out_to_grid_out={}),
+            "transforms.hardware_output_to_grid_output",
+        ),
         (lambda c: {"plugin": AffineReference(np.zeros((3, 2)), np.zeros((3, 2)))}, "reference"),
         (lambda c: {"setpoint": {0: np.ones(3)}}, "setpoint.harmonics.0"),
         (lambda c: {"w_pi": {0: np.ones(2), 1: np.ones(3)}}, "operating_point.w_pi.harmonics.1"),
@@ -455,6 +466,9 @@ def with_ctl_input(cfg, i, source):
         "grid-to-hardware-rows",
         "output-map-columns",
         "default-output-map-square",
+        "default-output-map-singular",
+        "grid-to-hardware-empty",
+        "output-map-empty",
         "reference-output-width",
         "setpoint-width",
         "w-pi-width",
@@ -467,6 +481,19 @@ def test_config_widths_checked(change, field):
     with pytest.raises(ScenarioError) as exc:
         dataclasses.replace(cfg, **change(cfg))
     assert exc.value.field == field
+
+
+def test_time_varying_singular_output_map_names_resource():
+    # 1 + cos(w t) on the third channel vanishes at half the period, a
+    # sample of the inversion grid: only the assembly can see it
+    cfg = oracle_config()
+    varying = {0: np.eye(3), 1: np.diag([0.0, 0.0, 0.5]), -1: np.diag([0.0, 0.0, 0.5])}
+    changes = with_transforms(cfg, hw_out_to_grid_out=None, grid_out_to_hw_out=varying)
+    cfg = dataclasses.replace(cfg, **changes)
+    with pytest.raises(ConfigurationError) as exc:
+        assemble_cider(cfg, HarmonicIndexSet(2, 50.0))
+    assert str(exc.value).startswith("n1: transforms.grid_output_to_hardware_output: ")
+    assert "singular" in str(exc.value)
 
 
 def dense_lift(series, iset):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -381,10 +382,10 @@ class TestCommands:
 
 @pytest.fixture
 def solve_counts(monkeypatch):
-    """Calls of ``assemble_system`` and ``eigen_decompose``, counted at every
+    """Calls of ``assemble`` and ``eigen_decompose``, counted at every
     ``hss_stab`` module that binds them."""
     counts = {}
-    for fn in (pipeline.assemble_system, analysis.eigen_decompose):
+    for fn in (pipeline.assemble, analysis.eigen_decompose):
         counts[fn.__name__] = 0
 
         def counted(*args, _fn=fn, **kwargs):
@@ -410,7 +411,22 @@ class TestSingleNominalSolve:
             scenario.analysis.hardware_parameters
         )
         assemblies = {"eig": 1, "spurious": 2, "classify": 1 + 4 * n_params}[command]
-        assert solve_counts == {"assemble_system": assemblies, "eigen_decompose": 1}
+        assert solve_counts == {"assemble": assemblies, "eigen_decompose": 1}
+
+
+def test_eig_stores_no_dense_system_matrix():
+    # the command holds the closed loop in CSR: its peak allocation stays
+    # below a quarter of one dense n x n complex array
+    scenario = load_scenario(scenario_path("four_cider_six_node")).with_hmax(12)
+    tracemalloc.start()
+    try:
+        result = run_command("eig", scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(result.records)
+    assert n == 1325
+    assert peak < n * n * 16 / 4
 
 
 class TestEigenRecords:
@@ -418,7 +434,7 @@ class TestEigenRecords:
         # any unit vector in the eigenspace of a (near) double eigenvalue is
         # a valid eigenvector, so mixing a pair must not move its component
         scenario = load_scenario(TWO_NODE).with_hmax(8)
-        sol = analysis.eigen_decompose(pipeline.assemble_system(scenario, state_only=True).model)
+        sol = analysis.eigen_decompose(pipeline.assemble(scenario, state_only=True).model)
         records = runner._eigen_records(sol)
         cluster = runner._clusters(sol.eigenvalues)
         pairs = [np.flatnonzero(cluster == k) for k in np.flatnonzero(np.bincount(cluster) == 2)]

@@ -1,4 +1,4 @@
-"""Assembly with the pieces of a nominal system reused (``assemble_system(like=...)``)."""
+"""Assembly with the pieces of a nominal system reused (``assemble(like=...)``)."""
 
 import dataclasses
 from collections.abc import Mapping
@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from hss_stab import analysis, classify_eigenvalues, pipeline, scenario_from_dict
-from hss_stab.pipeline import assemble_system
+from hss_stab.pipeline import assemble
 from tests.conftest import load_raw
 
 CASES = {"two_node": 8, "four_cider_six_node": 5}
@@ -28,14 +28,14 @@ def perturbations():
 
 @pytest.fixture(scope="module")
 def nominal_systems():
-    return {name: assemble_system(nominal(name), state_only=True) for name in CASES}
+    return {name: assemble(nominal(name), state_only=True) for name in CASES}
 
 
 @pytest.mark.parametrize("name, path, rel", list(perturbations()))
 def test_reuse_equals_fresh_assembly(name, path, rel, nominal_systems, monkeypatch):
     base = nominal_systems[name]
     scenario = base.scenario.with_parameter(path, base.scenario.resolve_parameter(path) * (1 + rel))
-    fresh = assemble_system(scenario, state_only=True)
+    fresh = assemble(scenario, state_only=True)
 
     calls = []
     internal = pipeline.assemble_internal_response
@@ -44,9 +44,9 @@ def test_reuse_equals_fresh_assembly(name, path, rel, nominal_systems, monkeypat
         "assemble_internal_response",
         lambda config, index_set: calls.append(config.node_id) or internal(config, index_set),
     )
-    reused = assemble_system(scenario, state_only=True, like=base.pieces)
+    reused = assemble(scenario, state_only=True, like=base.pieces)
 
-    assert np.array_equal(reused.model.a, fresh.model.a)
+    assert_same_arrays(reused.model.a, fresh.model.a)
     # only the resource the parameter belongs to is rebuilt; a grid
     # parameter rebuilds none, but lifts the grid anew
     if path.startswith("ciders."):
@@ -63,11 +63,11 @@ def test_reuse_equals_fresh_assembly(name, path, rel, nominal_systems, monkeypat
 
 def test_other_harmonic_grid_reuses_nothing(nominal_systems):
     base = nominal_systems["two_node"]
-    other = assemble_system(base.scenario.with_hmax(3), state_only=True, like=base.pieces)
+    other = assemble(base.scenario.with_hmax(3), state_only=True, like=base.pieces)
     assert other.grid_model is not base.grid_model
     assert not {id(c) for c in other.ciders} & {id(c) for c in base.ciders}
-    fresh = assemble_system(base.scenario.with_hmax(3), state_only=True)
-    assert np.array_equal(other.model.a, fresh.model.a)
+    fresh = assemble(base.scenario.with_hmax(3), state_only=True)
+    assert_same_arrays(other.model.a, fresh.model.a)
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -75,14 +75,20 @@ def test_full_assembly_rebuilds_state_only_resources(name, nominal_systems):
     # state-only pieces carry the gamma port alone, so a full assembly
     # reuses none of their resources and equals a fresh one bit for bit
     base = nominal_systems[name]
-    reused = assemble_system(base.scenario, like=base.pieces)
-    fresh = assemble_system(base.scenario)
+    reused = assemble(base.scenario, like=base.pieces)
+    fresh = assemble(base.scenario)
     assert reused.grid_model is base.grid_model
     assert not {id(c) for c in reused.ciders} & {id(c) for c in base.ciders}
     assert reused.model.ports == fresh.model.ports == ("sigma", "o")
-    leaves = dict(array_leaves(fresh.model, "model"))
-    assert leaves.keys() == dict(array_leaves(reused.model, "model")).keys()
-    for path, array in array_leaves(reused.model, "model"):
+    assert_same_arrays(reused.model, fresh.model)
+
+
+def assert_same_arrays(got, expected):
+    """Every ndarray and sparse array of ``got`` equals its counterpart in
+    ``expected`` bit for bit (the data, indices and indptr of a sparse one)."""
+    leaves = dict(array_leaves(expected, "model"))
+    assert leaves.keys() == dict(array_leaves(got, "model")).keys()
+    for path, array in array_leaves(got, "model"):
         assert np.array_equal(array, leaves[path]), path
 
 
@@ -109,15 +115,15 @@ def nominal_snapshots(monkeypatch):
     """(system, copies of its pieces' arrays) for every system that
     ``classify_eigenvalues`` assembles without ``like``, copied as it is made."""
     seen = []
-    assemble = analysis.assemble_system
+    original = analysis.assemble
 
     def recording(scenario, state_only=False, like=None):
-        system = assemble(scenario, state_only=state_only, like=like)
+        system = original(scenario, state_only=state_only, like=like)
         if like is None:
             seen.append((system, {p: a.copy() for p, a in pieces(system)}))
         return system
 
-    monkeypatch.setattr(analysis, "assemble_system", recording)
+    monkeypatch.setattr(analysis, "assemble", recording)
     return seen
 
 

@@ -363,6 +363,13 @@ class TestLoading:
                 {"type": "affine", "m_rho": [[0.0] * 3] * 3, "m_sigma": [[1.0] * 3] * 2},
                 "ciders.0.reference",
             ),
+            (
+                "toy_gain",
+                0,
+                "transforms.grid_output_to_hardware_output",
+                {"type": "custom", "harmonics": {"0": [[0.0] * 3] * 3}},
+                "ciders.0.transforms.grid_output_to_hardware_output",
+            ),
         ],
         ids=[
             "filter-l-string",
@@ -429,6 +436,7 @@ class TestLoading:
             "routing-overlapping-inputs",
             "reference-width",
             "affine-row-counts",
+            "output-map-singular",
         ],
     )
     def test_malformed_resource_names_field(self, name, cider, path, value, field):
