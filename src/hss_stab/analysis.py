@@ -35,8 +35,7 @@ VERDICT_RTOL = 1e-10
 #: eigenvector columns per chunk of the back-map's normalisation and of the
 #: residual products, which bounds their temporaries
 _CHUNK_COLUMNS = 128
-#: scratch bytes of one bounded whole-array step: a slab's nonzero mask in
-#: ``_shifted_csr``, a chunk of distances in ``detect_spurious``
+#: scratch bytes of one chunk of mode-to-probe distances in ``detect_spurious``
 _SCRATCH_BYTES = 1 << 18
 
 
@@ -126,47 +125,21 @@ def by_real_part(solution: EigenSolution) -> EigenSolution:
 
 
 def _shifted_csr(model: HssModel) -> sp.csr_array:
-    """A - j*Omega in CSR, storing exactly its nonzero entries.
-
-    A dense A is read in one pass over slabs of rows, each slab's nonzero
-    mask bounded by ``_SCRATCH_BYTES``; ``indptr`` comes from the row
-    counts.  The diagonal is always taken into the mask so that j*Omega is
-    subtracted in place, and entries that cancel to zero are dropped.
-    """
+    """A - j*Omega in CSR, from a dense or a CSR A, storing exactly its
+    nonzero entries: entries that cancel to zero are dropped."""
     shift = 1j * omega_diagonal(model.index_set, model.state_channels)
-    if sp.issparse(model.a):
-        m = sp.csr_array(model.a, dtype=complex) - sp.diags_array(shift, format="csr")
-        m.eliminate_zeros()
-        return m
-    n = shift.size
-    step = max(1, _SCRATCH_BYTES // max(n, 1))
-    data, indices, counts = [np.zeros(0, complex)], [np.zeros(0, int)], [np.zeros(0, int)]
-    for start in range(0, n, step):
-        slab = model.a[start : start + step]
-        mask = slab != 0
-        local = np.arange(slab.shape[0])
-        mask[local, start + local] = True
-        flat = np.flatnonzero(mask)
-        r, c = np.divmod(flat, n)
-        d = np.asarray(slab.reshape(-1)[flat], complex)
-        on_diag = r + start == c
-        # an absent diagonal entry is +0, as in the sparse difference
-        diag = d[on_diag]
-        d[on_diag] = np.where(diag != 0, diag, 0) - shift[c[on_diag]]
-        keep = d != 0
-        data.append(d[keep])
-        indices.append(c[keep])
-        counts.append(np.bincount(r[keep], minlength=slab.shape[0]))
-    return _compressed(sp.csr_array, *map(np.concatenate, (data, indices, counts)))
+    m = sp.csr_array(model.a, dtype=complex) - sp.diags_array(shift, format="csr")
+    m.eliminate_zeros()
+    return m
 
 
-def _compressed(kind, data: np.ndarray, indices: np.ndarray, counts: np.ndarray):
-    """A square CSR or CSC array (``kind``) from its stored entries in order
-    and their count per row (column), with 32-bit indices where they fit."""
+def _compressed_columns(data: np.ndarray, indices: np.ndarray, counts: np.ndarray):
+    """A square CSC array from its stored entries in column order and their
+    count per column, with 32-bit indices where they fit."""
     n = counts.size
     index = sp.get_index_dtype(maxval=max(n, data.size))
     indptr = np.concatenate(([0], np.cumsum(counts))).astype(index)
-    return kind((data, indices.astype(index), indptr), shape=(n, n))
+    return sp.csc_array((data, indices.astype(index), indptr), shape=(n, n))
 
 
 def _decoupled_blocks(a: sp.csr_array) -> list[np.ndarray]:
@@ -352,9 +325,7 @@ def _solve_spectrum(model: HssModel, vectors: bool):
         return m, w, None, partition
     del a  # only its blocks were solved: free it before the back-map
     sizes = [rows.size for rows in blocks]
-    y = _compressed(
-        sp.csc_array, np.concatenate(data), np.concatenate(indices), np.repeat(sizes, sizes)
-    )
+    y = _compressed_columns(np.concatenate(data), np.concatenate(indices), np.repeat(sizes, sizes))
     del data, indices  # the blocks' own arrays, copied into y
     return m, w, _back_map(t.tocsc(), y), partition
 
@@ -651,7 +622,9 @@ def sweep_parameter(scenario, path: str, values) -> EigenTrace:
     worst pair cost is far above the step median is re-matched through a
     bisected intermediate point, and pairs that stay ambiguous are marked
     unresolved rather than silently guessed.  Every rebuild after the first
-    reuses the first point's unchanged pieces (``assemble(like=...)``).
+    reuses the first point's unchanged pieces (``assemble(like=...)``).  A
+    parameter whose values change the eigenvalue count (``system.hmax``)
+    has no loci to trace and is rejected.
     """
     values = [float(v) for v in values]
     if len(values) < 2:
@@ -660,13 +633,17 @@ def sweep_parameter(scenario, path: str, values) -> EigenTrace:
 
     first = assemble(scenario.with_parameter(path, values[0]), state_only=True)
     spectra = [eigenvalues_only(first.model).eigenvalues]
-    pieces = first.pieces
-    del first  # the rebuilds hold the first point's pieces, not its closed loop
     spectra += [
-        _rebuild_eigenvalues(scenario.with_parameter(path, v), pieces).eigenvalues
+        _rebuild_eigenvalues(scenario.with_parameter(path, v), first).eigenvalues
         for v in values[1:]
     ]
     n = spectra[0].size
+    for v, spectrum in zip(values, spectra):
+        if spectrum.size != n:
+            raise ConfigurationError(
+                f"sweeping {path} changes the eigenvalue count: {n} at {values[0]:g}, "
+                f"{spectrum.size} at {v:g}"
+            )
     scale = max(float(np.max(np.abs(s))) for s in spectra) if n else 1.0
 
     # trace identities follow the spectral order of the first spectrum
@@ -682,9 +659,7 @@ def sweep_parameter(scenario, path: str, values) -> EigenTrace:
         pair = np.abs(current - nxt[perm])
         if np.any(pair > _step_threshold(pair, scale)):
             mid_value = 0.5 * (values[k - 1] + values[k])
-            mid = _rebuild_eigenvalues(
-                scenario.with_parameter(path, mid_value), pieces
-            ).eigenvalues
+            mid = _rebuild_eigenvalues(scenario.with_parameter(path, mid_value), first).eigenvalues
             perm_a, _ = match_eigenvalues(current, mid)
             perm, _ = match_eigenvalues(mid[perm_a], nxt)
             pair_a = np.abs(current - mid[perm_a])
@@ -774,8 +749,6 @@ def classify_eigenvalues(
         raise ConfigurationError(f"epsilon must be >= 0, got {epsilon}")
     system = assemble(scenario, state_only=True)
     solution = by_real_part(eigen_decompose(system.model))
-    pieces = system.pieces
-    del system  # the rebuilds hold the nominal pieces, not its closed loop
     nominal = solution.eigenvalues
     n = nominal.size
     radius = float(np.max(np.abs(nominal))) if n else 1.0
@@ -790,7 +763,7 @@ def classify_eigenvalues(
             for rel in DEFAULT_PERTURBATIONS:
                 sc = scenario.with_parameter(path, base * (1.0 + rel))
                 try:
-                    lam = _rebuild_eigenvalues(sc, pieces)
+                    lam = _rebuild_eigenvalues(sc, system)
                 except HssError:
                     return np.full(n, np.nan)
                 if lam.eigenvalues.size != n:

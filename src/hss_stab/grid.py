@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ConfigurationError,
@@ -127,20 +129,12 @@ class GridTopology:
         return self.forming_ids + self.following_ids
 
     def _check_connected(self):
-        if len(self.nodes) <= 1:
-            return
-        adj: dict[str, set[str]] = {n.node_id: set() for n in self.nodes}
-        for br in self.branches:
-            adj[br.from_node].add(br.to_node)
-            adj[br.to_node].add(br.from_node)
-        seen = {self.nodes[0].node_id}
-        stack = [self.nodes[0].node_id]
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        missing = [n.node_id for n in self.nodes if n.node_id not in seen]
+        index = {n.node_id: k for k, n in enumerate(self.nodes)}
+        ends = [(index[br.from_node], index[br.to_node]) for br in self.branches]
+        rows, cols = np.array(ends, int).reshape(-1, 2).T
+        graph = sp.coo_array((np.ones(rows.size), (rows, cols)), shape=(len(index),) * 2)
+        _, labels = connected_components(graph, directed=False)
+        missing = [n.node_id for n, label in zip(self.nodes, labels) if label != labels[0]]
         if missing:
             raise TopologyError(f"grid graph is disconnected; unreachable nodes: {missing}")
 

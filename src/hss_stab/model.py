@@ -31,7 +31,8 @@ class HssModel:
     ``assemble_system``, a view for readers that take ndarrays, densifies
     that one (``dense``).  Either form is valid input to the analysis
     functions: ``evaluate_htf`` and the eigen solve both read A - j*Omega
-    in CSR (``analysis._shifted_csr``).
+    from one CSR construction that takes a dense or a CSR A
+    (``analysis._shifted_csr``).
 
     The state is stacked h-major.  The order of disturbance columns and
     output rows is the builder's to document (the grid lift and the

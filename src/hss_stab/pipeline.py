@@ -22,6 +22,7 @@ from .cider import (
     assemble_internal_response,
     make_zero_injection,
 )
+from .errors import NumericalError
 from .grid import build_grid_state_space, lift_grid_to_hss
 from .harmonic import HarmonicIndexSet, toeplitz_from_fourier
 from .model import HssModel
@@ -35,22 +36,18 @@ def assemble_cider(
     """Build the grid response of one configured resource; the one lift of
     ``hw_to_ctl`` serves both the reference lifts and the grid response.
     ``state_only`` builds its gamma port alone (``assemble_cider_hss``), so
-    R_sigma is not built."""
+    R_sigma is not built.  A reference law that the operating voltage
+    ``w_pi`` leaves undefined or aliased raises its ``NumericalError``
+    prefixed with the node id and that trajectory."""
     internal = assemble_internal_response(config, index_set)
     ctl_frame_op = toeplitz_from_fourier(config.transforms.hw_to_ctl, index_set)
-    r_rho, r_sigma = make_operating_point(
-        config.plugin, ctl_frame_op, config.w_pi, config.setpoint, index_set, state_only
-    )
+    try:
+        r_rho, r_sigma = make_operating_point(
+            config.plugin, ctl_frame_op, config.w_pi, config.setpoint, index_set, state_only
+        )
+    except NumericalError as exc:  # the one nonlinear law is nonlinear in the voltage alone
+        raise type(exc)(f"{config.node_id}: operating_point.w_pi: {exc}") from exc
     return assemble_cider_hss(config, internal, r_rho, r_sigma, ctl_frame_op, index_set, state_only)
-
-
-@dataclass(frozen=True)
-class AssemblyPieces:
-    """What ``assemble(like=...)`` reuses of an assembled system."""
-
-    scenario: Scenario
-    grid_model: HssModel
-    ciders: tuple[CiderHss, ...]
 
 
 @dataclass(frozen=True)
@@ -61,7 +58,8 @@ class SystemModel:
     grid model for scenarios without resources.  ``assemble`` holds every
     model in CSR; ``assemble_system`` holds ``model`` dense.  A state-only
     assembly stacks and opens the loop port (gamma) alone, the only one
-    its loop closure reads.
+    its loop closure reads.  A system is also the reuse handle of later
+    assemblies of the same command (``assemble(like=...)``).
     """
 
     scenario: Scenario
@@ -74,15 +72,9 @@ class SystemModel:
     interconnection: sp.csr_array | None
     closed: ClosedLoopSystem | None
 
-    @property
-    def pieces(self) -> AssemblyPieces:
-        """The reusable pieces alone, so that holding them for later
-        rebuilds does not keep the closed loop alive."""
-        return AssemblyPieces(self.scenario, self.grid_model, self.ciders)
-
 
 def assemble(
-    scenario: Scenario, state_only: bool = False, like: AssemblyPieces | None = None
+    scenario: Scenario, state_only: bool = False, like: SystemModel | None = None
 ) -> SystemModel:
     """Run the full assembly pipeline for a scenario; every model is CSR.
 
@@ -93,16 +85,15 @@ def assemble(
     of the result is needed; each resource is then built with its loop
     port alone, and the stack and the open loop carry that port alone.
 
-    ``like`` holds the pieces (``SystemModel.pieces``) of a system
-    assembled earlier in the same command, typically the nominal one of a
-    sweep or classification.  On the same harmonic grid, its grid lift is
-    taken when ``raw["grid"]`` is unchanged, and its ``CiderHss`` of every
-    resource whose ``raw["ciders"]`` entry is unchanged and that carries
-    every port this assembly stacks (a full assembly rebuilds the resources
-    of state-only pieces): each depends on nothing else.  Only the other
-    pieces, the stacking, the open loop and the loop closure are rebuilt,
-    so the result equals a fresh assembly bit for bit.  Reused pieces are
-    only read.
+    ``like`` is a system assembled earlier in the same command, typically
+    the nominal one of a sweep or classification.  On the same harmonic
+    grid, its grid lift is taken when ``raw["grid"]`` is unchanged, and
+    its ``CiderHss`` of every resource whose ``raw["ciders"]`` entry is
+    unchanged and that carries every port this assembly stacks (a full
+    assembly rebuilds the resources of a state-only ``like``): each depends
+    on nothing else.  Only the other pieces, the stacking, the open loop
+    and the loop closure are rebuilt, so the result equals a fresh assembly
+    bit for bit.  Reused pieces are only read.
     """
     index_set = HarmonicIndexSet(scenario.hmax, scenario.f1)
     if like is not None and like.grid_model.index_set != index_set:
@@ -153,7 +144,7 @@ def assemble(
 
 
 def assemble_system(
-    scenario: Scenario, state_only: bool = False, like: AssemblyPieces | None = None
+    scenario: Scenario, state_only: bool = False, like: SystemModel | None = None
 ) -> SystemModel:
     """``assemble`` with ``model`` densified once, and ``closed.model`` set
     to that same dense model.
@@ -170,7 +161,7 @@ def assemble_system(
 
 
 def _unchanged_ciders(
-    scenario: Scenario, like: AssemblyPieces, ports: tuple[str, ...]
+    scenario: Scenario, like: SystemModel, ports: tuple[str, ...]
 ) -> dict[str, CiderHss]:
     """``like``'s assembled resources, by node, whose scenario entry
     ``scenario`` repeats unchanged and whose model carries ``ports``."""

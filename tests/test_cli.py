@@ -259,6 +259,16 @@ class TestValidationErrors:
         assert record["error"] == "ConfigurationError"
         assert record["exit_code"] == 2
 
+    def test_sweep_changing_state_count_exit_2(self, capsys):
+        # every hmax has its own state count, so there are no loci to match
+        argv = ("--hmax", "1", "--param", "system.hmax", "--values", "1,2")
+        assert run_cli("sweep", "--scenario", TWO_NODE, *argv) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ConfigurationError"
+        assert record["message"] == (
+            "sweeping system.hmax changes the eigenvalue count: 57 at 1, 95 at 2"
+        )
+
     def test_help_exit_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("eig", "--help")
@@ -287,6 +297,41 @@ class TestValidationErrors:
         assert code == 3
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "PoleProximityError"
+
+
+class TestOperatingPointErrors:
+    """A reference law that its operating voltage leaves undefined or
+    aliased names the resource and the trajectory, and exits 3."""
+
+    def run_eig(self, raw, hmax, tmp_path, capsys):
+        p = tmp_path / "scenario.json"
+        p.write_text(json.dumps(raw))
+        assert run_cli("eig", "--scenario", str(p), "--hmax", str(hmax)) == 3
+        return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+    def test_aliased_voltage(self, tmp_path, capsys):
+        raw = json.loads(Path(TWO_NODE).read_text())
+        w_pi = raw["ciders"][1]["operating_point"]["w_pi"]["harmonics"]
+        phasors = 100.0 * np.exp(-2j * np.pi * np.arange(3) / 3)  # balanced, a at 0
+        w_pi["5"] = np.column_stack([phasors.real, phasors.imag]).tolist()
+        w_pi["-5"] = np.column_stack([phasors.real, -phasors.imag]).tolist()
+        record = self.run_eig(raw, 5, tmp_path, capsys)
+        assert record["error"] == "NumericalError"
+        assert record["message"].startswith(
+            "n2: operating_point.w_pi: reference trajectory is not band-limited enough"
+        )
+
+    def test_zero_voltage(self, tmp_path, capsys):
+        raw = json.loads(scenario_path("four_cider_six_node").read_text())
+        w_pi = raw["ciders"][2]["operating_point"]["w_pi"]["harmonics"]
+        for order, channels in w_pi.items():
+            w_pi[order] = [[0.0, 0.0]] * len(channels)
+        record = self.run_eig(raw, 2, tmp_path, capsys)
+        assert record["error"] == "SingularOperatingPointError"
+        assert record["message"] == (
+            "n3: operating_point.w_pi: "
+            "power reference undefined at (near-)zero voltage operating point"
+        )
 
 
 class TestCommands:

@@ -130,6 +130,16 @@ class TestValidation:
                 {"n2": 1e-5, "n3": 1e-5},
             )
 
+    def test_disconnected_names_unreachable_nodes_in_order(self):
+        # unreachable from the first declared node, listed as declared
+        nodes = [GridNode(n, "following") for n in ("n3", "n4", "n2")]
+        nodes.insert(1, GridNode("n1", "forming"))
+        branches = (Branch("n1", "n2", 0.1, 1e-3), Branch("n3", "n4", 0.1, 1e-3))
+        shunts = {"n2": 1e-5, "n3": 1e-5, "n4": 1e-5}
+        with pytest.raises(TopologyError) as exc:
+            GridTopology(tuple(nodes), branches, shunts)
+        assert str(exc.value) == "grid graph is disconnected; unreachable nodes: ['n1', 'n2']"
+
     def test_no_forming_node(self):
         with pytest.raises(ConfigurationError, match="voltage reference"):
             GridTopology(

@@ -44,7 +44,7 @@ def test_reuse_equals_fresh_assembly(name, path, rel, nominal_systems, monkeypat
         "assemble_internal_response",
         lambda config, index_set: calls.append(config.node_id) or internal(config, index_set),
     )
-    reused = assemble(scenario, state_only=True, like=base.pieces)
+    reused = assemble(scenario, state_only=True, like=base)
 
     assert_same_arrays(reused.model.a, fresh.model.a)
     # only the resource the parameter belongs to is rebuilt; a grid
@@ -63,7 +63,7 @@ def test_reuse_equals_fresh_assembly(name, path, rel, nominal_systems, monkeypat
 
 def test_other_harmonic_grid_reuses_nothing(nominal_systems):
     base = nominal_systems["two_node"]
-    other = assemble(base.scenario.with_hmax(3), state_only=True, like=base.pieces)
+    other = assemble(base.scenario.with_hmax(3), state_only=True, like=base)
     assert other.grid_model is not base.grid_model
     assert not {id(c) for c in other.ciders} & {id(c) for c in base.ciders}
     fresh = assemble(base.scenario.with_hmax(3), state_only=True)
@@ -72,15 +72,49 @@ def test_other_harmonic_grid_reuses_nothing(nominal_systems):
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_full_assembly_rebuilds_state_only_resources(name, nominal_systems):
-    # state-only pieces carry the gamma port alone, so a full assembly
-    # reuses none of their resources and equals a fresh one bit for bit
+    # a state-only system's resources carry the gamma port alone, so a
+    # full assembly reuses none of them and equals a fresh one bit for bit
     base = nominal_systems[name]
-    reused = assemble(base.scenario, like=base.pieces)
+    reused = assemble(base.scenario, like=base)
     fresh = assemble(base.scenario)
     assert reused.grid_model is base.grid_model
     assert not {id(c) for c in reused.ciders} & {id(c) for c in base.ciders}
     assert reused.model.ports == fresh.model.ports == ("sigma", "o")
     assert_same_arrays(reused.model, fresh.model)
+
+
+@pytest.mark.parametrize("name, hmax", [("two_node", 5), ("four_cider_six_node", 4)])
+def test_state_only_assembly_reuses_full_resources(name, hmax, monkeypatch):
+    # a full system carries every port, so a state-only assembly reuses
+    # each unchanged resource and stacks its gamma port alone
+    base = assemble(nominal(name).with_hmax(hmax))
+    path = load_raw(name)["analysis"]["control_parameters"][0]
+    scenario = base.scenario.with_parameter(path, base.scenario.resolve_parameter(path) * 1.1)
+    fresh = assemble(scenario, state_only=True)
+
+    calls = []
+    internal = pipeline.assemble_internal_response
+    monkeypatch.setattr(
+        pipeline,
+        "assemble_internal_response",
+        lambda config, index_set: calls.append(config.node_id) or internal(config, index_set),
+    )
+    reused = assemble(scenario, state_only=True, like=base)
+
+    changed = scenario.ciders[int(path.split(".")[1])].node_id
+    assert calls == [changed]
+    assert reused.grid_model is base.grid_model
+    resources = {cfg.node_id for cfg in scenario.ciders}
+    kept = [c for c, before in zip(reused.ciders, base.ciders, strict=True) if c is before]
+    assert {c.node_id for c in kept} == resources - {changed}
+    assert all(c.model.ports == ("gamma", "sigma", "o") for c in kept)
+
+    def gamma_models(system):  # a following node's placeholder carries every port
+        return [c.model.with_ports(("gamma",)) for c in system.ciders]
+
+    assert_same_arrays(gamma_models(reused), gamma_models(fresh))
+    for part in ("model", "resources", "open_loop", "interconnection", "closed"):
+        assert_same_arrays(getattr(reused, part), getattr(fresh, part))
 
 
 def assert_same_arrays(got, expected):
@@ -128,7 +162,7 @@ def nominal_snapshots(monkeypatch):
 
 
 def pieces(system):
-    return array_leaves((system.pieces.grid_model, system.pieces.ciders), "pieces")
+    return array_leaves((system.grid_model, system.ciders), "pieces")
 
 
 def test_classify_leaves_nominal_pieces_unchanged(nominal_snapshots):
