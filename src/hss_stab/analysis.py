@@ -43,10 +43,14 @@ _SCRATCH_BYTES = 1 << 18
 class Partition:
     """The unitary similarity a spectrum was solved in (``form``: "sequence",
     "parity" or "complex") and the row index sets of the diagonal blocks its
-    matrix decouples into."""
+    matrix decouples into.  ``classes[k]`` is the solved block whose
+    spectrum, shifted, block k took (k itself when block k was solved; see
+    ``_solve_spectrum``).  Equality reads the form and the rows alone.
+    """
 
     form: str
     rows: tuple[np.ndarray, ...]
+    classes: tuple[int, ...] = ()
 
     def __eq__(self, other) -> bool:
         return (
@@ -293,9 +297,19 @@ def _solve_spectrum(model: HssModel, vectors: bool):
     its nonzero pattern decouples into (one rotating-frame rung: positive
     sequence at harmonic m+1, negative at m-1, dq states at m, for a
     balanced converter model in sequence form; a state channel at even
-    harmonics and at odd ones in real form); only the blocks are densified
-    and solved, one LAPACK call each.  The spectrum of a block-diagonal
-    matrix is the union of its blocks' spectra, so the split is exact.
+    harmonics and at odd ones in real form); only the blocks are densified.
+    The spectrum of a block-diagonal matrix is the union of its blocks'
+    spectra, so the split is exact.
+
+    One LAPACK call is made per ladder class, not per block.  The HSS lift
+    of a balanced model repeats one rung per harmonic, so most blocks are
+    an earlier block M_r plus c*I, whose eigenvalues are M_r's plus c and
+    whose eigenvectors are M_r's.  A block whose size, dtype and nonzero
+    off-diagonal entries (positions and bytes) equal those of a solved
+    block, and whose diagonal differs from it by a constant
+    (``_ladder_shift``), takes that block's eigenpairs so shifted; any
+    other block is solved.  The ``Partition`` records each block's class.
+
     Eigenvalues come block by block, in the order of the returned
     ``Partition``'s index sets.  Every block's eigenvectors are gathered
     into one CSC Y, each on its block's rows, and mapped back with one
@@ -310,17 +324,33 @@ def _solve_spectrum(model: HssModel, vectors: bool):
     a, t, name, blocks = _similarity(model, m)
     w = np.empty(n, complex)
     data, indices = [], []
+    representatives, classes = {}, []
     start = 0
-    for rows, block in zip(blocks, _dense_blocks(a, blocks)):
+    for k, (rows, block) in enumerate(zip(blocks, _dense_blocks(a, blocks))):
         cols = slice(start, start + rows.size)
-        if vectors:
-            w[cols], y = scipy.linalg.eig(block, overwrite_a=True)
-            data.append(y.ravel(order="F"))
-            indices.append(np.tile(rows, rows.size))
-        else:
-            w[cols] = scipy.linalg.eigvals(block, overwrite_a=True)
         start += rows.size
-    partition = Partition(name, tuple(blocks))
+        if vectors:
+            indices.append(np.tile(rows, rows.size))
+        diagonal = block.diagonal().copy()
+        off = np.flatnonzero((block != 0) & ~np.eye(rows.size, dtype=bool))
+        key = (rows.size, block.dtype.str, off.tobytes(), block.flat[off].tobytes())
+        for r, rep_cols, rep_diagonal in representatives.get(key, ()):
+            shift = _ladder_shift(diagonal, rep_diagonal, np.max(np.abs(block)))
+            if shift is not None:
+                w[cols] = w[rep_cols] + shift
+                if vectors:
+                    data.append(data[r])
+                classes.append(r)
+                break
+        else:
+            if vectors:
+                w[cols], y = scipy.linalg.eig(block, overwrite_a=True)
+                data.append(y.ravel(order="F"))
+            else:
+                w[cols] = scipy.linalg.eigvals(block, overwrite_a=True)
+            representatives.setdefault(key, []).append((k, cols, diagonal))
+            classes.append(k)
+    partition = Partition(name, tuple(blocks), tuple(classes))
     if not vectors:
         return m, w, None, partition
     del a  # only its blocks were solved: free it before the back-map
@@ -328,6 +358,16 @@ def _solve_spectrum(model: HssModel, vectors: bool):
     y = _compressed_columns(np.concatenate(data), np.concatenate(indices), np.repeat(sizes, sizes))
     del data, indices  # the blocks' own arrays, copied into y
     return m, w, _back_map(t.tocsc(), y), partition
+
+
+def _ladder_shift(diagonal: np.ndarray, representative: np.ndarray, scale: float):
+    """The mean c of ``diagonal - representative`` when every entry lies
+    within ``REAL_FORM_TOL * scale`` of it, else None: by the argument of
+    ``_parity_form``, a shift that is constant to this tolerance moves no
+    eigenvalue more than the dense solver's own backward error does."""
+    d = diagonal - representative
+    c = d.mean()
+    return c if np.max(np.abs(d - c)) <= REAL_FORM_TOL * scale else None
 
 
 def _worst_residual(m: sp.csr_array, w: np.ndarray, v: sp.csc_array) -> tuple[float, int]:
@@ -358,8 +398,9 @@ def eigen_decompose(model: HssModel) -> EigenSolution:
     Eigenvalues are reported in solver order; any ordering across
     parameter variations is the matcher's job.  The residual of every
     eigenpair is checked against the full complex matrix A - j*Omega, so
-    a fault in the block split or the back-mapping cannot pass; a failure
-    reports the 1-norm condition of the failing eigenpair's block, the
+    a fault in the block split, the ladder classes (a copy's eigenpairs
+    are its representative's, shifted) or the back-mapping cannot pass; a
+    failure reports the 1-norm condition of the failing eigenpair's block, the
     matrix its eigenvalue was solved from.
     """
     m, w, v, partition = _solve_spectrum(model, vectors=True)
@@ -618,10 +659,13 @@ def _step_threshold(costs: np.ndarray, scale: float) -> float:
 def sweep_parameter(scenario, path: str, values) -> EigenTrace:
     """Trace eigenvalue loci over a parameter sweep with assignment matching.
 
-    Consecutive spectra are matched by the assignment solver; a step whose
-    worst pair cost is far above the step median is re-matched through a
-    bisected intermediate point, and pairs that stay ambiguous are marked
-    unresolved rather than silently guessed.  Every rebuild after the first
+    Consecutive spectra are matched by the assignment solver, block by
+    block when their partitions are equal and in one assignment otherwise
+    (``match_eigenvalues``): each trace carries its eigenvalue's block
+    along.  A step whose worst pair cost is far above the step median is
+    re-matched through a bisected intermediate point, matched the same way,
+    and pairs that stay ambiguous are marked unresolved rather than
+    silently guessed.  Every rebuild after the first
     reuses the first point's unchanged pieces (``assemble(like=...)``).  A
     parameter whose values change the eigenvalue count (``system.hmax``)
     has no loci to trace and is rejected.
@@ -632,44 +676,41 @@ def sweep_parameter(scenario, path: str, values) -> EigenTrace:
     scenario.resolve_parameter(path)  # raises if not a numeric scalar
 
     first = assemble(scenario.with_parameter(path, values[0]), state_only=True)
-    spectra = [eigenvalues_only(first.model).eigenvalues]
-    spectra += [
-        _rebuild_eigenvalues(scenario.with_parameter(path, v), first).eigenvalues
-        for v in values[1:]
-    ]
-    n = spectra[0].size
+    spectra = [eigenvalues_only(first.model)]
+    spectra += [_rebuild_eigenvalues(scenario.with_parameter(path, v), first) for v in values[1:]]
+    n = spectra[0].eigenvalues.size
     for v, spectrum in zip(values, spectra):
-        if spectrum.size != n:
+        if spectrum.eigenvalues.size != n:
             raise ConfigurationError(
                 f"sweeping {path} changes the eigenvalue count: {n} at {values[0]:g}, "
-                f"{spectrum.size} at {v:g}"
+                f"{spectrum.eigenvalues.size} at {v:g}"
             )
-    scale = max(float(np.max(np.abs(s))) for s in spectra) if n else 1.0
+    scale = max(float(np.max(np.abs(s.eigenvalues))) for s in spectra) if n else 1.0
 
     # trace identities follow the spectral order of the first spectrum
-    order0 = spectral_order(spectra[0])
+    current = spectra[0].reordered(spectral_order(spectra[0].eigenvalues))
     traces = np.empty((n, len(values)), complex)
-    traces[:, 0] = spectra[0][order0]
+    traces[:, 0] = current.eigenvalues
     unresolved = np.zeros((n, len(values) - 1), bool)
 
-    current = traces[:, 0]
     for k in range(1, len(values)):
         nxt = spectra[k]
         perm, _ = match_eigenvalues(current, nxt)
-        pair = np.abs(current - nxt[perm])
+        pair = np.abs(current.eigenvalues - nxt.eigenvalues[perm])
         if np.any(pair > _step_threshold(pair, scale)):
             mid_value = 0.5 * (values[k - 1] + values[k])
-            mid = _rebuild_eigenvalues(scenario.with_parameter(path, mid_value), first).eigenvalues
+            mid = _rebuild_eigenvalues(scenario.with_parameter(path, mid_value), first)
             perm_a, _ = match_eigenvalues(current, mid)
-            perm, _ = match_eigenvalues(mid[perm_a], nxt)
-            pair_a = np.abs(current - mid[perm_a])
-            pair_b = np.abs(mid[perm_a] - nxt[perm])
+            mid = mid.reordered(perm_a)
+            perm, _ = match_eigenvalues(mid, nxt)
+            pair_a = np.abs(current.eigenvalues - mid.eigenvalues)
+            pair_b = np.abs(mid.eigenvalues - nxt.eigenvalues[perm])
             bad = (pair_a > _step_threshold(pair_a, scale)) | (
                 pair_b > _step_threshold(pair_b, scale)
             )
             unresolved[:, k - 1] = bad
-        current = nxt[perm]
-        traces[:, k] = current
+        current = nxt.reordered(perm)
+        traces[:, k] = current.eigenvalues
 
     return EigenTrace(tuple(values), traces, unresolved)
 

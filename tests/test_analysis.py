@@ -31,6 +31,7 @@ from hss_stab.model import HssModel, lift_ltp
 from hss_stab.pipeline import assemble
 from tests.conftest import load_raw, lti_model, shifted_dense
 from hss_stab import scenario_from_dict
+from scripts.feeder import feeder
 
 
 def scalar_lift(a_val, iset, e=1.0, c=1.0, f=0.0):
@@ -144,19 +145,21 @@ COMPLEX = np.dtype(np.complex128)
 class TestRealFormSolve:
     """The block solve checked against the dense complex solver: in real
     form for models without phase triples, in sequence form (one complex
-    call per rotating-frame rung) for the converter scenarios."""
+    call per ladder class of rotating-frame rungs) for the converter
+    scenarios."""
 
     @pytest.mark.parametrize(
-        "name, hmax, dtype, sizes",
+        "name, hmax, dtype, sizes, solved",
         [
-            pytest.param("toy_gain", None, REAL, [1, 1, 1], id="toy_gain-None"),
+            pytest.param("toy_gain", None, REAL, [1, 1, 1], [0], id="toy_gain-None"),
             # three sequence blocks of 2 gain nothing over the real form
-            pytest.param("rlc_grid", None, REAL, [2, 2, 2], id="rlc_grid-None"),
+            pytest.param("rlc_grid", None, REAL, [2, 2, 2], [0], id="rlc_grid-None"),
             pytest.param(
                 "two_node",
                 None,
                 COMPLEX,
                 [5, 5, 14, 9] + [5, 14] * 8 + [5, 9, 5, 5],
+                [0, 1, 2, 3, 4, 5, 19, 21, 22, 23],
                 id="two_node-None",
             ),
             pytest.param(
@@ -164,11 +167,12 @@ class TestRealFormSolve:
                 8,
                 COMPLEX,
                 [15, 15, 38, 23] + [15, 38] * 14 + [15, 23, 15, 15],
+                [0, 1, 2, 3, 4, 5, 31, 33, 34, 35],
                 id="four_cider_six_node-8",
             ),
         ],
     )
-    def test_matches_complex_solver(self, name, hmax, dtype, sizes, monkeypatch):
+    def test_matches_complex_solver(self, name, hmax, dtype, sizes, solved, monkeypatch):
         model = nominal_model(name, hmax)
         m = shifted_dense(model)
         reference = scipy.linalg.eigvals(m)
@@ -176,9 +180,10 @@ class TestRealFormSolve:
         calls = spy_solvers(monkeypatch)
         lam = eigenvalues_only(model).eigenvalues
         sol = eigen_decompose(model)
-        # one LAPACK call per decoupled block
+        assert [rows.size for rows in sol.partition.rows] == sizes
+        # one LAPACK call per ladder class: the blocks that are no shifted copy
         for seen in calls.values():
-            assert seen == [(dtype, size) for size in sizes]
+            assert seen == [(dtype, sizes[k]) for k in solved]
 
         for got in (lam, sol.eigenvalues):
             assert_spectrum_matches(got, reference)
@@ -190,17 +195,21 @@ class TestRealFormSolve:
         a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         model = lti_model(a, iset)
         m = shifted_dense(model)
-        # an LTI lift decouples per harmonic: the complex solver on each block
+        # an LTI lift decouples per harmonic, and each harmonic's block is the
+        # first one shifted: the complex solver on the first block, then its
+        # eigenvalues plus the mean diagonal difference and its eigenvectors
         blocks = [m[k : k + 3, k : k + 3] for k in range(0, 15, 3)]
-        pairs = [scipy.linalg.eig(b) for b in blocks]
-        expected_w = np.concatenate([w for w, _ in pairs])
-        expected_v = scipy.linalg.block_diag(*(v / np.linalg.norm(v, axis=0) for _, v in pairs))
+        w0, v0 = scipy.linalg.eig(blocks[0])
+        shifts = [np.mean(np.diag(b) - np.diag(blocks[0])) for b in blocks]
+        expected_w = np.concatenate([w0 + c for c in shifts])
+        expected_v = scipy.linalg.block_diag(*[v0 / np.linalg.norm(v0, axis=0)] * 5)
 
         calls = spy_solvers(monkeypatch)
         lam = eigenvalues_only(model).eigenvalues
         sol = eigen_decompose(model)
         for seen in calls.values():
-            assert seen == [(np.dtype(np.complex128), 3)] * 5
+            assert seen == [(np.dtype(np.complex128), 3)]
+        assert sol.partition.classes == (0,) * 5
         assert np.array_equal(lam, expected_w)
         assert np.array_equal(sol.eigenvalues, expected_w)
         assert np.array_equal(sol.vectors.toarray(), expected_v)
@@ -402,8 +411,9 @@ class TestSequenceSolve:
     @pytest.mark.parametrize(
         "build, dtype, count, largest",
         [
-            # the 5th harmonic couples rungs 6 apart: still far below 1325
-            pytest.param(distorted_four_cider, COMPLEX, 33, 160, id="w_pi-5th-negative"),
+            # the 5th harmonic couples rungs 6 apart: still far below 1325, and
+            # its 33 blocks fall into 9 ladder classes, one call each
+            pytest.param(distorted_four_cider, COMPLEX, 9, 160, id="w_pi-5th-negative"),
             # unbalance couples every rung of one parity: the real form is kept
             pytest.param(unequal_branch_two_node, REAL, 2, 167, id="unequal-phase-r"),
         ],
@@ -474,6 +484,107 @@ class TestSequenceSolve:
         model = nominal_model("four_cider_six_node", 8)
         lam = eigenvalues_only(model).eigenvalues
         assert_spectrum_matches(lam, eigenvalues_only(replace(model, phase_triples=())).eigenvalues)
+
+
+def per_block_eigenvalues(model):
+    """Eigenvalues of every decoupled block of the form the spectrum is
+    solved in, one LAPACK call per block, in block order."""
+    a, _, _, blocks = analysis._similarity(model, analysis._shifted_csr(model))
+    return np.concatenate([scipy.linalg.eigvals(a[rows][:, rows].toarray()) for rows in blocks])
+
+
+def assert_blocks_match(spectrum, reference):
+    """``spectrum`` against ``reference`` eigenvalues given in its block order,
+    paired block by block, to 1e-12 of the spectral radius."""
+    partition = spectrum.partition
+    reference = analysis.Spectrum(reference, analysis._block_ids(partition), partition)
+    perm, _ = match_eigenvalues(spectrum, reference)
+    gap = np.abs(spectrum.eigenvalues - reference.eigenvalues[perm])
+    assert gap.max() <= 1e-12 * np.max(np.abs(reference.eigenvalues))
+
+
+class TestLadderClasses:
+    """One LAPACK call per ladder class: a block that is an earlier block
+    plus c*I takes that block's spectrum plus c."""
+
+    @pytest.mark.parametrize(
+        "build, blocks, classes",
+        [
+            pytest.param(
+                lambda: nominal_model("four_cider_six_node", 25), 104, 10, id="four_cider-25"
+            ),
+            pytest.param(lambda: nominal_model("two_node", 8), 36, 10, id="two_node-8"),
+            # the harmonic coupling joins rungs but leaves the copies
+            pytest.param(
+                lambda: assemble(distorted_four_cider(), state_only=True).model,
+                33,
+                9,
+                id="w_pi-5th-negative",
+            ),
+        ],
+    )
+    def test_one_call_per_class(self, build, blocks, classes, monkeypatch):
+        model = build()
+        reference = per_block_eigenvalues(model)
+
+        calls = spy_solvers(monkeypatch)
+        spectrum = eigenvalues_only(model)
+        sol = eigen_decompose(model)
+        for seen in calls.values():
+            assert len(seen) == classes
+        partition = sol.partition
+        assert spectrum.partition == partition
+        assert spectrum.partition.classes == partition.classes
+        assert len(partition.rows) == blocks
+        assert len(set(partition.classes)) == classes
+        for k, r in enumerate(partition.classes):
+            assert partition.classes[r] == r <= k
+            assert partition.rows[r].size == partition.rows[k].size
+        for got in (spectrum, sol):
+            assert_blocks_match(got, reference)
+
+    def test_one_ulp_off_diagonal_breaks_the_class(self, monkeypatch):
+        iset = HarmonicIndexSet(2, 50.0)
+        rng = np.random.default_rng(1)
+        model = lti_model(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)), iset)
+        a = model.a.toarray() if sp.issparse(model.a) else np.array(model.a)
+        # one off-diagonal entry of the block at harmonic 0, moved by one ulp
+        a[7, 6] = np.nextafter(a[7, 6].real, np.inf) + 1j * a[7, 6].imag
+        nudged = replace(model, a=a)
+
+        calls = spy_solvers(monkeypatch)
+        assert eigenvalues_only(model).partition.classes == (0,) * 5
+        assert eigenvalues_only(nudged).partition.classes == (0, 0, 2, 0, 0)
+        assert calls["eigvals"] == [(COMPLEX, 3)] * 3
+        sol = eigen_decompose(nudged)
+        assert_spectrum_matches(sol.eigenvalues, scipy.linalg.eigvals(shifted_dense(nudged)))
+        assert_valid_vectors(sol, shifted_dense(nudged))
+
+    def test_wrong_shift_fails_residual(self, monkeypatch):
+        model = nominal_model("two_node")
+        ladder_shift = analysis._ladder_shift
+
+        def wrong(*args):
+            c = ladder_shift(*args)
+            return None if c is None else c + 1.0
+
+        calls = spy_solvers(monkeypatch)
+        monkeypatch.setattr(analysis, "_ladder_shift", wrong)
+        with pytest.raises(NumericalError, match="residual"):
+            eigen_decompose(model)
+        assert len(calls["eig"]) == 10  # of 24 blocks: the copies took the wrong shift
+
+    @pytest.mark.parametrize("nodes", [6, 24])
+    def test_feeder_matches_oracle(self, nodes):
+        # at hmax 4: 567 states at 6 nodes, dense; 2349 at 24, block by block
+        model = assemble(scenario_from_dict(feeder(nodes, 4)), state_only=True).model
+        spectrum = eigenvalues_only(model)
+        assert len(set(spectrum.partition.classes)) < len(spectrum.partition.rows)
+        if nodes == 6:
+            reference = scipy.linalg.eigvals(shifted_dense(model))
+            assert_spectrum_matches(spectrum.eigenvalues, reference)
+        else:
+            assert_blocks_match(spectrum, per_block_eigenvalues(model))
 
 
 class TestSpectralOrder:
@@ -750,6 +861,22 @@ class TestSweep:
         )
         assert np.array_equal(trace.traces[:, 0], trace.traces[:, 1])
         assert np.array_equal(trace.traces[:, 0], trace.traces[:, 2])
+        assert not trace.unresolved.any()
+
+    def test_traces_stay_in_their_block(self, rlc_grid, monkeypatch):
+        # block 0 moves from 0 to 6 and block 1 from 5 to 1: one assignment
+        # over the whole spectra would swap the two traces across the blocks
+        partition = analysis.Partition("complex", (np.array([0]), np.array([1])))
+        spectra = iter([[0.0, 5.0], [6.0, 1.0]])
+        monkeypatch.setattr(
+            analysis,
+            "eigenvalues_only",
+            lambda model: analysis.Spectrum(
+                np.array(next(spectra), complex), np.arange(2), partition
+            ),
+        )
+        trace = sweep_parameter(rlc_grid, "grid.branches.0.r", [0.1, 0.2])
+        assert trace.traces.tolist() == [[0.0, 6.0], [5.0, 1.0]]
         assert not trace.unresolved.any()
 
     def test_toy_gain_trace(self, toy_gain):
