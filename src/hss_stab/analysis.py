@@ -12,14 +12,11 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg import lapack
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigurationError, HssError, NumericalError, PoleProximityError, ShapeError
 from .harmonic import omega_diagonal
-from .model import HssModel
+from .model import HssModel, component_labels
 from .pipeline import assemble
 
 RESIDUAL_TOL = 1e-8
@@ -152,10 +149,10 @@ def _decoupled_blocks(a: sp.csr_array) -> list[np.ndarray]:
     The blocks are the weakly connected components of the nonzero pattern,
     so no entry of ``a`` couples two of them.
     """
-    pattern = sp.csr_array((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
-    count, labels = connected_components(pattern, directed=True, connection="weak")
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    labels = component_labels(a.shape[0], rows, a.indices)
     order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
 def _largest(blocks: list[np.ndarray]) -> int:
@@ -344,10 +341,10 @@ def _solve_spectrum(model: HssModel, vectors: bool):
                 break
         else:
             if vectors:
-                w[cols], y = scipy.linalg.eig(block, overwrite_a=True)
+                w[cols], y = np.linalg.eig(block)
                 data.append(y.ravel(order="F"))
             else:
-                w[cols] = scipy.linalg.eigvals(block, overwrite_a=True)
+                w[cols] = np.linalg.eigvals(block)
             representatives.setdefault(key, []).append((k, cols, diagonal))
             classes.append(k)
     partition = Partition(name, tuple(blocks), tuple(classes))
@@ -462,11 +459,13 @@ def evaluate_htf(
     if model.state_dim == 0:
         return f
     m = (s * sp.eye_array(model.state_dim, format="csr") - _shifted_csr(model)).toarray()
+    import scipy.linalg  # for LAPACK's zgecon; loaded here so only htf maps its BLAS
+
     anorm = np.linalg.norm(m, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(m)
-    rcond, info = lapack.zgecon(lu, anorm)
+    rcond, info = scipy.linalg.lapack.zgecon(lu, anorm)
     if info != 0 or rcond < 1e-12:
         eigs = eigenvalues_only(model).eigenvalues
         nearest = eigs[np.argmin(np.abs(eigs - s))] if eigs.size else None

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import ShapeError, WellPosednessError, WiringError
@@ -107,7 +106,7 @@ class _LoopSolver:
     def __init__(self, f_gamma: sp.csr_array, j: sp.csr_array):
         self.j = j
         self.jf = j @ f_gamma
-        self.lu = None
+        self.m = None
         if not (self.jf @ self.jf).count_nonzero():
             self.certificate = WellPosednessCertificate(True, 0.0, None)
             return
@@ -125,13 +124,13 @@ class _LoopSolver:
                 f"(1-norm condition ~{cond:.2e})"
             )
         self.certificate = WellPosednessCertificate(False, float(log_det), cond)
-        self.lu = scipy.linalg.lu_factor(m)
+        self.m = m
 
     def solve_j(self, x: sp.csr_array) -> sp.csr_array:
         """(I - J F)^-1 J x."""
         jx = self.j @ x
-        if self.lu is not None:
-            return sp.csr_array(scipy.linalg.lu_solve(self.lu, jx.toarray()))
+        if self.m is not None:
+            return sp.csr_array(np.linalg.solve(self.m, jx.toarray()))
         return jx + self.jf @ jx
 
 

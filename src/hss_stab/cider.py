@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .assembly import close_loop
@@ -123,7 +122,7 @@ def stack_blocks(blocks: Sequence[LtpBlock], group: str) -> LtpBlock:
             for blk in blocks:
                 shape = (getattr(blk, rows), getattr(blk, cols))
                 mats.append(getattr(blk, which).get(h, np.zeros(shape, dtype=complex)))
-            out[h] = scipy.linalg.block_diag(*mats)
+            out[h] = sp.block_diag(mats).toarray()
         return out
 
     names = tuple(n for blk in blocks for n in blk.resolved_state_names())

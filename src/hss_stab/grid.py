@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ConfigurationError,
@@ -24,7 +22,7 @@ from .errors import (
     TopologyError,
 )
 from .harmonic import HarmonicIndexSet, node_major_order
-from .model import HssModel, block_diag_csr
+from .model import HssModel, block_diag_csr, component_labels
 
 FORMING = "forming"
 FOLLOWING = "following"
@@ -132,8 +130,7 @@ class GridTopology:
         index = {n.node_id: k for k, n in enumerate(self.nodes)}
         ends = [(index[br.from_node], index[br.to_node]) for br in self.branches]
         rows, cols = np.array(ends, int).reshape(-1, 2).T
-        graph = sp.coo_array((np.ones(rows.size), (rows, cols)), shape=(len(index),) * 2)
-        _, labels = connected_components(graph, directed=False)
+        labels = component_labels(len(index), rows, cols)
         missing = [n.node_id for n, label in zip(self.nodes, labels) if label != labels[0]]
         if missing:
             raise TopologyError(f"grid graph is disconnected; unreachable nodes: {missing}")

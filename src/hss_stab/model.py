@@ -212,6 +212,31 @@ def block_diag_csr(mats, rows=None, cols=None) -> sp.csr_array:
     return out
 
 
+def component_labels(n: int, rows, cols) -> np.ndarray:
+    """Weakly connected component of each of ``n`` vertices joined by the
+    edges ``rows[k]``--``cols[k]``, numbered in the order of their smallest
+    vertex, as ``scipy.sparse.csgraph.connected_components`` numbers them.
+
+    Hook and jump.  Every vertex points to a smaller vertex of its tree,
+    and a root to itself, so a root is its tree's smallest vertex.  Each
+    round points every root at the smallest root an edge joins it to, when
+    that one is smaller, and then every vertex at its root.  Trees only
+    merge, so an edge whose ends share a root is dropped.
+    """
+    parent = np.arange(n)
+    # one index type throughout: np.minimum.at is several times slower on mixed ones
+    a, b = np.asarray(rows, np.intp), np.asarray(cols, np.intp)
+    while a.size:
+        np.minimum.at(parent, a, b)
+        np.minimum.at(parent, b, a)
+        while not np.array_equal(root := parent[parent], parent):
+            parent = root
+        a, b = parent[a], parent[b]
+        joins = a != b
+        a, b = a[joins], b[joins]
+    return np.cumsum(parent == np.arange(n))[parent] - 1
+
+
 def stack_models(models) -> HssModel:
     """Block-diagonal composition of HSS models, held in CSR.
 

@@ -9,8 +9,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .analysis import (
     EigenSolution,
@@ -23,6 +21,7 @@ from .analysis import (
     sweep_parameter,
 )
 from .errors import ConfigurationError
+from .model import component_labels
 from .pipeline import assemble
 from .scenario import Scenario
 
@@ -82,8 +81,7 @@ def _clusters(lam: np.ndarray) -> np.ndarray:
     """Cluster label of each eigenvalue: the connected components of the
     pairs that lie within ``DEGENERATE_RTOL`` times max|lambda| of each other."""
     pairs = _close_pairs(lam, DEGENERATE_RTOL * float(np.max(np.abs(lam))))
-    graph = sp.coo_array((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(lam.size,) * 2)
-    return connected_components(graph, directed=False)[1]
+    return component_labels(lam.size, pairs[:, 0], pairs[:, 1])
 
 
 def _eigen_records(solution: EigenSolution, classification=None, flags=None):
@@ -278,22 +276,27 @@ def _to_csv(results: ResultSet, timestamp: bool) -> str:
 
 
 def _to_json(results: ResultSet, timestamp: bool) -> str:
-    def clean(value):
-        if isinstance(value, (np.integer,)):
-            return int(value)
-        if isinstance(value, (np.floating,)):
-            return float(value)
-        return value
-
+    """``json.dumps(doc, indent=1, sort_keys=True)`` of the (non-empty)
+    result set, byte for byte.  ``indent`` turns the C encoder off, so the
+    records, the bulk of it, are encoded apart: each column becomes Python
+    scalars in one ``tolist``, and each record, keys sorted, goes through
+    the C encoder with separators that give the lines ``indent=1`` writes.
+    "records" sorts last, so the records close the document.
+    """
     doc = {
         "kind": results.kind,
         "meta": dict(sorted(results.meta.items())),
         "columns": list(results.columns),
-        "records": [
-            {col: clean(v) for col, v in zip(results.columns, rec)}
-            for rec in results.records
-        ],
+        "records": [],
     }
     if timestamp:
         doc["generated"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    head, tail = json.dumps(doc, indent=1, sort_keys=True).rsplit('"records": []', 1)
+    by_name = dict(zip(results.columns, zip(*results.records)))
+    names = sorted(by_name)
+    columns = [np.asarray(by_name[name]).tolist() for name in names]
+    encode = json.JSONEncoder(separators=(",\n   ", ": ")).encode
+    records = ",\n  ".join(
+        "{\n   " + encode(dict(zip(names, row)))[1:-1] + "\n  }" for row in zip(*columns)
+    )
+    return f'{head}"records": [\n  {records}\n ]{tail}\n'

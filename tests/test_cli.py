@@ -413,6 +413,35 @@ class TestCommands:
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert res.returncode == 0, res.stderr
 
+    def test_analysis_commands_leave_scipy_linalg_unloaded(self, tmp_path):
+        # one BLAS per process: numpy's LAPACK serves the eigen and loop
+        # solves and the package finds graph components itself; only htf's
+        # condition estimate loads scipy.linalg
+        unloaded = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+        runs = [
+            ["eig", "--hmax", "2"],
+            ["classify", "--hmax", "2"],
+            ["spurious", "--hmax", "2", "--hmax-probe", "4"],
+            ["sweep", "--sweep", "voltage_kp", "--hmax", "2"],
+        ]
+        argvs = [
+            [*args, "--scenario", TWO_NODE, "--out", str(tmp_path / f"{k}.csv")]
+            for k, args in enumerate(runs)
+        ]
+        htf = ["htf", "--scenario", TWO_NODE, "--hmax", "2", "--s", "1+6j"]
+        htf += ["--out", str(tmp_path / "h.csv")]
+        code = (
+            "import sys\n"
+            "from hss_stab.cli import main\n"
+            f"assert all(main(argv) == 0 for argv in {argvs!r})\n"
+            f"loaded = [m for m in {unloaded!r} if m in sys.modules]\n"
+            "assert not loaded, f'{loaded} imported'\n"
+            f"assert main({htf!r}) == 0\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "h.csv").read_text().count("\n") > 1
+
     def test_load_and_eig_leave_jsonschema_unloaded(self):
         # scenarios are validated by the package's own field-path checks
         code = (
@@ -554,6 +583,35 @@ class TestExport:
         for row, rec in zip(doc["records"], results.records):
             assert row["re"] == rec[1]
             assert row["im"] == rec[2]
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("eig", {}),
+            ("classify", {}),
+            ("spurious", {"hmax_probe": 4}),
+            ("sweep", {"sweep_name": "voltage_kp"}),
+            ("htf", {"s": "1+6j"}),
+        ],
+    )
+    @pytest.mark.parametrize("timestamp", [False, True])
+    def test_json_is_the_indented_dump(self, command, options, timestamp):
+        # the records skip json's pure-Python indenting encoder, but the text
+        # is the one it writes
+        results = run_command(command, load_scenario(TWO_NODE).with_hmax(2), **options)
+        text = runner._to_json(results, timestamp)
+        doc = {
+            "kind": results.kind,
+            "meta": results.meta,
+            "columns": list(results.columns),
+            "records": [
+                {c: v.item() if isinstance(v, np.generic) else v for c, v in zip(results.columns, r)}
+                for r in results.records
+            ],
+        }
+        if timestamp:
+            doc["generated"] = json.loads(text)["generated"]
+        assert text == json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
     def test_empty_rejected(self):
         from hss_stab.runner import ResultSet

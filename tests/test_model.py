@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from hss_stab import (
     HarmonicIndexSet,
@@ -10,7 +12,7 @@ from hss_stab import (
     evaluate_htf,
     match_eigenvalues,
 )
-from hss_stab.model import block_diag_csr, lift_ltp, stack_models
+from hss_stab.model import block_diag_csr, component_labels, lift_ltp, stack_models
 from tests.conftest import lti_model, random_stable_lti
 
 
@@ -148,3 +150,34 @@ def test_block_diag_csr_matches_scipy(mapped):
     assert np.all(got.data != 0)
     for mat, stored in zip(mats, before):  # the blocks are only read
         assert np.array_equal(mat.data if sp.issparse(mat) else mat, stored)
+
+
+@st.composite
+def edge_lists(draw):
+    """``(n, rows, cols)``: up to 3n edges over n vertices, drawn with
+    replacement, so self-loops, repeated edges and isolated vertices occur."""
+    n = draw(st.integers(0, 30))
+    vertex = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    rows, cols = np.array(edges, int).reshape(-1, 2).T
+    return n, rows, cols
+
+
+@given(edge_lists())
+@example((0, np.zeros(0, int), np.zeros(0, int)))
+@example((1, np.zeros(0, int), np.zeros(0, int)))
+@example((1, np.zeros(1, int), np.zeros(1, int)))
+@example((6, np.zeros(0, int), np.zeros(0, int)))
+@example((6, np.arange(5, 0, -1), np.arange(4, -1, -1)))  # a path, joined from its far end
+@example((7, np.array([6, 6, 3, 5, 1]), np.array([1, 2, 4, 0, 5])))
+@settings(max_examples=300, deadline=None)
+def test_component_labels_match_csgraph(graph):
+    # the same label array, not only the same partition: rows are ordered
+    # and ladder classes keyed by it
+    n, rows, cols = graph
+    adjacency = sp.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    expected = connected_components(adjacency, directed=True, connection="weak")[1]
+    got = component_labels(n, rows, cols)
+    assert got.shape == (n,)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(got, connected_components(adjacency, directed=False)[1])
