@@ -2,9 +2,9 @@
 
 Stacks resource models, combines them with the grid into the open-loop
 system, and closes the feedback w_gamma = J * y.  Every model here, the
-closed loop included, is held in CSR (``HssModel``'s representation
-rule), and J is a plain CSR array.  The loop closure is generic in J and
-is reused for the converter-internal control loop.
+closed loop included, is held in ``sparse.Csr`` arrays (``HssModel``'s
+representation rule), and J is a plain Csr array.  The loop closure is
+generic in J and is reused for the converter-internal control loop.
 """
 
 from __future__ import annotations
@@ -12,19 +12,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ShapeError, WellPosednessError, WiringError
 from .model import HssModel, check_same_grid, stack_models
+from . import sparse
+from .sparse import Csr, anti_diagonal, eye, from_dense, zeros
 
 
-def build_interconnection(dims: tuple[int, int]) -> sp.csr_array:
-    """J, the anti-diagonal identity pairing two equally sized port groups, in CSR."""
+def build_interconnection(dims: tuple[int, int]) -> Csr:
+    """J, the anti-diagonal identity pairing two equally sized port groups."""
     n1, n2 = dims
     if n1 != n2:
         raise WiringError(f"interconnected port groups differ in size: {n1} vs {n2}")
-    eye = sp.eye_array(n1, format="csr")
-    return sp.block_array([[None, eye], [eye, None]], format="csr")
+    return anti_diagonal(eye(n1), eye(n1))
 
 
 @dataclass(frozen=True)
@@ -96,14 +96,14 @@ def build_open_loop(resources: ResourceBlock, grid: HssModel, grid_nodes) -> Ope
 
 
 class _LoopSolver:
-    """Applies (I - J*F_gamma)^-1 to stacked CSR right-hand sides.
+    """Applies (I - J*F_gamma)^-1 to stacked Csr right-hand sides.
 
     The nilpotent case ((J*F)^2 = 0, the norm when the grid block has no
     feedthrough) is handled by the exact two-term series instead of an LU
     factorisation; the determinant is then exactly one.
     """
 
-    def __init__(self, f_gamma: sp.csr_array, j: sp.csr_array):
+    def __init__(self, f_gamma: Csr, j: Csr):
         self.j = j
         self.jf = j @ f_gamma
         self.m = None
@@ -126,32 +126,32 @@ class _LoopSolver:
         self.certificate = WellPosednessCertificate(False, float(log_det), cond)
         self.m = m
 
-    def solve_j(self, x: sp.csr_array) -> sp.csr_array:
+    def solve_j(self, x: Csr) -> Csr:
         """(I - J F)^-1 J x."""
         jx = self.j @ x
         if self.m is not None:
-            return sp.csr_array(np.linalg.solve(self.m, jx.toarray()))
+            return from_dense(np.linalg.solve(self.m, jx.toarray()))
         return jx + self.jf @ jx
 
 
 def close_loop(
     open_model: HssModel,
-    j: np.ndarray | sp.csr_array,
+    j: np.ndarray | Csr,
     loop_port: str = "gamma",
     state_only: bool = False,
 ) -> ClosedLoopSystem:
     """Close the feedback w[loop_port] = J*y and eliminate the loop port.
 
     All closed-loop matrices are computed through linear solves against
-    (I - J*F) rather than explicit inverses.  J (a plain CSR array from
-    ``build_interconnection``) and the open model may be dense or CSR; the
-    products run in CSR and the closed-loop matrices are returned in CSR.
+    (I - J*F) rather than explicit inverses.  J (a plain Csr array from
+    ``build_interconnection``) and the open model may be dense or Csr; the
+    products run in Csr and the closed-loop matrices are returned in Csr.
     ``state_only`` skips the output and remaining-port matrices (enough for
     eigenvalue work), so it reads only A, C and the loop port of the open model.
     """
 
-    def csr(mat) -> sp.csr_array:
-        return sp.csr_array(mat, dtype=complex)
+    def csr(mat) -> Csr:
+        return sparse.csr(mat).astype(complex)
 
     e_gamma = csr(open_model.e[loop_port])
     f_gamma = csr(open_model.f[loop_port])
@@ -170,7 +170,7 @@ def close_loop(
     e_closed = {}
     f_closed = {}
     if state_only:
-        c_closed = sp.csr_array((0, open_model.state_dim), dtype=complex)
+        c_closed = zeros((0, open_model.state_dim))
     else:
         c_closed = c + f_gamma @ jc
         for port in (p for p in open_model.ports if p != loop_port):

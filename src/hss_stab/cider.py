@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import close_loop
 from .errors import ConfigurationError, ScenarioError, ShapeError, WellPosednessError
@@ -30,6 +29,7 @@ from .harmonic import (
 )
 from .model import HssModel, check_phase_triples, lift_ltp, stack_models, stack_phase_triples
 from .references import ReferencePlugin
+from .sparse import Csr, anti_diagonal, hstack, zeros
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,12 @@ def stack_blocks(blocks: Sequence[LtpBlock], group: str) -> LtpBlock:
             mats = []
             for blk in blocks:
                 shape = (getattr(blk, rows), getattr(blk, cols))
-                mats.append(getattr(blk, which).get(h, np.zeros(shape, dtype=complex)))
-            out[h] = sp.block_diag(mats).toarray()
+                mats.append(np.asarray(getattr(blk, which).get(h, np.zeros(shape, dtype=complex))))
+            out[h] = np.zeros(np.sum([m.shape for m in mats], axis=0), np.result_type(*mats))
+            r = c = 0
+            for m in mats:
+                out[h][r : r + m.shape[0], c : c + m.shape[1]] = m
+                r, c = r + m.shape[0], c + m.shape[1]
         return out
 
     names = tuple(n for blk in blocks for n in blk.resolved_state_names())
@@ -228,7 +232,7 @@ def assemble_internal_response(config: CiderConfig, index_set: HarmonicIndexSet)
 
     t_act = toeplitz_from_fourier(act, index_set)
     t_meas = toeplitz_from_fourier(times(meas, s_out), index_set)
-    j_int = sp.block_array([[None, t_act], [t_meas, None]], format="csr")
+    j_int = anti_diagonal(t_act, t_meas)
 
     try:
         closed = close_loop(open_model, j_int, loop_port="loop")
@@ -277,7 +281,7 @@ class CiderTransforms:
     grid_out_to_hw_out: Mapping[int, np.ndarray]
     hw_out_to_grid_out: Mapping[int, np.ndarray] | None = None
 
-    def output_map(self, index_set: HarmonicIndexSet) -> sp.csr_array:
+    def output_map(self, index_set: HarmonicIndexSet) -> Csr:
         """Lift of the transform sending hardware outputs to the grid port."""
         if self.hw_out_to_grid_out is not None:
             return toeplitz_from_fourier(self.hw_out_to_grid_out, index_set)
@@ -412,9 +416,9 @@ class CiderHss:
 def assemble_cider_hss(
     config: CiderConfig,
     internal: HssModel,
-    r_rho: sp.csr_array,
-    r_sigma: sp.csr_array | None,
-    ctl_frame_op: sp.csr_array,
+    r_rho: Csr,
+    r_sigma: Csr | None,
+    ctl_frame_op: Csr,
     index_set: HarmonicIndexSet,
     state_only: bool = False,
 ) -> CiderHss:
@@ -450,7 +454,7 @@ def assemble_cider_hss(
         return {
             "gamma": gamma,
             "sigma": sigma,
-            "o": sp.hstack([x_kappa, -ref, -sigma], format="csr"),
+            "o": hstack([x_kappa, -ref, -sigma]),
         }
 
     model = HssModel(
@@ -469,15 +473,12 @@ def make_zero_injection(index_set: HarmonicIndexSet, node_id: str) -> CiderHss:
     """Stateless resource injecting nothing; used for pure junction nodes."""
     n = index_set.count * 3  # one three-phase grid port
 
-    def zeros(rows, cols):
-        return sp.csr_array((rows, cols), dtype=complex)
-
     model = HssModel(
         index_set=index_set,
-        a=zeros(0, 0),
-        e={"gamma": zeros(0, n), "sigma": zeros(0, 0), "o": zeros(0, 0)},
-        c=zeros(n, 0),
-        f={"gamma": zeros(n, n), "sigma": zeros(n, 0), "o": zeros(n, 0)},
+        a=zeros((0, 0)),
+        e={"gamma": zeros((0, n)), "sigma": zeros((0, 0)), "o": zeros((0, 0))},
+        c=zeros((n, 0)),
+        f={"gamma": zeros((n, n)), "sigma": zeros((n, 0)), "o": zeros((n, 0))},
         state_names=(),
     )
     return CiderHss(node_id, model)

@@ -23,6 +23,7 @@ from .errors import (
 )
 from .harmonic import HarmonicIndexSet, node_major_order
 from .model import HssModel, block_diag_csr, component_labels
+from .sparse import csr
 
 FORMING = "forming"
 FOLLOWING = "following"
@@ -230,18 +231,20 @@ def lift_grid_to_hss(gss: GridStateSpace, index_set: HarmonicIndexSet) -> HssMod
     Each matrix becomes its block-diagonal DC lift, held in CSR;
     disturbance columns and output rows are then regrouped so that all
     harmonics of one node form a contiguous block, matching the
-    resource-side port layout.
+    resource-side port layout.  Each matrix is read into a Csr once, not
+    once per harmonic.
     """
     count = index_set.count
     # harmonic-major port position -> its node-major position
     idx = np.argsort(node_major_order(count, [3] * len(gss.topology.ordered_ids)))
+    a, e, c, f = (csr(m) for m in (gss.a, gss.e, gss.c, gss.f))
 
     return HssModel(
         index_set=index_set,
-        a=block_diag_csr([gss.a] * count),
-        e={"gamma": block_diag_csr([gss.e] * count, cols=idx)},
-        c=block_diag_csr([gss.c] * count, rows=idx),
-        f={"gamma": block_diag_csr([gss.f] * count)},
+        a=block_diag_csr([a] * count),
+        e={"gamma": block_diag_csr([e] * count, cols=idx)},
+        c=block_diag_csr([c] * count, rows=idx),
+        f={"gamma": block_diag_csr([f] * count)},
         state_names=gss.state_names,
         phase_triples=gss.phase_triples,
     )

@@ -3,7 +3,7 @@
 Time-periodic signals are stored as column stacks of complex Fourier
 coefficients over the harmonic orders -hmax..+hmax (ascending, "h-major":
 all channels of the most negative order come first).  A matrix-valued
-Fourier series lifts to a plain ``scipy.sparse.csr_array`` whose (i, k)
+Fourier series lifts to a ``sparse.Csr`` array whose (i, k)
 block is the coefficient at order i - k; multiplication by that lift
 realises the time-domain product as a spectral convolution.
 """
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigurationError, ShapeError
+from .sparse import Csr
 
 #: coefficients produced by exact constructions must match to this
 CONSTRUCTION_TOL = 1e-14
@@ -118,8 +118,8 @@ def normalize_series(series: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
 
 def toeplitz_from_fourier(
     series: Mapping[int, np.ndarray], index_set: HarmonicIndexSet
-) -> sp.csr_array:
-    """The block-Toeplitz lift of a Fourier series, as a CSR array.
+) -> Csr:
+    """The block-Toeplitz lift of a Fourier series, as a ``Csr``.
 
     Block (i, k) of the result equals the series coefficient at order
     i - k; orders absent from the series give zero blocks.  Series orders
@@ -149,7 +149,7 @@ def toeplitz_from_fourier(
     rows = (i * m + r)[keep]
     data = np.broadcast_to(band[r, c], keep.shape)[keep]
     indptr = np.searchsorted(rows, np.arange(count * m + 1))
-    return sp.csr_array((data, cols[keep], indptr), shape=(count * m, count * n))
+    return Csr(data, cols[keep], indptr, (count * m, count * n))
 
 
 def omega_diagonal(index_set: HarmonicIndexSet, block_dim: int) -> np.ndarray:

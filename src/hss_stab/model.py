@@ -13,26 +13,29 @@ from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigurationError, ShapeError
 from .harmonic import HarmonicIndexSet, node_major_order, toeplitz_from_fourier
+from .sparse import Csr, csr, from_coo
 
 
 @dataclass(frozen=True)
 class HssModel:
     """Quadruple (A, E, C, F) over the stacked Fourier coefficients.
 
-    Representation rule: every model an assembly builds holds CSR
-    matrices, because a Toeplitz lift couples only nearby harmonics: the
+    Representation rule: every model an assembly builds holds its
+    matrices as ``sparse.Csr`` arrays (canonical CSR on numpy, no scipy),
+    because a Toeplitz lift couples only nearby harmonics: the
     per-resource leaves and their internal loops, the grid lift, the
     stacked resources, the open loop and every closed loop, the system
     closed loop that ``assemble`` returns included.  Only
     ``assemble_system``, a view for readers that take ndarrays, densifies
     that one (``dense``).  Either form is valid input to the analysis
     functions: ``evaluate_htf`` and the eigen solve both read A - j*Omega
-    from one CSR construction that takes a dense or a CSR A
-    (``analysis._shifted_csr``).
+    from one Csr construction that takes a dense or a Csr A
+    (``analysis._shifted_csr``).  A reader that wants scipy converts a
+    matrix ``m`` with ``scipy.sparse.csr_array((m.data, m.indices,
+    m.indptr), shape=m.shape)``.
 
     The state is stacked h-major.  The order of disturbance columns and
     output rows is the builder's to document (the grid lift and the
@@ -45,10 +48,10 @@ class HssModel:
     """
 
     index_set: HarmonicIndexSet
-    a: np.ndarray | sp.csr_array
-    e: Mapping[str, np.ndarray | sp.csr_array]
-    c: np.ndarray | sp.csr_array
-    f: Mapping[str, np.ndarray | sp.csr_array]
+    a: np.ndarray | Csr
+    e: Mapping[str, np.ndarray | Csr]
+    c: np.ndarray | Csr
+    f: Mapping[str, np.ndarray | Csr]
     state_names: tuple[str, ...]
     phase_triples: tuple[int, ...] = ()
 
@@ -95,7 +98,7 @@ class HssModel:
         return self.e[port].shape[1]
 
     def dense(self) -> "HssModel":
-        """The same CSR-held model with every matrix as a dense ndarray;
+        """The same Csr-held model with every matrix as a dense ndarray;
         only ``assemble_system`` and tests call it."""
         return replace(
             self,
@@ -180,36 +183,26 @@ def check_same_grid(models, what="models") -> HarmonicIndexSet:
     return next(iter(sets))
 
 
-def block_diag_csr(mats, rows=None, cols=None) -> sp.csr_array:
-    """Complex CSR block diagonal of dense or sparse blocks, with row r of
+def block_diag_csr(mats, rows=None, cols=None) -> Csr:
+    """Complex Csr block diagonal of dense or Csr blocks, with row r of
     ``block_diag(mats)`` moved to ``rows[r]`` and column c to ``cols[c]``.
 
-    One pass: the entries of every block (the nonzeros of a dense one, the
-    stored ones of a sparse one), offset by the rows and columns of the
-    blocks before it, are concatenated, mapped through ``rows`` and
-    ``cols``, and built into one CSR array without stored zeros (duplicate
-    entries of a sparse block are summed).  ``rows``
-    and ``cols`` must be permutations.  Entries are only copied, so the
+    One pass: the entries of every block (its nonzeros), offset by the
+    rows and columns of the blocks before it, are concatenated, mapped
+    through ``rows`` and ``cols``, and built into one Csr.  ``rows`` and
+    ``cols`` must be permutations.  Entries are only copied, so the
     result holds the blocks' values bit for bit.
     """
     parts, n_rows, n_cols = [], 0, 0
     for mat in mats:
-        if sp.issparse(mat):
-            coo = mat.tocoo()
-            row, col, data = coo.row, coo.col, coo.data
-        else:
-            mat = np.asarray(mat)
-            row, col = np.nonzero(mat)
-            data = mat[row, col]
+        row, col, data = csr(mat).triplets()
         parts.append((row + n_rows, col + n_cols, data))
         n_rows += mat.shape[0]
         n_cols += mat.shape[1]
     row, col, data = (np.concatenate(x) for x in zip(*parts))
     row = row if rows is None else rows[row]
     col = col if cols is None else cols[col]
-    out = sp.csr_array((data.astype(complex), (row, col)), shape=(n_rows, n_cols))
-    out.eliminate_zeros()  # a sparse block may store zeros
-    return out
+    return from_coo(row, col, data.astype(complex), (n_rows, n_cols))
 
 
 def component_labels(n: int, rows, cols) -> np.ndarray:
@@ -238,7 +231,7 @@ def component_labels(n: int, rows, cols) -> np.ndarray:
 
 
 def stack_models(models) -> HssModel:
-    """Block-diagonal composition of HSS models, held in CSR.
+    """Block-diagonal composition of HSS models, held in Csr arrays.
 
     Disturbance columns concatenate per port (a port a model lacks adds no
     columns) and outputs stack in model order; the stacked state is

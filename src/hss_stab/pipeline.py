@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import scipy.sparse as sp
-
 from .assembly import (
     ClosedLoopSystem,
     OpenLoopSystem,
@@ -28,6 +26,7 @@ from .harmonic import HarmonicIndexSet, toeplitz_from_fourier
 from .model import HssModel
 from .references import make_operating_point
 from .scenario import Scenario
+from .sparse import Csr
 
 
 def assemble_cider(
@@ -69,7 +68,7 @@ class SystemModel:
     ciders: tuple[CiderHss, ...]
     resources: ResourceBlock | None
     open_loop: OpenLoopSystem | None
-    interconnection: sp.csr_array | None
+    interconnection: Csr | None
     closed: ClosedLoopSystem | None
 
 

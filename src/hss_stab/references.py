@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Mapping
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     ConfigurationError,
@@ -26,6 +25,7 @@ from .harmonic import (
     series_from_samples,
     toeplitz_from_fourier,
 )
+from .sparse import Csr
 
 
 class ReferencePlugin:
@@ -128,12 +128,12 @@ class PqReference(ReferencePlugin):
 
 def make_operating_point(
     plugin: ReferencePlugin,
-    ctl_frame_op: sp.csr_array,
+    ctl_frame_op: Csr,
     w_pi: Mapping[int, np.ndarray],
     w_sigma: Mapping[int, np.ndarray],
     index_set: HarmonicIndexSet,
     state_only: bool = False,
-) -> tuple[sp.csr_array, sp.csr_array | None]:
+) -> tuple[Csr, Csr | None]:
     """The lifts R_rho, R_sigma (CSR) of the reference law's Jacobians along
     the operating trajectories; with ``state_only`` R_sigma, which only the
     sigma and o ports read, is None.

@@ -3,10 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from hss_stab import scenario_from_dict
 from hss_stab.model import lift_ltp
+from hss_stab.sparse import Csr
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -56,7 +56,7 @@ def shifted_dense(model) -> np.ndarray:
     """Dense A - j*Omega of a model, built here from ``model.a`` and the
     frequencies 2*pi*f1*h of the h-major stacked state: an oracle that
     shares no code with the package's own construction."""
-    a = model.a.toarray() if sp.issparse(model.a) else np.asarray(model.a)
+    a = model.a.toarray() if isinstance(model.a, Csr) else np.asarray(model.a)
     iset = model.index_set
     orders = np.arange(-iset.hmax, iset.hmax + 1)
     omega = 2 * np.pi * iset.f1 * np.repeat(orders, model.state_channels)

@@ -29,6 +29,7 @@ from hss_stab.errors import NumericalError
 from hss_stab.harmonic import omega_diagonal
 from hss_stab.model import HssModel, lift_ltp
 from hss_stab.pipeline import assemble
+from hss_stab.sparse import Csr
 from tests.conftest import load_raw, lti_model, shifted_dense
 from hss_stab import scenario_from_dict
 from scripts.feeder import feeder
@@ -314,24 +315,23 @@ class TestBlockSolve:
         a, t, name, blocks = analysis._similarity(model, analysis._shifted_csr(model))
         assert name == form
         # every block's eigenvectors, on the block's rows: a dense block_diag(Y)
+        vectors = [scipy.linalg.eig(a[rows][:, rows].toarray())[1] for rows in blocks]
         y = np.zeros(a.shape, complex)
-        y[np.concatenate(blocks)] = scipy.linalg.block_diag(
-            *(scipy.linalg.eig(a[rows][:, rows].toarray())[1] for rows in blocks)
-        )
+        y[np.concatenate(blocks)] = scipy.linalg.block_diag(*vectors)
         expected = t.toarray() @ y
         expected /= np.linalg.norm(expected, axis=0)
-        v = analysis._back_map(t.tocsc(), sp.csc_array(y))
-        assert v.has_sorted_indices
+        v = analysis._back_map(t, list(zip(blocks, vectors)))
+        assert v.has_canonical_format
         np.testing.assert_allclose(v.toarray(), expected, rtol=0.0, atol=1e-14)
 
     def test_residual_reads_every_nonzero_row(self):
-        m, w, v, _ = analysis._solve_spectrum(nominal_model("two_node"), vectors=True)
+        m, w, v, partition = analysis._solve_spectrum(nominal_model("two_node"), vectors=True)
         rng = np.random.default_rng(7)
         v = v.copy()
-        v.data *= 1.0 + 1e-3 * rng.standard_normal(v.data.shape)  # the same stored entries
+        v.data[:] *= 1.0 + 1e-3 * rng.standard_normal(v.data.shape)  # the same stored entries
         dense = v.toarray()
         dense = np.linalg.norm(m.toarray() @ dense - dense * w, axis=0)
-        worst, col = analysis._worst_residual(m, w, v)
+        worst, col = analysis._worst_residual(m, w, v, analysis._block_ids(partition))
         assert worst == pytest.approx(dense.max(), rel=1e-12)
         assert col == np.argmax(dense)
 
@@ -547,7 +547,7 @@ class TestLadderClasses:
         iset = HarmonicIndexSet(2, 50.0)
         rng = np.random.default_rng(1)
         model = lti_model(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)), iset)
-        a = model.a.toarray() if sp.issparse(model.a) else np.array(model.a)
+        a = model.a.toarray() if isinstance(model.a, Csr) else np.array(model.a)
         # one off-diagonal entry of the block at harmonic 0, moved by one ulp
         a[7, 6] = np.nextafter(a[7, 6].real, np.inf) + 1j * a[7, 6].imag
         nudged = replace(model, a=a)
@@ -630,7 +630,7 @@ class TestHtf:
     def test_csr_and_dense_models_agree_bitwise(self, name):
         # the closed loop as the assembly returns it, in CSR, and its dense copy
         csr = assemble(scenario_from_dict(load_raw(name)).with_hmax(4)).model
-        assert sp.issparse(csr.a)
+        assert isinstance(csr.a, Csr)
         assert set(csr.ports) == {"sigma", "o"}
         for s in (1 + 6j, 10 + 100j, -30 + 100j):
             assert np.array_equal(evaluate_htf(csr, s), evaluate_htf(csr.dense(), s))

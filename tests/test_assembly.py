@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 
 from hss_stab import (
     HarmonicIndexSet,
@@ -24,6 +23,7 @@ from hss_stab import (
     scenario_from_dict,
 )
 from hss_stab.pipeline import assemble, assemble_system
+from hss_stab.sparse import Csr
 from tests.conftest import load_raw, scenario_path, shifted_dense
 
 
@@ -284,8 +284,9 @@ class TestRepresentation:
         models += [assemble_internal_response(cfg, iset) for cfg in scenario.ciders]
         models.append(make_zero_injection(iset, "junction").model)
         for m in models:
-            assert all(isinstance(x, sp.csr_array) for x in matrices(m))
-        assert isinstance(system.interconnection, sp.csr_array)
+            assert all(isinstance(x, Csr) and x.has_canonical_format for x in matrices(m))
+        j = system.interconnection
+        assert isinstance(j, Csr) and j.has_canonical_format
         assert system.closed.model is system.model
 
         dense = assemble_system(scenario, state_only=state_only)
@@ -299,7 +300,7 @@ class TestRepresentation:
         scenario = load_scenario(scenario_path("rlc_grid")).with_hmax(3)
         system = assemble(scenario)
         assert system.closed is None and system.model is system.grid_model
-        assert all(isinstance(x, sp.csr_array) for x in matrices(system.model))
+        assert all(isinstance(x, Csr) and x.has_canonical_format for x in matrices(system.model))
         dense = assemble_system(scenario).model
         for got, csr in zip(matrices(dense), matrices(system.model), strict=True):
             assert isinstance(got, np.ndarray) and np.array_equal(got, csr.toarray())
@@ -420,7 +421,7 @@ class TestDenseOracle:
         models = [c.model for c in system.ciders]
         models += [system.grid_model, system.resources.model, system.open_loop.model]
         for m in models:
-            assert all(sp.issparse(x) for x in (m.a, m.c, *m.e.values(), *m.f.values()))
+            assert all(isinstance(x, Csr) for x in (m.a, m.c, *m.e.values(), *m.f.values()))
         assert system.closed.model is model
         dense = (model.a, model.c, *model.e.values(), *model.f.values())
         assert all(isinstance(x, np.ndarray) for x in dense)

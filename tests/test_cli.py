@@ -442,6 +442,39 @@ class TestCommands:
         assert res.returncode == 0, res.stderr
         assert (tmp_path / "h.csv").read_text().count("\n") > 1
 
+    def test_analysis_commands_leave_scipy_unloaded(self, tmp_path):
+        # the package holds its sparse matrices itself (hss_stab.sparse):
+        # loading a scenario and the analysis commands import no scipy
+        # module at all; htf's condition estimate alone loads scipy.linalg
+        runs = [
+            ["eig", "--hmax", "2"],
+            ["classify", "--hmax", "2"],
+            ["spurious", "--hmax", "2", "--hmax-probe", "4"],
+            ["sweep", "--sweep", "voltage_kp", "--hmax", "2"],
+        ]
+        argvs = [
+            [*args, "--scenario", TWO_NODE, "--out", str(tmp_path / f"{k}.csv")]
+            for k, args in enumerate(runs)
+        ]
+        htf = ["htf", "--scenario", TWO_NODE, "--hmax", "2", "--s", "1+6j"]
+        htf += ["--out", str(tmp_path / "h.csv")]
+        code = (
+            "import sys\n"
+            "def scipy_modules():\n"
+            "    return [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "import hss_stab\n"
+            f"hss_stab.load_scenario({TWO_NODE!r})\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+            "from hss_stab.cli import main\n"
+            f"assert all(main(argv) == 0 for argv in {argvs!r})\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+            f"assert main({htf!r}) == 0\n"
+            "assert 'scipy.linalg' in sys.modules\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "h.csv").read_text().count("\n") > 1
+
     def test_load_and_eig_leave_jsonschema_unloaded(self):
         # scenarios are validated by the package's own field-path checks
         code = (

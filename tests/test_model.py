@@ -13,6 +13,7 @@ from hss_stab import (
     match_eigenvalues,
 )
 from hss_stab.model import block_diag_csr, component_labels, lift_ltp, stack_models
+from hss_stab.sparse import Csr, from_coo
 from tests.conftest import lti_model, random_stable_lti
 
 
@@ -125,11 +126,21 @@ def block_diag_blocks(rng):
     ]
 
 
+def as_program_block(mat):
+    """A scipy block as the Csr the package takes, built from its COO
+    triplets: duplicates summed, stored zeros dropped."""
+    if not sp.issparse(mat):
+        return mat
+    coo = mat.tocoo()
+    return from_coo(coo.row, coo.col, coo.data, mat.shape)
+
+
 @pytest.mark.parametrize("mapped", ["none", "rows", "cols", "both"])
 def test_block_diag_csr_matches_scipy(mapped):
     rng = np.random.default_rng(5)
     mats = block_diag_blocks(rng)
-    before = [(m.data if sp.issparse(m) else m).copy() for m in mats]
+    blocks = [as_program_block(m) for m in mats]
+    before = [(m.data if isinstance(m, Csr) else m).copy() for m in blocks]
     expected = sp.csr_array(sp.block_diag(mats, format="csr"), dtype=complex)
     expected.eliminate_zeros()
     rows = rng.permutation(expected.shape[0]) if mapped in ("rows", "both") else None
@@ -140,16 +151,16 @@ def test_block_diag_csr_matches_scipy(mapped):
         expected = expected[:, np.argsort(cols)]
     expected.sort_indices()
 
-    got = block_diag_csr(mats, rows, cols)
-    assert isinstance(got, sp.csr_array) and got.dtype == complex
+    got = block_diag_csr(blocks, rows, cols)
+    assert isinstance(got, Csr) and got.dtype == complex
     assert got.shape == expected.shape == (17, 17)
     assert got.has_canonical_format
     assert np.array_equal(got.indptr, expected.indptr)
     assert np.array_equal(got.indices, expected.indices)
     assert np.array_equal(got.data.view(float), expected.data.view(float))  # bit for bit
     assert np.all(got.data != 0)
-    for mat, stored in zip(mats, before):  # the blocks are only read
-        assert np.array_equal(mat.data if sp.issparse(mat) else mat, stored)
+    for mat, stored in zip(blocks, before):  # the blocks are only read
+        assert np.array_equal(mat.data if isinstance(mat, Csr) else mat, stored)
 
 
 @st.composite

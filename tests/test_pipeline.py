@@ -5,10 +5,10 @@ from collections.abc import Mapping
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from hss_stab import analysis, classify_eigenvalues, pipeline, scenario_from_dict
 from hss_stab.pipeline import assemble
+from hss_stab.sparse import Csr
 from tests.conftest import load_raw
 
 CASES = {"two_node": 8, "four_cider_six_node": 5}
@@ -130,7 +130,7 @@ def array_leaves(obj, path="system"):
     """(path, array) of every ndarray and sparse array reachable from ``obj``."""
     if isinstance(obj, np.ndarray):
         yield path, obj
-    elif sp.issparse(obj):
+    elif isinstance(obj, Csr):
         for part in ("data", "indices", "indptr"):
             yield f"{path}.{part}", getattr(obj, part)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):

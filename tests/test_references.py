@@ -61,6 +61,7 @@ def make_pq_op(p=5000.0, q=1000.0, v_peak=325.0):
 def block_offsets(matrix, iset, block_shape, tol=1e-12):
     m, n = block_shape
     out = set()
+    matrix = matrix.toarray()  # a Csr lift, densified for its blocks
     scale = max(1.0, np.max(np.abs(matrix)))
     for i in range(iset.count):
         for k in range(iset.count):
