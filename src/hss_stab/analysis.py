@@ -17,7 +17,7 @@ from .errors import ConfigurationError, HssError, NumericalError, PoleProximityE
 from .harmonic import omega_diagonal
 from .model import HssModel, component_labels
 from .pipeline import assemble
-from .sparse import Csc, Csr, csr, diag, eye, from_coo, from_dense, index_dtype, kron_eye, zeros
+from .sparse import Csr, csr, diag, eye, from_coo, kron_eye
 
 RESIDUAL_TOL = 1e-8
 #: largest conjugate-symmetry defect max|P conj(M) P - M| / max|M| at which
@@ -29,8 +29,8 @@ REAL_FORM_TOL = 1e-12
 #: margin by this fraction of the largest |Re| in the spectrum: about 100
 #: times the rounding noise that leaves truncation-rim modes at Re ~ +1e-12
 VERDICT_RTOL = 1e-10
-#: eigenvector columns per chunk of the residual products, which bounds
-#: their temporaries
+#: eigenpairs per batch of the residual products, which bounds their
+#: temporaries
 _CHUNK_COLUMNS = 128
 #: tiles per piece of the sequence form's mixing (``_mix``)
 _MIX_TILES = 4096
@@ -78,31 +78,50 @@ class Spectrum:
 class EigenSolution(Spectrum):
     """Full spectrum of A - j*Omega with unit-norm right eigenvectors.
 
-    ``vectors`` holds the eigenvectors as the columns of a ``sparse.Csc``
-    array that stores only each eigenvector's support: the rows its
-    diagonal block of the eigen solve maps back to.  ``reordered`` keeps
-    eigenvalues, blocks and vectors together.
+    Eigenvector i is column ``column[i]`` of the vectors of block
+    ``block[i]`` (``block_vectors``).  Each block's eigenvectors lie on
+    its support, the ascending state rows ``supports[k]`` that its block
+    of the eigen solve maps back to, and are the columns of the dense
+    array ``arrays[uses[k]]``.  A ladder copy has its representative's
+    eigenvectors on rows of its own, so ``arrays`` holds each distinct
+    array once, one per ladder class.  ``reordered`` permutes the
+    eigenvalues, blocks and columns together and copies no vector.
     """
 
-    vectors: Csc
+    column: np.ndarray
+    supports: tuple[np.ndarray, ...]
+    uses: tuple[int, ...]
+    arrays: tuple[np.ndarray, ...]
     labels: tuple[tuple[str, int], ...]
 
     def reordered(self, order) -> "EigenSolution":
-        return replace(super().reordered(order), vectors=self.vectors[:, order])
+        return replace(super().reordered(order), column=self.column[order])
+
+    def block_vectors(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(rows, vectors)`` of block ``k``: its eigenvectors are the
+        columns of ``vectors``, on the ascending state ``rows``."""
+        return self.supports[k], self.arrays[self.uses[k]]
+
+    def _by_block(self) -> list[np.ndarray]:
+        """The eigenpairs of each block, in the order of its columns."""
+        order = np.lexsort((self.column, self.block))
+        ends = np.searchsorted(self.block[order], np.arange(len(self.supports) + 1))
+        return [order[a:b] for a, b in zip(ends, ends[1:])]
 
     def energy_by(self, group: np.ndarray, groups: int) -> np.ndarray:
         """Eigenvector energy |v|^2 summed per row group, shape (groups, n).
 
         ``group[r]`` in ``range(groups)`` is the group of state row r.
+        Each sum adds its terms in ascending row order, starting from zero.
         """
-        v = self.vectors
-        n = v.shape[1]
-        flat = np.bincount(
-            group[v.indices] * n + _column_ids(v.indptr),
-            weights=np.abs(v.data) ** 2,
-            minlength=groups * n,
-        )
-        return flat.reshape(groups, n)
+        out = np.empty((groups, self.eigenvalues.size))
+        energy = [np.abs(a) ** 2 for a in self.arrays]
+        for k, pairs in enumerate(self._by_block()):
+            e = energy[self.uses[k]]
+            bins = group[self.supports[k], None] * e.shape[1] + np.arange(e.shape[1])
+            flat = np.bincount(bins.ravel(), weights=e.ravel(), minlength=groups * e.shape[1])
+            out[:, pairs] = flat.reshape(groups, e.shape[1])
+        return out
 
 
 def spectral_order(eigenvalues: np.ndarray, descending: bool = False) -> np.ndarray:
@@ -208,11 +227,9 @@ def _sequence_form(model: HssModel, m: Csr):
     two groups form a tile of 3 x 3, 3 x 1, 1 x 3 or 1 x 1 (``_mix``).
     """
     channels = model.state_channels
-    per_order = np.eye(channels, dtype=complex)
     place = np.zeros(channels, int)  # a channel's place in its group
     triple = np.zeros(channels, bool)  # whether a channel leads a triple
     for t in model.phase_triples:
-        per_order[t : t + 3, t : t + 3] = FORTESCUE
         place[t : t + 3], triple[t] = (0, 1, 2), True
     n = m.shape[0]
     first = np.arange(n) - place[np.arange(n) % channels]  # the first state of each group
@@ -230,8 +247,22 @@ def _sequence_form(model: HssModel, m: Csr):
             values.real[:r, :c, k], values.imag[:r, :c, k] = mixed
     keep = np.abs(values) > REAL_FORM_TOL * np.max(np.abs(m.data), initial=0.0)  # padding is 0
     a, b, k = np.nonzero(keep)
-    u = kron_eye(model.index_set.count, from_dense(per_order))
+    u = kron_eye(model.index_set.count, _fortescue_block(channels, model.phase_triples))
     return from_coo(top[k] + a, left[k] + b, values[keep], m.shape), u, "sequence"
+
+
+def _fortescue_block(channels: int, triples) -> Csr:
+    """U's block at one harmonic: ``FORTESCUE`` on each phase triple, a
+    unit diagonal on the other channels."""
+    lead = np.asarray(triples, int)[:, None]
+    single = np.setdiff1d(np.arange(channels), lead + np.arange(3))
+    i, j = np.divmod(np.arange(9), 3)  # FORTESCUE's entries, row by row
+    return from_coo(
+        np.concatenate((single, (lead + i).ravel())),
+        np.concatenate((single, (lead + j).ravel())),
+        np.concatenate((np.ones(single.size, complex), np.tile(FORTESCUE.ravel(), lead.size))),
+        (channels, channels),
+    )
 
 
 _ONE = np.ones((1, 1), complex)
@@ -266,40 +297,35 @@ def _add_times(acc: np.ndarray, ar: np.ndarray, ai: np.ndarray, b: np.ndarray):
     acc[1] += ar * b.imag + ai * b.real
 
 
-def _back_map(t: Csr, y) -> Csc:
-    """Unit-norm columns of V = T Y, as a Csc with ascending rows.
+def _back_map(t: Csr, y):
+    """Unit-norm eigenvectors v = T y of M, as ``(supports, uses, arrays)``.
 
     ``y`` lists, block by block, the ascending rows of a diagonal block of
     T^H M T and the block's eigenvectors, the columns of a dense matrix.
-    Eigenvector j of the list becomes column j of V, an eigenvector of M
-    stored on the rows T maps its block to, without exact zeros.  T is
-    block diagonal per harmonic (an abc triple or a harmonic pair), so each
-    entry of ``T[:, rows] @ vectors`` sums at most three terms, in the
-    order of T's columns, as the sparse product T Y does.  Each squared
-    norm sums Re(conj(v) v) in row order (a cumulative sum), as
-    ``np.linalg.norm`` of a dense column does.
+    Block k's eigenvectors of M are the columns of the dense array
+    ``arrays[uses[k]]`` on the ascending rows ``supports[k]`` that T maps
+    the block to.  T is block diagonal per harmonic (an abc triple or a
+    harmonic pair), so each entry of ``T[:, rows] @ vectors`` sums at most
+    three terms, in the order of T's columns, as the sparse product T Y
+    does.  Each squared norm sums Re(conj(v) v) in row order (a cumulative
+    sum), as ``np.linalg.norm`` of a dense column does.
 
     Every block's map, ``T[:, rows]`` on the rows it reaches, comes from
     one sorted pass over T's entries.  A block whose map and eigenvectors
-    equal an earlier block's (a ladder copy in sequence form) takes that
-    block's mapped columns, which are the same bits, on its own rows.  The
-    blocks are mapped one at a time into arrays sized from their supports.
+    equal an earlier block's (a ladder copy in sequence form) uses that
+    block's array, which holds the same bits, on its own support: an array
+    is mapped once per distinct map.
     """
     sizes = np.array([rows.size for rows, _ in y])
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    col, row, coef = t.tocsc()[:, np.concatenate([rows for rows, _ in y])].T.triplets()
+    col, row, coef = _transposed(t)[np.concatenate([rows for rows, _ in y])].triplets()
     block = np.repeat(np.arange(sizes.size), sizes)[col]
     order = np.lexsort((row, block))  # stable: each row's terms stay in column order
     col, row, coef, block = col[order], row[order], coef[order], block[order]
     pair = np.flatnonzero(np.diff(block * t.shape[0] + row, prepend=-1))  # (block, row) starts
     pairs = np.searchsorted(block[pair], np.arange(sizes.size + 1))  # block k: pairs[k]:pairs[k+1]
     ends = np.append(pair, col.size)
-    total = int(np.diff(pairs) @ sizes)
-    data = np.empty(total, complex)
-    indices = np.empty(total, index_dtype(max(t.shape[0], total)))
-    indptr = np.zeros(sizes.sum() + 1, indices.dtype)
-    mapped = {}
-    at = 0
+    supports, uses, arrays, mapped = [], [], [], {}
     for k, (_, vectors) in enumerate(y):
         q0, q1 = pairs[k], pairs[k + 1]
         e0, e1 = ends[q0], ends[q1]
@@ -308,27 +334,21 @@ def _back_map(t: Csr, y) -> Csc:
         )
         key = (id(vectors), local.indptr.tobytes(), local.indices.tobytes(), local.data.tobytes())
         if key not in mapped:
-            v = np.ascontiguousarray((local @ vectors).T)  # row j: eigenvector j on the support
-            keep = v != 0
-            norms = np.sqrt(np.cumsum((v.conj() * v).real, axis=1)[:, -1])
+            v = local @ vectors  # column j: eigenvector j on the support
+            norms = np.sqrt(np.cumsum((v.conj() * v).real, axis=0)[-1])
             norms[norms == 0] = 1.0
-            v /= norms[:, None]
-            mapped[key] = (v.ravel(), None, v.shape) if keep.all() else (v[keep], keep, v.shape)
-        d, keep, shape = mapped[key]
-        support = row[pair[q0:q1]]
-        rows = np.tile(support, shape[0]) if keep is None else np.broadcast_to(support, shape)[keep]
-        counts = np.full(shape[0], shape[1]) if keep is None else keep.sum(axis=1)
-        data[at : at + d.size] = d
-        indices[at : at + d.size] = rows
-        indptr[offsets[k] + 1 : offsets[k + 1] + 1] = at + np.cumsum(counts)
-        at += d.size
-    return Csc(data[:at], indices[:at], indptr, (t.shape[0], offsets[-1]))
+            v /= norms
+            mapped[key] = len(arrays)
+            arrays.append(v)
+        supports.append(row[pair[q0:q1]])
+        uses.append(mapped[key])
+    return tuple(supports), tuple(uses), tuple(arrays)
 
 
-def _column_ids(indptr: np.ndarray) -> np.ndarray:
-    """The column of every stored entry of a compressed-column array with
-    ``indptr``, counted from the first column it covers."""
-    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+def _transposed(a: Csr) -> Csr:
+    """a^T as a Csr: a's columns as its rows."""
+    rows, cols, values = a.triplets()
+    return from_coo(cols, rows, values, a.shape[::-1])
 
 
 def _similarity(model: HssModel, m: Csr):
@@ -361,8 +381,9 @@ def _similarity(model: HssModel, m: Csr):
 
 
 def _solve_spectrum(model: HssModel, vectors: bool):
-    """``(M, eigenvalues, unit-norm right eigenvectors or None, partition)``
-    of M = A - j*Omega.
+    """``(M, eigenvalues, eigenvectors or None, partition)`` of
+    M = A - j*Omega, the eigenvectors unit-norm and right, as ``_back_map``
+    returns them.
 
     M is returned as a Csr, built in one bounded pass (``_shifted_csr``).
     The spectrum is solved as that of a unitary similarity T^H M T
@@ -386,14 +407,14 @@ def _solve_spectrum(model: HssModel, vectors: bool):
 
     Eigenvalues come block by block, in the order of the returned
     ``Partition``'s index sets.  Every block's eigenvectors, on its rows,
-    are mapped back block by block (``_back_map``); each column of the Csc
-    result stores only the rows T maps its block to.
+    are mapped back block by block (``_back_map``) onto the rows T maps
+    its block to, and stored once per ladder class: a copy takes its
+    representative's array.
     """
     m = _shifted_csr(model)
     n = m.shape[0]
     if n == 0:
-        v = zeros((0, 0)).T if vectors else None
-        return m, np.zeros(0, complex), v, Partition("complex", ())
+        return m, np.zeros(0, complex), ((), (), ()) if vectors else None, Partition("complex", ())
     a, t, name, blocks = _similarity(model, m)
     w = np.empty(n, complex)
     y = []
@@ -438,37 +459,41 @@ def _ladder_shift(diagonal: np.ndarray, representative: np.ndarray, scale: float
     return c if np.max(np.abs(d - c)) <= REAL_FORM_TOL * scale else None
 
 
-def _worst_residual(m: Csr, w: np.ndarray, v: Csc, block: np.ndarray) -> tuple[float, int]:
-    """``(largest ||M v - lambda v||, its column)`` over the eigenpairs;
-    ``block[j]`` is the diagonal block eigenpair j was solved in.
+def _worst_residual(m: Csr, solution: EigenSolution) -> tuple[float, int]:
+    """``(largest ||M v - lambda v||, its eigenpair)`` over the eigenpairs of
+    ``solution``.
 
-    The residuals are formed a range of columns at a time
-    (``_column_chunks``), which bounds their size.  A range is densified
-    on its support, the rows its columns store, and multiplied by M's
-    columns on the support, on every row those columns reach: no row of
-    M V - V diag(lambda) that can be nonzero is left out of the norms.
+    The blocks that use one stored array, a ladder class, are checked
+    together: M's columns on each member's support are stacked, and one
+    product with the array forms the members' residuals, on every row
+    those columns reach and on the support, so no row of M v - lambda v
+    that can be nonzero is left out of a norm.  A product covers at most
+    ``_CHUNK_COLUMNS`` eigenpairs: as many members as fit, or a range of
+    a larger block's columns, which bounds its temporaries.
     """
-    columns = m.tocsc()
+    columns = _transposed(m)
     n = m.shape[0]
-    used = np.zeros(n, bool)
-    local = np.zeros(n, np.intp)  # a row's position among the rows in use
-    norms = np.empty(w.size)
-    for start, stop in _column_chunks(block):
-        ends = v.indptr[start : stop + 1]
-        rows = v.indices[ends[0] : ends[-1]]
-        used[rows] = True
-        support = np.flatnonzero(used)
-        local[support] = np.arange(support.size)
-        chunk = np.zeros((support.size, stop - start), complex)
-        chunk[local[rows], _column_ids(ends)] = v.data[ends[0] : ends[-1]]
-        at, reached, value = columns[:, support].T.triplets()  # M's entries on the support
-        used[reached] = True
-        out = np.flatnonzero(used)
-        used[out] = False
-        local[out] = np.arange(out.size)
-        r = _times_dense(from_coo(local[reached], at, value, (out.size, support.size)), chunk)
-        r[local[support]] -= chunk * w[start:stop]
-        norms[start:stop] = np.sqrt(np.einsum("ij,ij->j", r.conj(), r).real)
+    norms = np.empty(solution.eigenvalues.size)
+    by_block = solution._by_block()
+    for a, vectors in enumerate(solution.arrays):
+        members = [k for k, used in enumerate(solution.uses) if used == a]
+        s, size = vectors.shape
+        per = max(1, _CHUNK_COLUMNS // size)
+        for batch in (members[i : i + per] for i in range(0, len(members), per)):
+            offset = np.arange(len(batch))[:, None] * n  # member j's rows: j*n + row
+            supports = np.stack([solution.supports[k] for k in batch])
+            at, reached, value = columns[supports.ravel()].triplets()
+            keys = np.concatenate(((at // s) * n + reached, (offset + supports).ravel()))
+            out, row = np.unique(keys, return_inverse=True)
+            stacked = from_coo(row[: at.size], at % s, value, (out.size, s))
+            firsts = np.searchsorted(out, offset[:, 0])
+            for lo in range(0, size, _CHUNK_COLUMNS):
+                x = vectors[:, lo : lo + _CHUNK_COLUMNS]
+                pairs = np.stack([by_block[k][lo : lo + _CHUNK_COLUMNS] for k in batch])
+                r = _times_dense(stacked, x)
+                lam = solution.eigenvalues[pairs][:, None, :]
+                r[row[at.size :]] -= (x * lam).reshape(-1, x.shape[1])
+                norms[pairs] = np.sqrt(np.add.reduceat((r.conj() * r).real, firsts, axis=0))
     worst = int(np.argmax(norms))
     return float(norms[worst]), worst
 
@@ -487,22 +512,6 @@ def _times_dense(a: Csr, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _column_chunks(block: np.ndarray):
-    """(start, stop) ranges of at most ``_CHUNK_COLUMNS`` columns, where
-    ``block`` gives each column's block: consecutive blocks share a range
-    while they fit in one, and a larger block is split into ranges of its
-    own, so a range never densifies a large block's rows for another's."""
-    firsts = np.flatnonzero(np.diff(block, prepend=-1))
-    bounds = [0]
-    for first, stop in zip(firsts, [*firsts[1:], block.size]):
-        if stop - bounds[-1] > _CHUNK_COLUMNS:
-            if first > bounds[-1]:
-                bounds.append(first)
-            bounds += range(first + _CHUNK_COLUMNS, stop, _CHUNK_COLUMNS)
-    bounds.append(block.size)
-    return zip(bounds, bounds[1:])
-
-
 def eigen_decompose(model: HssModel) -> EigenSolution:
     """Spectrum and right eigenvectors of the shifted state matrix.
 
@@ -514,19 +523,21 @@ def eigen_decompose(model: HssModel) -> EigenSolution:
     failure reports the 1-norm condition of the failing eigenpair's block, the
     matrix its eigenvalue was solved from.
     """
-    m, w, v, partition = _solve_spectrum(model, vectors=True)
+    m, w, vectors, partition = _solve_spectrum(model, vectors=True)
     block = _block_ids(partition)
+    column = np.arange(w.size) - np.searchsorted(block, block)
+    solution = EigenSolution(w, block, partition, column, *vectors, model.state_labels())
     if w.size == 0:
-        return EigenSolution(w, block, partition, v, ())
-    worst, col = _worst_residual(m, w, v, block)
+        return solution
+    worst, i = _worst_residual(m, solution)
     if worst > RESIDUAL_TOL:
-        k = block[col]
+        k = block[i]
         raise NumericalError(
             f"eigen decomposition residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e} "
             f"(block {k} of {partition.rows[k].size} states, 1-norm condition "
             f"~{_block_condition(model, m, partition, k):.3e})"
         )
-    return EigenSolution(w, block, partition, v, model.state_labels())
+    return solution
 
 
 def _block_condition(model: HssModel, m: Csr, partition: Partition, k: int) -> float:

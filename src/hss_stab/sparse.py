@@ -1,11 +1,10 @@
 """Compressed sparse arrays on numpy alone.
 
-``Csr`` holds a matrix row by row, ``Csc`` column by column (a ``Csc`` is
-used for eigenvectors, one per column).  Both keep the canonical format:
-within each row (column) the column (row) indices ascend, no position is
-stored twice and no stored value is zero.  Arrays built from outside
-triplets are checked; every operation here returns canonical arrays, with
-32-bit indices where they fit.
+``Csr`` holds a matrix row by row in the canonical format: within each
+row the column indices ascend, no position is stored twice and no stored
+value is zero.  Arrays built from outside triplets are checked; every
+operation here returns canonical arrays, with 32-bit indices where they
+fit.
 
 The arithmetic reproduces scipy.sparse on canonical operands bit for bit:
 
@@ -29,13 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 _INT32_MAX = np.iinfo(np.int32).max
-#: entries per piece of a gather of lines
-_GATHER_ENTRIES = 1 << 20
-
-
-def index_dtype(largest: int):
-    """The index dtype of an array with at most ``largest`` lines or entries."""
-    return np.int32 if largest <= _INT32_MAX else np.int64
 
 
 def _runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -55,10 +47,10 @@ def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.arange(total) + np.repeat(start - ends + count, count)
 
 
-class _Compressed:
-    """Storage shared by ``Csr`` and ``Csc``: the entries of major line k
-    (a row of a Csr, a column of a Csc) are ``data[indptr[k]:indptr[k+1]]``
-    at the minor positions ``indices[indptr[k]:indptr[k+1]]``.
+class Csr:
+    """A canonical compressed sparse row array: the entries of row k are
+    ``data[indptr[k]:indptr[k+1]]`` in the columns
+    ``indices[indptr[k]:indptr[k+1]]``.
 
     Building from outside arrays checks the canonical format and raises
     ``ValueError`` when it does not hold.  The attributes cannot be
@@ -67,13 +59,12 @@ class _Compressed:
 
     __slots__ = ("data", "indices", "indptr", "shape")
     __array_ufunc__ = None  # numpy scalars and arrays defer to the operators here
-    _MAJOR = 0
 
     def __init__(self, data, indices, indptr, shape):
         _fill(self, np.asarray(data), np.asarray(indices), np.asarray(indptr), shape)
         problem = self._format_problem()
         if problem:
-            raise ValueError(f"not a canonical {type(self).__name__}: {problem}")
+            raise ValueError(f"not a canonical Csr: {problem}")
 
     @classmethod
     def _new(cls, data, indices, indptr, shape):
@@ -83,22 +74,22 @@ class _Compressed:
         return out
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        raise AttributeError("Csr is immutable")
 
     def _format_problem(self) -> str | None:
-        major, minor = self._extent()
+        n_rows, n_cols = self.shape
         data, indices, indptr = self.data, self.indices, self.indptr
-        if data.ndim != 1 or indices.shape != data.shape or indptr.shape != (major + 1,):
+        if data.ndim != 1 or indices.shape != data.shape or indptr.shape != (n_rows + 1,):
             return f"arrays of shapes {data.shape}, {indices.shape}, {indptr.shape}"
         if indptr[0] != 0 or indptr[-1] != data.size or np.any(np.diff(indptr) < 0):
             return "indptr does not delimit the stored entries"
-        if data.size and (indices.min() < 0 or indices.max() >= minor):
+        if data.size and (indices.min() < 0 or indices.max() >= n_cols):
             return "an index lies outside the shape"
         unsorted = indices[1:] <= indices[:-1]  # one boolean per entry is the largest temporary
         starts = indptr[1:-1]
         unsorted[starts[(starts > 0) & (starts < data.size)] - 1] = False
         if np.any(unsorted):
-            return "indices do not ascend within a line"
+            return "indices do not ascend within a row"
         del unsorted
         if not np.all(data):
             return "a stored value is zero"
@@ -108,10 +99,6 @@ class _Compressed:
     def has_canonical_format(self) -> bool:
         """Whether the stored arrays are (still) canonical."""
         return self._format_problem() is None
-
-    def _extent(self) -> tuple[int, int]:
-        """(major, minor) sizes."""
-        return self.shape if self._MAJOR == 0 else self.shape[::-1]
 
     @property
     def nnz(self) -> int:
@@ -124,23 +111,19 @@ class _Compressed:
     def count_nonzero(self) -> int:
         return int(np.count_nonzero(self.data))
 
-    def _major_ids(self) -> np.ndarray:
-        """The major line of every stored entry."""
-        return np.repeat(np.arange(self._extent()[0]), np.diff(self.indptr))
+    def _row_ids(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
 
-    def _with_data(self, data):
+    def _with_data(self, data) -> "Csr":
         """The same positions with new values; zero values are dropped."""
-        out = type(self)._new(data, self.indices, self.indptr, self.shape)
+        out = Csr._new(data, self.indices, self.indptr, self.shape)
         return out if np.all(data) else out._select(data != 0)
 
-    def _select(self, keep: np.ndarray):
+    def _select(self, keep: np.ndarray) -> "Csr":
         """The array with only the stored entries where ``keep`` is True."""
         kept = np.concatenate(([0], np.cumsum(keep)))
-        return type(self)._new(self.data[keep], self.indices[keep], kept[self.indptr], self.shape)
-
-    def copy(self):
-        arrays = (self.data.copy(), self.indices.copy(), self.indptr.copy())
-        return type(self)._new(*arrays, self.shape)
+        return Csr._new(self.data[keep], self.indices[keep], kept[self.indptr], self.shape)
 
     def astype(self, dtype):
         return self._with_data(self.data.astype(dtype))
@@ -166,65 +149,24 @@ class _Compressed:
 
     __rmul__ = __mul__
 
-    def _take(self, lines):
-        """The major lines ``lines`` (indices or a slice), in that order,
-        gathered ``_GATHER_ENTRIES`` entries or one line at a time, which
-        bounds the index temporaries."""
-        if isinstance(lines, slice):
-            lines = np.arange(self._extent()[0])[lines]
-        lines = np.asarray(lines)
-        start = self.indptr[lines]
-        count = self.indptr[lines + 1] - start
+    def _take(self, rows) -> "Csr":
+        """The rows ``rows`` (indices or a slice), in that order."""
+        if isinstance(rows, slice):
+            rows = np.arange(self.shape[0])[rows]
+        rows = np.asarray(rows)
+        start = self.indptr[rows]
+        count = self.indptr[rows + 1] - start
+        at = _ranges(start, count)
         indptr = np.concatenate(([0], np.cumsum(count)))
-        data = np.empty(indptr[-1], self.dtype)
-        indices = np.empty(indptr[-1], self.indices.dtype)
-        pieces = np.searchsorted(indptr, np.arange(_GATHER_ENTRIES, indptr[-1], _GATHER_ENTRIES))
-        for lo, hi in zip([0, *pieces], [*pieces, lines.size]):
-            at = _ranges(start[lo:hi], count[lo:hi])
-            data[indptr[lo] : indptr[hi]] = self.data[at]
-            indices[indptr[lo] : indptr[hi]] = self.indices[at]
-        shape = (lines.size, self.shape[1]) if self._MAJOR == 0 else (self.shape[0], lines.size)
-        return type(self)._new(data, indices, indptr, shape)
-
-    def _swapped(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(data, indices, indptr) of the same matrix compressed along the
-        other axis; entries keep their order within each new line."""
-        order = np.argsort(self.indices, kind="stable")
-        counts = np.bincount(self.indices, minlength=self._extent()[1])
-        return self.data[order], self._major_ids()[order], np.concatenate(([0], np.cumsum(counts)))
-
-
-def _fill(out: _Compressed, data, indices, indptr, shape):
-    shape = tuple(int(s) for s in shape)
-    index = index_dtype(max(*shape, data.size))
-    for name, value in (
-        ("data", data),
-        ("indices", indices.astype(index, copy=False)),
-        ("indptr", indptr.astype(index, copy=False)),
-        ("shape", shape),
-    ):
-        object.__setattr__(out, name, value)
-
-
-class Csr(_Compressed):
-    """A canonical compressed sparse row array."""
-
-    __slots__ = ()
-
-    @property
-    def T(self) -> "Csc":
-        return Csc._new(self.data, self.indices, self.indptr, self.shape[::-1])
-
-    def tocsc(self) -> "Csc":
-        return Csc._new(*self._swapped(), self.shape)
+        return Csr._new(self.data[at], self.indices[at], indptr, (rows.size, self.shape[1]))
 
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(row, column, value) of every stored entry, in storage order."""
-        return self._major_ids(), self.indices, self.data
+        return self._row_ids(), self.indices, self.data
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape, self.dtype)
-        out[self._major_ids(), self.indices] = self.data
+        out[self._row_ids(), self.indices] = self.data
         return out
 
     def __getitem__(self, key) -> "Csr":
@@ -240,7 +182,7 @@ class Csr(_Compressed):
         position[cols] = np.arange(cols.size)
         new = position[self.indices]
         keep = new >= 0
-        rows, new = self._major_ids()[keep], new[keep]
+        rows, new = self._row_ids()[keep], new[keep]
         order = np.argsort(rows * cols.size + new, kind="stable")
         indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=self.shape[0]))))
         return Csr._new(self.data[keep][order], new[order], indptr, (self.shape[0], cols.size))
@@ -254,35 +196,19 @@ class Csr(_Compressed):
     def __matmul__(self, other):
         if isinstance(other, Csr):
             return _product(self, other)
-        if isinstance(other, _Compressed):
-            return NotImplemented
         return _dense_product(self, np.asarray(other))
 
-    def __rmatmul__(self, other):
-        """x @ a for a dense x, as (a^T x^T)^T: each entry sums its terms in
-        the order of a's rows, as scipy does."""
-        return _dense_product(self.tocsc().T, np.asarray(other).T).T
 
-
-class Csc(_Compressed):
-    """A canonical compressed sparse column array."""
-
-    __slots__ = ()
-    _MAJOR = 1
-
-    @property
-    def T(self) -> Csr:
-        return Csr._new(self.data, self.indices, self.indptr, self.shape[::-1])
-
-    def toarray(self) -> np.ndarray:
-        return self.T.toarray().T
-
-    def __getitem__(self, key) -> "Csc":
-        """``v[:, cols]``: columns gathered by an index array or a slice."""
-        rows, cols = key
-        if not _is_everything(rows):
-            raise IndexError("a Csc gathers columns only")
-        return self if _is_everything(cols) else self._take(cols)
+def _fill(out: Csr, data, indices, indptr, shape):
+    shape = tuple(int(s) for s in shape)
+    index = np.int32 if max(*shape, data.size) <= _INT32_MAX else np.int64
+    for name, value in (
+        ("data", data),
+        ("indices", indices.astype(index, copy=False)),
+        ("indptr", indptr.astype(index, copy=False)),
+        ("shape", shape),
+    ):
+        object.__setattr__(out, name, value)
 
 
 def _is_everything(key) -> bool:
@@ -349,7 +275,7 @@ def hstack(mats) -> Csr:
     if len(n_rows) != 1:
         raise ValueError(f"side by side arrays differ in height: {sorted(n_rows)}")
     offsets = np.cumsum([0] + [m.shape[1] for m in mats])
-    rows = np.concatenate([m._major_ids() for m in mats])
+    rows = np.concatenate([m._row_ids() for m in mats])
     order = np.argsort(rows, kind="stable")  # per row, the arrays' entries in array order
     indices = np.concatenate([m.indices + off for m, off in zip(mats, offsets)])
     data = np.concatenate([m.data for m in mats])
@@ -394,7 +320,7 @@ def _product(a: Csr, b: Csr) -> Csr:
     at = _ranges(start, count)  # and its b entry
     if not at.size:
         return zeros(shape, dtype)
-    key = np.repeat(a._major_ids().astype(np.int64) * shape[1], count) + b.indices[at]
+    key = np.repeat(a._row_ids().astype(np.int64) * shape[1], count) + b.indices[at]
     order, key, first = _runs(key)  # stable: each output entry's terms stay in a's order
     owner, at = owner[order], at[order]
     slot = np.cumsum(first) - 1  # the output entry of every partial product
@@ -450,7 +376,7 @@ def _elementwise(a: Csr, b: Csr, op) -> Csr:
     if a.shape != b.shape:
         raise ValueError(f"shapes {a.shape} and {b.shape} differ")
     dtype = np.result_type(a.data, b.data)
-    keys = np.concatenate((a._major_ids(), b._major_ids())).astype(np.int64) * a.shape[1]
+    keys = np.concatenate((a._row_ids(), b._row_ids())).astype(np.int64) * a.shape[1]
     order, keys, first = _runs(keys + np.concatenate((a.indices, b.indices)))
     slot = np.empty(keys.size, np.intp)  # the output entry of every stored entry
     slot[order] = np.cumsum(first) - 1

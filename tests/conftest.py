@@ -61,3 +61,15 @@ def shifted_dense(model) -> np.ndarray:
     orders = np.arange(-iset.hmax, iset.hmax + 1)
     omega = 2 * np.pi * iset.f1 * np.repeat(orders, model.state_channels)
     return a - np.diag(1j * omega)
+
+
+def dense_vectors(solution) -> np.ndarray:
+    """The eigenvectors of an ``EigenSolution`` as the columns of one dense
+    array, in the solution's order, read block by block through
+    ``block_vectors``."""
+    n = solution.eigenvalues.size
+    out = np.zeros((n, n), complex)
+    for i, (k, j) in enumerate(zip(solution.block, solution.column)):
+        rows, vectors = solution.block_vectors(k)
+        out[rows, i] = vectors[:, j]
+    return out

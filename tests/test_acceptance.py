@@ -148,7 +148,7 @@ def test_04_closed_loop_algebra():
     scenario = load_scenario(scenario_path("two_node"))
     system = assemble_system(scenario)
     ol = system.open_loop.model.dense()
-    j = system.interconnection
+    j = system.interconnection.toarray()
     lam = eigenvalues_only(system.model).eigenvalues
     rng = np.random.default_rng(5)
     worst_fp = 0.0

@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from hss_stab import (
@@ -29,8 +28,8 @@ from hss_stab.errors import NumericalError
 from hss_stab.harmonic import omega_diagonal
 from hss_stab.model import HssModel, lift_ltp
 from hss_stab.pipeline import assemble
-from hss_stab.sparse import Csr
-from tests.conftest import load_raw, lti_model, shifted_dense
+from hss_stab.sparse import Csr, from_dense, kron_eye
+from tests.conftest import dense_vectors, load_raw, lti_model, shifted_dense
 from hss_stab import scenario_from_dict
 from scripts.feeder import feeder
 
@@ -70,7 +69,7 @@ class TestEigenDecompose:
         a = rng.standard_normal((3, 3))
         model = lti_model(a, iset)
         sol = eigen_decompose(model)
-        v = sol.vectors.toarray()
+        v = dense_vectors(sol)
         assert np.allclose(np.linalg.norm(v, axis=0), 1.0)
         m = shifted_dense(model)
         residual = np.linalg.norm(m @ v - v * sol.eigenvalues, axis=0)
@@ -80,7 +79,7 @@ class TestEigenDecompose:
     def test_energy_by_matches_dense_group_sums(self):
         model = nominal_model("two_node", 8)
         sol = eigen_decompose(model)
-        energy = np.abs(sol.vectors.toarray()) ** 2
+        energy = np.abs(dense_vectors(sol)) ** 2
         rows = np.arange(model.state_dim)
         channels = model.state_channels
         for group, groups in [
@@ -90,6 +89,33 @@ class TestEigenDecompose:
         ]:
             dense = np.stack([energy[group == k].sum(axis=0) for k in range(groups)])
             np.testing.assert_allclose(sol.energy_by(group, groups), dense, rtol=1e-12, atol=0.0)
+
+    def test_vectors_held_once_per_ladder_class(self):
+        sol = eigen_decompose(nominal_model("four_cider_six_node", 25))
+        classes = sol.partition.classes
+        assert len(sol.supports) == len(classes) == 104
+        assert len(sol.arrays) == len(set(sol.uses)) == len(set(classes)) == 10
+        for k, rep in enumerate(classes):
+            rows, vectors = sol.block_vectors(k)
+            # a copy holds no array of its own: it reads its representative's
+            assert vectors is sol.block_vectors(rep)[1] is sol.arrays[sol.uses[k]]
+            assert vectors.shape == (rows.size, sol.partition.rows[k].size)
+            assert np.all(np.diff(rows) > 0)
+
+    def test_reordered_allocates_no_vector_data(self):
+        sol = eigen_decompose(nominal_model("four_cider_six_node", 12))
+        order = analysis.spectral_order(sol.eigenvalues, descending=True)
+        tracemalloc.start()
+        try:
+            moved = sol.reordered(order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert moved.arrays is sol.arrays and moved.supports is sol.supports
+        assert moved.uses is sol.uses
+        # the eigenvalues, blocks and columns: 32 bytes an eigenpair
+        assert peak < 48 * order.size < sum(a.nbytes for a in sol.arrays)
+        assert np.array_equal(dense_vectors(moved), dense_vectors(sol)[:, order])
 
     def test_vectors_store_no_dense_array(self):
         # the vectors hold only each block's support: the peak allocation of
@@ -133,7 +159,7 @@ def assert_spectrum_matches(lam, reference):
 
 
 def assert_valid_vectors(sol, m):
-    v = sol.vectors.toarray()
+    v = dense_vectors(sol)
     assert np.allclose(np.linalg.norm(v, axis=0), 1.0, rtol=0.0, atol=1e-12)
     residual = np.linalg.norm(m @ v - v * sol.eigenvalues, axis=0)
     assert residual.max() <= RESIDUAL_TOL
@@ -213,7 +239,7 @@ class TestRealFormSolve:
         assert sol.partition.classes == (0,) * 5
         assert np.array_equal(lam, expected_w)
         assert np.array_equal(sol.eigenvalues, expected_w)
-        assert np.array_equal(sol.vectors.toarray(), expected_v)
+        assert np.array_equal(dense_vectors(sol), expected_v)
         for got in (lam, sol.eigenvalues):
             assert_spectrum_matches(got, scipy.linalg.eigvals(m))
         assert_valid_vectors(sol, m)
@@ -320,19 +346,34 @@ class TestBlockSolve:
         y[np.concatenate(blocks)] = scipy.linalg.block_diag(*vectors)
         expected = t.toarray() @ y
         expected /= np.linalg.norm(expected, axis=0)
-        v = analysis._back_map(t, list(zip(blocks, vectors)))
-        assert v.has_canonical_format
-        np.testing.assert_allclose(v.toarray(), expected, rtol=0.0, atol=1e-14)
+        supports, uses, arrays = analysis._back_map(t, list(zip(blocks, vectors)))
+        assert all(np.all(np.diff(rows) > 0) for rows in supports)  # ascending rows
+        v = dense_vectors(solution_from(blocks, (supports, uses, arrays)))
+        np.testing.assert_allclose(v, expected, rtol=0.0, atol=1e-14)
 
     def test_residual_reads_every_nonzero_row(self):
-        m, w, v, partition = analysis._solve_spectrum(nominal_model("two_node"), vectors=True)
+        model = nominal_model("two_node")
+        m, sol = analysis._shifted_csr(model), eigen_decompose(model)
         rng = np.random.default_rng(7)
-        v = v.copy()
-        v.data[:] *= 1.0 + 1e-3 * rng.standard_normal(v.data.shape)  # the same stored entries
-        dense = v.toarray()
-        dense = np.linalg.norm(m.toarray() @ dense - dense * w, axis=0)
-        worst, col = analysis._worst_residual(m, w, v, analysis._block_ids(partition))
-        assert worst == pytest.approx(dense.max(), rel=1e-12)
+
+        def perturb(a):  # the same stored entries
+            return a * (1.0 + 1e-3 * rng.standard_normal(a.shape))
+
+        # perturbed once per ladder class, so that the copies' residuals are
+        # formed in batches, and once per block, which gives every block an
+        # array of its own and the copies' residuals that do not tie
+        shared = replace(sol, arrays=tuple(perturb(a) for a in sol.arrays))
+        blocks = range(len(sol.supports))
+        own = replace(
+            sol, uses=tuple(blocks), arrays=tuple(perturb(sol.block_vectors(k)[1]) for k in blocks)
+        )
+        assert len(shared.arrays) < len(own.arrays) == len(sol.partition.rows)
+        for case in (shared, own):
+            dense = dense_vectors(case)
+            dense = np.linalg.norm(m.toarray() @ dense - dense * case.eigenvalues, axis=0)
+            worst, col = analysis._worst_residual(m, case)
+            assert worst == pytest.approx(dense.max(), rel=1e-12)
+            assert dense[col] == pytest.approx(dense.max(), rel=1e-12)
         assert col == np.argmax(dense)
 
     def test_four_cider_splits_by_harmonic_parity(self):
@@ -376,10 +417,19 @@ def misplaced(back_map):
     """``back_map`` with every stored entry moved to the row of the entry before it."""
 
     def shifted(t, y):
-        v = back_map(t, y)
-        return sp.csc_array((v.data, np.roll(v.indices, 1), v.indptr), shape=v.shape)
+        supports, uses, arrays = back_map(t, y)
+        return supports, uses, tuple(np.roll(a, 1, axis=0) for a in arrays)
 
     return shifted
+
+
+def solution_from(blocks, vectors):
+    """An ``EigenSolution`` of zero eigenvalues holding ``vectors``, the
+    ``(supports, uses, arrays)`` of ``blocks`` in solver order."""
+    block = np.repeat(np.arange(len(blocks)), [rows.size for rows in blocks])
+    column = np.concatenate([np.arange(rows.size) for rows in blocks])
+    partition = analysis.Partition("complex", tuple(blocks))
+    return analysis.EigenSolution(np.zeros(block.size, complex), block, partition, column, *vectors, ())
 
 
 def sequence_blocks(model):
@@ -388,6 +438,22 @@ def sequence_blocks(model):
 
 class TestSequenceSolve:
     """The spectrum solved one symmetrical-component rung at a time."""
+
+    @pytest.mark.parametrize("name", ["four_cider_six_node", "feeder"])
+    def test_unitary_matches_dense_construction(self, name):
+        # U from the phase triples alone, against U densified per harmonic
+        if name == "feeder":
+            model = assemble(scenario_from_dict(feeder(6, 2)), state_only=True).model
+        else:
+            model = nominal_model(name, 4)
+        per_order = np.eye(model.state_channels, dtype=complex)
+        for t in model.phase_triples:
+            per_order[t : t + 3, t : t + 3] = analysis.FORTESCUE
+        expected = kron_eye(model.index_set.count, from_dense(per_order))
+        u = analysis._sequence_form(model, analysis._shifted_csr(model))[1]
+        assert u.shape == expected.shape and u.dtype == expected.dtype
+        for part in ("indptr", "indices", "data"):
+            assert getattr(u, part).tobytes() == getattr(expected, part).tobytes()
 
     def test_models_declare_phase_triples(self):
         model = nominal_model("two_node")

@@ -7,13 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from hss_stab import analysis, pipeline, runner
 from hss_stab.cli import main
 from hss_stab.runner import export_results, run_command
 from hss_stab import ConfigurationError, load_scenario
-from tests.conftest import scenario_path
+from tests.conftest import dense_vectors, scenario_path
 
 TWO_NODE = str(scenario_path("two_node"))
 RLC = str(scenario_path("rlc_grid"))
@@ -546,14 +545,17 @@ class TestEigenRecords:
         cluster = runner._clusters(sol.eigenvalues)
         pairs = [np.flatnonzero(cluster == k) for k in np.flatnonzero(np.bincount(cluster) == 2)]
         assert len(pairs) == 12
-        dense = sol.vectors.toarray()
+        dense = dense_vectors(sol)
+        n = dense.shape[0]
         for seed in range(10):
             rng = np.random.default_rng(seed)
             mixed = dense.copy()
             for pair in pairs:
                 q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
                 mixed[:, pair] = dense[:, pair] @ q
-            got = runner._eigen_records(replace(sol, vectors=sp.csc_array(mixed)))
+            # the mixed vectors held as one block over all rows
+            whole = dict(block=np.zeros(n, int), column=np.arange(n), supports=(np.arange(n),))
+            got = runner._eigen_records(replace(sol, **whole, uses=(0,), arrays=(mixed,)))
             for pair in pairs:
                 assert [got[i][3] for i in pair] == [records[pair[0]][3]] * 2
 

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from hss_stab import analysis, pipeline, scenario_from_dict
 from hss_stab import sparse
-from hss_stab.sparse import Csc, Csr
-from tests.conftest import load_raw
+from hss_stab.sparse import Csr
+from tests.conftest import dense_vectors, load_raw
 
 values = st.one_of(
     st.just(0.0), st.floats(-5, 5, allow_nan=False, allow_infinity=False, allow_subnormal=False)
@@ -105,10 +105,9 @@ def test_dense_products(pair, width, complex_x, data):
         flat = flat + 1j * flat[::-1] if complex_x else flat
         return flat.reshape(rows, cols)
 
-    x, y = dense(a.shape[1], width), dense(width, a.shape[0])
+    x = dense(a.shape[1], width)
     assert_same_dense(a @ x, sa @ x)
     assert_same_dense(a @ x[:, 0], sa @ x[:, 0])
-    assert_same_dense(y @ a, y @ sa)
 
 
 @given(st.data())
@@ -136,7 +135,7 @@ def test_scaling_and_parts(pair, scalar):
 
 @given(operands(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_gathers_and_transposes(pair, data):
+def test_gathers(pair, data):
     a, sa = pair
     rows, cols = (
         np.array(data.draw(st.permutations(range(n))), int)[: data.draw(st.integers(0, n))]
@@ -146,15 +145,6 @@ def test_gathers_and_transposes(pair, data):
     assert_same(a[:, cols], sa[:, cols])
     assert_same(a[rows, :][:, cols], sa[rows][:, cols])
     assert_same(a[1:], sa[1:])
-    csc, ref = a.tocsc(), sa.tocsc()
-    ref.sort_indices()
-    assert isinstance(csc, Csc) and csc.has_canonical_format
-    assert csc.indptr.tolist() == ref.indptr.tolist()
-    assert csc.indices.tolist() == ref.indices.tolist()
-    assert csc.data.tobytes() == ref.data.tobytes()
-    assert np.array_equal(csc.toarray(), sa.toarray())
-    assert_same_dense(csc[:, cols].toarray(), ref[:, cols].toarray())
-    assert_same(a.T.T, sa)
 
 
 @given(operands())
@@ -269,17 +259,18 @@ def test_sequence_form_is_scipys_product(name, hmax):
 @pytest.mark.parametrize("phase_triples", [True, False])
 def test_back_map_is_scipys_product(phase_triples, monkeypatch):
     # V = T Y, block by block with copies reusing their representative's
-    # columns, against one sparse product T Y normalised column by column
+    # array, against one sparse product T Y normalised column by column
     model = state_only_model("two_node", 8)
     if not phase_triples:
         model = replace(model, phase_triples=())
     seen = []
     back_map = analysis._back_map
     monkeypatch.setattr(analysis, "_back_map", lambda t, y: seen.append((t, y)) or back_map(t, y))
-    v = analysis.eigen_decompose(model).vectors
+    solution = analysis.eigen_decompose(model)
     (t, y), = seen
     if phase_triples:  # in sequence form, ladder copies share their representative's vectors
         assert len({id(vectors) for _, vectors in y}) < len(y)
+        assert len(solution.arrays) < len(solution.supports) == len(y)
     sizes = [rows.size for rows, _ in y]
     ys = sp.csc_array(
         (
@@ -296,6 +287,6 @@ def test_back_map_is_scipys_product(phase_triples, monkeypatch):
     norms = np.sqrt(np.bincount(cols, weights=squares, minlength=ref.shape[1]))
     norms[norms == 0] = 1.0
     ref.data /= norms[cols]
-    assert isinstance(v, Csc) and v.has_canonical_format
-    assert (v.indptr.tolist(), v.indices.tolist()) == (ref.indptr.tolist(), ref.indices.tolist())
-    assert v.data.tobytes() == ref.data.tobytes()
+    assert all(np.all(np.diff(rows) > 0) for rows in solution.supports)  # ascending rows
+    # equal nonzero values are equal bits: the positions and bytes of V's entries are scipy's
+    assert np.array_equal(dense_vectors(solution), ref.toarray())
